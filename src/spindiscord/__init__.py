@@ -1,74 +1,8 @@
 """Quantum discord toolkit for two-qubit X states and XXZ Heisenberg rings."""
 
-from .xstate import (
-    XState,
-    MeasurementBasis,
-    OptimalTheta,
-    DiscordResult,
-    GridVerifyReport,
-    binary_entropy,
-    joint_eigenvalues,
-    conditional_entropy,
-    c00,
-    c90,
-    discord,
-    discord_grid_verify,
-    pure_state_discord,
-    random_xstate,
-)
-from .spinchain import (
-    SectorBasis,
-    GroundState,
-    FerromagneticRegimeError,
-    ConvergenceError,
-    DegenerateGroundStateError,
-    build_sector,
-    apply_hamiltonian,
-    ground_state,
-    dense_sector_hamiltonian,
-    dense_spectrum_oracle,
-    cache_path,
-    save_ground_state,
-    load_ground_state,
-    load_cached_ground_state,
-)
-from .correlators import (
-    PairCorrelations,
-    KRatio,
-    DiscordByDistance,
-    DiscordByAnisotropy,
-    AsymptoticCheck,
-    UndefinedRatioError,
-    CorrelatorDomainError,
-    two_site_rdm,
-    pair_correlations,
-    k_ratio,
-    discord_profile_vs_r,
-    discord_profile_vs_delta,
-    discord_symmetric,
-    discord_isotropic,
-    asymptotic_discord_check,
-)
-from .distribution import (
-    UniformSphere,
-    GaussGrid,
-    AngleGrid,
-    EntropyHistogram,
-    MomentsByAnisotropy,
-    sample_distribution,
-    find_peaks,
-    moments_vs_delta,
-)
-from .scaling import (
-    ScalingForm,
-    PairKind,
-    ScalingParams,
-    ScalingDomainError,
-    NormalizedDiscordPoint,
-    correlation_length,
-    gamma_far,
-    gamma_nn,
-    normalized_discord_curve,
-)
+from .xstate import XState, discord
+from .spinchain import ground_state
+from .correlators import two_site_rdm, k_ratio
+from .distribution import GaussGrid, sample_distribution
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from pathlib import Path
 from .correlators import (
     discord_profile_vs_delta,
     discord_profile_vs_r,
-    two_site_rdm,
+    pair_state_sweep,
 )
 from .distribution import (
     AngleGrid,
@@ -244,15 +244,15 @@ def _emit_table(args, config, columns, rows, exc) -> int:
     return 0
 
 
-def _sweep(deltas, rows_for_delta):
-    """Accumulate rows per sweep point; a failure returns the partial table."""
-    rows = []
-    for delta in deltas:
-        try:
-            rows.extend(rows_for_delta(delta))
-        except (ValueError, RuntimeError) as exc:
-            return rows, exc
-    return rows, None
+def _sweep(rows):
+    """Collect rows until the iterable fails; a failure returns the partial table."""
+    collected = []
+    try:
+        for row in rows:
+            collected.append(row)
+    except (ValueError, RuntimeError) as exc:
+        return collected, exc
+    return collected, None
 
 
 # ── shared argument resolution ──────────────────────────────────────────────
@@ -277,6 +277,10 @@ def _solver_kwargs(args) -> dict:
         "seed": args.seed,
         "cache_dir": _resolve_cache_dir(args),
     }
+
+
+def _pair_states(args, deltas, rs):
+    return pair_state_sweep(args.n, deltas, rs, **_solver_kwargs(args))
 
 
 def _solver_config(args) -> dict:
@@ -347,35 +351,21 @@ def _cmd_fig1(args) -> int:
 
 
 def _cmd_fig2(args) -> int:
-    kwargs = _solver_kwargs(args)
     deltas = args.delta_range if args.delta_range is not None else [args.delta]
-
-    def rows_for(delta):
-        gs = ground_state(args.n, delta, **kwargs)
-        return [
-            (delta, row.r, row.discord, row.symmetric_closed_form, row.isotropic_closed_form)
-            for row in discord_profile_vs_r(gs)
-        ]
-
-    rows, exc = _sweep(deltas, rows_for)
+    pairs = _pair_states(args, deltas, range(1, args.n // 2 + 1))
+    rows, exc = _sweep(
+        (row.delta, row.r, row.discord, row.symmetric_closed_form, row.isotropic_closed_form)
+        for row in discord_profile_vs_r(pairs)
+    )
     config = {**_solver_config(args), "deltas": deltas}
     columns = ("delta", "r", "discord", "symmetric_form", "isotropic_form")
     return _emit_table(args, config, columns, rows, exc)
 
 
-def _discord_sweep_rows(args, columns_of):
-    kwargs = _solver_kwargs(args)
-
-    def rows_for(delta):
-        table = discord_profile_vs_delta(args.n, [delta], args.rs, **kwargs)
-        return [columns_of(row) for row in table]
-
-    return _sweep(args.delta_range, rows_for)
-
-
 def _cmd_fig3(args) -> int:
-    rows, exc = _discord_sweep_rows(
-        args, lambda row: (row.delta, row.r, row.discord, row.k, row.chosen_theta)
+    rows, exc = _sweep(
+        (row.delta, row.r, row.discord, row.k, row.chosen_theta)
+        for row in discord_profile_vs_delta(_pair_states(args, args.delta_range, args.rs))
     )
     config = {**_solver_config(args), "rs": args.rs, "deltas": args.delta_range}
     columns = ("delta", "r", "discord", "k", "basis")
@@ -383,17 +373,18 @@ def _cmd_fig3(args) -> int:
 
 
 def _cmd_fig4(args) -> int:
-    rows, exc = _discord_sweep_rows(
-        args, lambda row: (row.delta, row.r, row.k, row.chosen_theta)
+    rows, exc = _sweep(
+        (row.delta, row.r, row.k, row.chosen_theta)
+        for row in discord_profile_vs_delta(_pair_states(args, args.delta_range, args.rs))
     )
     config = {**_solver_config(args), "rs": args.rs, "deltas": args.delta_range}
     return _emit_table(args, config, ("delta", "r", "k", "basis"), rows, exc)
 
 
 def _cmd_fig5(args) -> int:
-    kwargs = _solver_kwargs(args)
+    pairs = _pair_states(args, [args.delta], [args.r])
     scheme = _build_scheme(args, args.seed)
-    state = two_site_rdm(ground_state(args.n, args.delta, **kwargs), 1, 1 + args.r)
+    [(_, _, state)] = pairs
     hist = sample_distribution(state, scheme, bin_width=args.bin_width)
     rows = [
         (idx * hist.bin_width, (idx + 1) * hist.bin_width, mass)
@@ -433,19 +424,12 @@ def _cmd_fig5(args) -> int:
 
 
 def _cmd_fig6(args) -> int:
-    kwargs = _solver_kwargs(args)
+    pairs = _pair_states(args, args.delta_range, args.rs)
     scheme = _build_scheme(args, args.seed)
-
-    def rows_for(delta):
-        table = moments_vs_delta(
-            args.n, [delta], args.rs, scheme, bin_width=args.bin_width, **kwargs
-        )
-        return [
-            (row.delta, row.r, row.mean_c, row.var_c, row.min_c, row.max_c)
-            for row in table
-        ]
-
-    rows, exc = _sweep(args.delta_range, rows_for)
+    rows, exc = _sweep(
+        (row.delta, row.r, row.mean_c, row.var_c, row.min_c, row.max_c)
+        for row in moments_vs_delta(pairs, scheme, bin_width=args.bin_width)
+    )
     config = {
         **_solver_config(args),
         "rs": args.rs,

@@ -14,9 +14,10 @@ eigenvalues are {1/4+Gamma (twice), 1/4+(k−1)Gamma, 1/4−(k+1)Gamma} and
     D = 1 − S_joint + min(H(1/2 + 2 Gamma), H(1/2 + k Gamma)),
 
 the first argument winning for k below 2 and the second above.  The module
-computes the correlators directly from sector amplitudes, reconstructs pair
+reduces sector amplitudes to pair states, reads the correlators off those
 states, evaluates the closed forms, and sweeps discord over separation and
-over the anisotropy.
+over the anisotropy.  Every sweep draws its pair states from
+`pair_state_sweep`, the one place that handles the polarized regime.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .spinchain import GroundState, ground_state
-from .xstate import OptimalTheta, XState, binary_entropy, c00, c90, discord
+from .xstate import OptimalTheta, XState, _entropy_of, binary_entropy, discord
 
 __all__ = [
     "PairCorrelations",
@@ -39,6 +40,7 @@ __all__ = [
     "UndefinedRatioError",
     "CorrelatorDomainError",
     "two_site_rdm",
+    "pair_state_sweep",
     "pair_correlations",
     "k_ratio",
     "discord_profile_vs_r",
@@ -49,6 +51,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# Pair state of the Delta <= -1 ground state, the equal mixture of the two
+# fully polarized states: classical, so its discord and k are 0.
+_POLARIZED = XState(u=0.5, v=0.5, w1=0.0, w2=0.0)
 
 
 class UndefinedRatioError(ValueError):
@@ -85,8 +90,9 @@ class KRatio:
 
 @dataclass(frozen=True)
 class DiscordByDistance:
-    """Pipeline discord at separation r plus applicable closed forms."""
+    """Pipeline discord at (delta, r) plus applicable closed forms."""
 
+    delta: float
     r: int
     discord: float
     symmetric_closed_form: Optional[float]
@@ -113,23 +119,6 @@ def _site_bits(gs: GroundState, site: int) -> np.ndarray:
     return ((gs.basis.states >> np.uint64(site - 1)) & np.uint64(1)).astype(np.int64)
 
 
-def _flip_sum(gs: GroundState, select: np.ndarray, flip: int) -> float:
-    """Sum of amp(c ^ flip) * amp(c) over selected configs c.
-
-    Configurations whose flipped partner falls outside the sector contribute
-    nothing (the operator maps them out of the conserved-S^z space).
-    """
-    states = gs.basis.states
-    amps = gs.amplitudes
-    src = np.nonzero(select)[0]
-    if src.size == 0:
-        return 0.0
-    targets = states[src] ^ np.uint64(flip)
-    pos = np.minimum(np.searchsorted(states, targets), gs.basis.dim - 1)
-    found = states[pos] == targets
-    return float(np.sum(amps[pos[found]] * amps[src[found]]))
-
-
 def _check_pair(gs: GroundState, i: int, j: int) -> None:
     n = gs.basis.n_sites
     if not (1 <= i <= n and 1 <= j <= n):
@@ -148,6 +137,8 @@ def two_site_rdm(gs: GroundState, i: int, j: int) -> XState:
 
     Qubit value 0 is spin up.  Assembled by grouping |amplitude|^2 by the four
     local (i, j) configurations and accumulating the flip-flop cross terms.
+    The double-flip coherence y changes S^z by 2, so it vanishes in the
+    fixed-S^z sector.
     """
     _check_pair(gs, i, j)
     bi = _site_bits(gs, i)
@@ -155,42 +146,86 @@ def two_site_rdm(gs: GroundState, i: int, j: int) -> XState:
     weights = gs.amplitudes * gs.amplitudes
     # qubit index: 0 = up (bit 1), so |00> collects both-up configurations
     occ = np.bincount(2 * (1 - bi) + (1 - bj), weights=weights, minlength=4)
-    flip = (1 << (i - 1)) | (1 << (j - 1))
-    x = _flip_sum(gs, (bi == 0) & (bj == 1), flip)
-    y = _flip_sum(gs, (bi == 0) & (bj == 0), flip)
-    return XState(u=occ[0], v=occ[3], w1=occ[1], w2=occ[2], x=x, y=y)
+    # x = sum of amp(c ^ flip) * amp(c) over configurations c with i down and
+    # j up; the flip-flop keeps S^z, so every partner c ^ flip is in the sector
+    states = gs.basis.states
+    src = np.nonzero((bi == 0) & (bj == 1))[0]
+    dst = np.searchsorted(states, states[src] ^ np.uint64((1 << (i - 1)) | (1 << (j - 1))))
+    x = float(np.sum(gs.amplitudes[dst] * gs.amplitudes[src]))
+    return XState(u=occ[0], v=occ[3], w1=occ[1], w2=occ[2], x=x)
+
+
+def _check_separations(n_sites: int, rs) -> None:
+    for r in rs:
+        if not 1 <= r <= n_sites - 1:
+            raise ValueError(f"separation {r} outside [1, {n_sites - 1}]")
+
+
+def pair_state_sweep(
+    n_sites: int,
+    deltas,
+    rs,
+    *,
+    tol: float = 1e-12,
+    seed: int = 0,
+    cache_dir=None,
+):
+    """Yield (delta, r, pair state of sites (1, 1+r)) in (delta, r) order.
+
+    Anisotropies at or below −1 yield the pair state of the polarized
+    mixture without a solve: there the ground state leaves the S^z = 0
+    sector for the two fully polarized states.  Every other anisotropy is
+    solved once.
+    """
+    _check_separations(n_sites, rs)
+    for delta in deltas:
+        delta = float(delta)
+        if delta <= -1.0:
+            for r in rs:
+                yield delta, r, _POLARIZED
+            continue
+        gs = ground_state(n_sites, delta, tol=tol, seed=seed, cache_dir=cache_dir)
+        for r in rs:
+            yield delta, r, two_site_rdm(gs, 1, 1 + r)
+        del gs  # free this sector before the next solve builds its own
+
+
+def _gamma_d(state: XState) -> float:
+    return (state.u + state.v - state.w1 - state.w2) / 4.0
+
+
+def _ratio(state: XState) -> float:
+    """k = gamma_o/gamma_d of a pair state; NaN where gamma_d vanishes."""
+    gamma_d = _gamma_d(state)
+    if abs(gamma_d) < 1e-14:  # k would be rounding noise
+        return math.nan
+    return state.x.real / gamma_d
 
 
 def pair_correlations(gs: GroundState, i: int, j: int) -> PairCorrelations:
-    """Pair expectation values computed directly from the amplitudes."""
-    _check_pair(gs, i, j)
-    bi = _site_bits(gs, i)
-    bj = _site_bits(gs, j)
-    weights = gs.amplitudes * gs.amplitudes
-    zi = bi - 0.5
-    zj = bj - 0.5
-    flip = (1 << (i - 1)) | (1 << (j - 1))
+    """Pair expectation values, read off the reduced state of (i, j)."""
+    state = two_site_rdm(gs, i, j)
     return PairCorrelations(
         r=_ring_distance(gs.basis.n_sites, i, j),
-        gamma_d=float(np.sum(weights * zi * zj)),
-        gamma_o=complex(_flip_sum(gs, (bi == 0) & (bj == 1), flip)),
-        y_corr=complex(_flip_sum(gs, (bi == 0) & (bj == 0), flip)),
-        mz_i=float(np.sum(weights * zi)),
-        mz_j=float(np.sum(weights * zj)),
+        gamma_d=_gamma_d(state),
+        gamma_o=state.x,
+        y_corr=state.y,
+        mz_i=(state.u + state.w1 - state.v - state.w2) / 2.0,
+        mz_j=(state.u + state.w2 - state.v - state.w1) / 2.0,
     )
 
 
 def k_ratio(gs: GroundState, r: int) -> KRatio:
     """Correlator ratio k = gamma_o/gamma_d for the pair (1, 1+r)."""
     n = gs.basis.n_sites
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"separation {r} outside [1, {n - 1}]")
-    corr = pair_correlations(gs, 1, 1 + r)
-    if abs(corr.gamma_d) < 1e-14:
+    _check_separations(n, [r])
+    state = two_site_rdm(gs, 1, 1 + r)
+    k = _ratio(state)
+    if math.isnan(k):
         raise UndefinedRatioError(
-            f"gamma_d(r={r}) = {corr.gamma_d!r} vanishes; k is undefined"
+            f"gamma_d(r={r}) = {_gamma_d(state)!r} vanishes; k is undefined"
         )
-    return KRatio(r=corr.r, k=corr.gamma_o.real / corr.gamma_d)
+    return KRatio(r=_ring_distance(n, 1, 1 + r), k=k)
 
 
 def _symmetric_eigenvalues(gamma_d: float, k: float) -> list:
@@ -211,8 +246,7 @@ def discord_symmetric(gamma_d: float, k: float) -> float:
             f"gamma_d={gamma_d!r}, k={k!r}; gamma_d must stay within "
             "[-1/(4(k-1)), 1/(4(k+1))] for k > 1"
         )
-    lam = np.clip(eigs, 0.0, 1.0)
-    s_joint = float(-np.sum(lam[lam > 0] * np.log2(lam[lam > 0])))
+    s_joint = _entropy_of(eigs)
     c_zero = binary_entropy(min(max(0.5 + 2.0 * gamma_d, 0.0), 1.0))
     c_ninety = binary_entropy(min(max(0.5 + k * gamma_d, 0.0), 1.0))
     return 1.0 - s_joint + min(c_zero, c_ninety)
@@ -234,73 +268,38 @@ def asymptotic_discord_check(gamma_d: float, k: float) -> AsymptoticCheck:
     return AsymptoticCheck(exact=exact, leading=leading)
 
 
-def discord_profile_vs_r(gs: GroundState) -> list:
-    """Discord of pairs (1, 1+r) for r = 1..N/2, with closed-form companions.
+def discord_profile_vs_r(pairs):
+    """Discord rows with closed-form companions over `pair_state_sweep` output.
 
     The symmetric closed form applies whenever k is defined; the isotropic
     one is attached only where the measured k is 2 (the isotropic point).
     """
-    rows = []
-    for r in range(1, gs.basis.n_sites // 2 + 1):
-        state = two_site_rdm(gs, 1, 1 + r)
-        corr = pair_correlations(gs, 1, 1 + r)
+    for delta, r, state in pairs:
+        gamma_d = _gamma_d(state)
+        k = _ratio(state)
         symmetric = None
         isotropic = None
-        if abs(corr.gamma_d) >= 1e-14:
-            k = corr.gamma_o.real / corr.gamma_d
+        if not math.isnan(k):
             try:
-                symmetric = discord_symmetric(corr.gamma_d, k)
+                symmetric = discord_symmetric(gamma_d, k)
             except CorrelatorDomainError:
-                symmetric = None
+                pass
             if abs(k - 2.0) < 1e-6:
-                isotropic = discord_isotropic(corr.gamma_d)
-        rows.append(
-            DiscordByDistance(
-                r=r,
-                discord=discord(state).discord,
-                symmetric_closed_form=symmetric,
-                isotropic_closed_form=isotropic,
-            )
+                isotropic = discord_isotropic(gamma_d)
+        yield DiscordByDistance(
+            delta=delta,
+            r=r,
+            discord=discord(state).discord,
+            symmetric_closed_form=symmetric,
+            isotropic_closed_form=isotropic,
         )
-    return rows
 
 
-def discord_profile_vs_delta(
-    n_sites: int,
-    deltas,
-    rs,
-    *,
-    tol: float = 1e-12,
-    seed: int = 0,
-    cache_dir=None,
-) -> list:
-    """Discord table over (delta, r).
+def discord_profile_vs_delta(pairs):
+    """Discord, k and optimal basis rows over `pair_state_sweep` output.
 
-    Anisotropies at or below −1 are filled analytically: the ground state is
-    the symmetric mixture of the two fully polarized states, whose pair state
-    is classical, so discord is 0, k is 0, and the optimal basis is theta=0.
+    k is NaN where gamma_d vanishes.
     """
-    for r in rs:
-        if not 1 <= r <= n_sites - 1:
-            raise ValueError(f"separation {r} outside [1, {n_sites - 1}]")
-    rows = []
-    for delta in deltas:
-        if delta <= -1.0:
-            rows.extend(
-                DiscordByAnisotropy(float(delta), r, 0.0, 0.0, OptimalTheta.ZERO)
-                for r in rs
-            )
-            continue
-        gs = ground_state(n_sites, float(delta), tol=tol, seed=seed, cache_dir=cache_dir)
-        for r in rs:
-            result = discord(two_site_rdm(gs, 1, 1 + r))
-            try:
-                k = k_ratio(gs, r).k
-            except UndefinedRatioError:
-                k = math.nan
-            rows.append(
-                DiscordByAnisotropy(
-                    float(delta), r, result.discord, k, result.chosen_theta
-                )
-            )
-    return rows
+    for delta, r, state in pairs:
+        result = discord(state)
+        yield DiscordByAnisotropy(delta, r, result.discord, _ratio(state), result.chosen_theta)

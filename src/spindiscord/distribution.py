@@ -30,8 +30,6 @@ from typing import Dict
 import numpy as np
 
 from .xstate import XState, conditional_entropy_values
-from .correlators import two_site_rdm
-from .spinchain import ground_state
 
 __all__ = [
     "UniformSphere",
@@ -226,46 +224,10 @@ def find_peaks(histogram: EntropyHistogram, min_separation: int = 5) -> list:
     return sorted(peaks)
 
 
-def moments_vs_delta(
-    n_sites: int,
-    deltas,
-    rs,
-    scheme=None,
-    *,
-    bin_width: float = 0.005,
-    tol: float = 1e-12,
-    seed: int = 0,
-    cache_dir=None,
-) -> list:
-    """Conditional-entropy moment table over (delta, r).
-
-    Anisotropies at or below −1 use the analytic pair state of the polarized
-    mixture (diagonal, u = v = 1/2) instead of a solver call.
-    """
+def moments_vs_delta(pairs, scheme=None, *, bin_width: float = 0.005):
+    """Conditional-entropy moment rows over `pair_state_sweep` output."""
     if scheme is None:
         scheme = GaussGrid()
-    for r in rs:
-        if not 1 <= r <= n_sites - 1:
-            raise ValueError(f"separation {r} outside [1, {n_sites - 1}]")
-    rows = []
-    for delta in deltas:
-        if delta <= -1.0:
-            hist = sample_distribution(
-                XState(u=0.5, v=0.5, w1=0.0, w2=0.0), scheme, bin_width
-            )
-            rows.extend(
-                MomentsByAnisotropy(
-                    float(delta), r, hist.mean, hist.variance, hist.min_c, hist.max_c
-                )
-                for r in rs
-            )
-            continue
-        gs = ground_state(n_sites, float(delta), tol=tol, seed=seed, cache_dir=cache_dir)
-        for r in rs:
-            hist = sample_distribution(two_site_rdm(gs, 1, 1 + r), scheme, bin_width)
-            rows.append(
-                MomentsByAnisotropy(
-                    float(delta), r, hist.mean, hist.variance, hist.min_c, hist.max_c
-                )
-            )
-    return rows
+    for delta, r, state in pairs:
+        hist = sample_distribution(state, scheme, bin_width)
+        yield MomentsByAnisotropy(delta, r, hist.mean, hist.variance, hist.min_c, hist.max_c)

@@ -45,7 +45,6 @@ __all__ = [
     "cache_path",
     "save_ground_state",
     "load_ground_state",
-    "load_cached_ground_state",
 ]
 
 MAX_SITES = 26
@@ -364,11 +363,6 @@ def load_ground_state(path):
     if zlib.crc32(payload) != crc:
         return None
     return energy, np.frombuffer(payload, dtype="<f8").astype(np.float64)
-
-
-def load_cached_ground_state(cache_dir, n_sites: int, delta: float, tol: float):
-    """Header-validated cache lookup for the S^z = 0 sector, or None."""
-    return load_ground_state(cache_path(cache_dir, n_sites, n_sites // 2, delta, tol))
 
 
 # ── independent dense oracle ────────────────────────────────────────────────

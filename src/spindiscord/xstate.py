@@ -14,14 +14,17 @@ qubit A in a conditional state whose eigenvalues are
     z      = cos(θ/2) sin(θ/2) (x e^{iφ} + y e^{-iφ}),
 
 with outcome probabilities p_0̃, p_1̃ and diagonal splittings b_0̃, b_1̃ given
-below.  The measurement-conditioned entropy C_{θ,φ} = Σ_k̃ p_k̃ S(ρ_{A|B_k̃})
-attains its minimum over (θ, φ) at θ = 0 or at θ = π/2 with an optimal φ*,
-which yields the discord
+below.  `discord` evaluates the measurement-conditioned entropy
+C_{θ,φ} = Σ_k̃ p_k̃ S(ρ_{A|B_k̃}) at the two candidate angles θ = 0 and
+θ = π/2 (with the optimal azimuth φ*) and returns the two-angle closed form
 
     D(A:B) = min(C_{0,0}, C_{90,φ*}) − S(ρ_AB) + S(ρ_B).
 
-`discord_grid_verify` checks that two-angle minimum against a brute-force
-grid over the full measurement sphere.
+This is exact for the symmetric pair states of the ring (u = v, w1 = w2,
+y = 0).  For general X states the minimizing θ can lie strictly inside
+(0, π/2) (Lu et al., PRA 83, 012327 (2011)), and the closed form then
+overshoots the true minimum; `discord_grid_verify` measures that gap against
+a brute-force grid over the full measurement sphere.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "GridVerifyReport",
     "binary_entropy",
     "joint_eigenvalues",
-    "conditional_entropy",
     "conditional_entropy_values",
     "c00",
     "c90",
@@ -65,9 +67,7 @@ def binary_entropy(p: float) -> float:
     if not -_CLAMP <= p <= 1.0 + _CLAMP:
         raise ValueError(f"binary_entropy argument {p!r} outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return _entropy_of((p, 1.0 - p))
 
 
 def _h2(p):
@@ -220,11 +220,6 @@ def conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
     return out
 
 
-def conditional_entropy(state: XState, theta: float, phi: float) -> float:
-    """Measurement-conditioned entropy C_{θ,φ} for one basis direction."""
-    return float(conditional_entropy_values(state, theta, phi))
-
-
 def c00(state: XState) -> float:
     """C_{θ=0}: measuring B along the computational axis.
 
@@ -253,7 +248,7 @@ def c90(state: XState) -> C90Result:
         base = -cmath.phase(x * y.conjugate()) / 2.0
         candidates = [base, base + math.pi / 2.0]
         amps = [abs(x * cmath.exp(1j * f) + y * cmath.exp(-1j * f)) for f in candidates]
-        pick = int(np.argmax(amps))
+        pick = 1 if amps[1] > amps[0] else 0
         phi_star = candidates[pick] % math.pi
         amp = amps[pick]
     gap = state.u - state.v + state.w1 - state.w2
@@ -268,7 +263,7 @@ def discord(state: XState) -> DiscordResult:
     """
     c_zero = c00(state)
     c_ninety, phi_star = c90(state)
-    s_joint = _entropy_of(np.clip(joint_eigenvalues(state), 0.0, None))
+    s_joint = _entropy_of(joint_eigenvalues(state))
     s_b = binary_entropy(state.u + state.w2)
     if c_zero <= c_ninety:
         chosen, c_min = OptimalTheta.ZERO, c_zero

@@ -20,6 +20,7 @@ from spindiscord.correlators import (
     discord_profile_vs_delta,
     k_ratio,
     pair_correlations,
+    pair_state_sweep,
     two_site_rdm,
 )
 from spindiscord.distribution import AngleGrid, GaussGrid, find_peaks, sample_distribution
@@ -123,7 +124,7 @@ def test_criterion_4_basis_switch(solve):
 @criterion(5, "discord kink at the isotropic point; zero in the polarized phase")
 def test_criterion_5_kink():
     grid = delta_grid(0.0, 2.0, 0.05)
-    rows = discord_profile_vs_delta(12, grid, [1])
+    rows = discord_profile_vs_delta(pair_state_sweep(12, grid, [1]))
     values = [row.discord for row in rows]
     i_iso = grid.index(1.0)
 
@@ -134,7 +135,7 @@ def test_criterion_5_kink():
     assert int(np.argmax(second)) + 1 == i_iso
     assert int(np.argmax(values)) == i_iso
 
-    for row in discord_profile_vs_delta(12, [-1.0, -1.5, -3.0], [1]):
+    for row in discord_profile_vs_delta(pair_state_sweep(12, [-1.0, -1.5, -3.0], [1])):
         assert row.discord == 0.0
 
 

@@ -1,11 +1,12 @@
 """Tests for the command-line data exporters."""
 
 import json
+import math
 
 import pytest
 from pytest import approx
 
-from spindiscord import cli
+from spindiscord import cli, correlators
 from spindiscord.spinchain import ConvergenceError
 
 
@@ -152,6 +153,19 @@ class TestFig2:
         for row in rows:
             assert float(row[2]) == approx(float(row[4]), abs=1e-9)
 
+    def test_polarized_rows_are_analytic(self, tmp_path, capsys):
+        code = run(
+            ["fig2", "--n", "8", "--delta-range", "-1.5:0.5:0.5", "--deterministic"]
+            + cache_args(tmp_path)
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[0] for row in rows[::4]] == ["-1.5", "-1.0", "-0.5", "0.0", "0.5"]
+        for row in rows[:8]:
+            assert row[2] == "0.0"
+        assert all(float(row[2]) > 0.0 for row in rows[8:])
+
 
 class TestFig3:
     def test_header_and_polarized_rows(self, tmp_path, capsys):
@@ -201,6 +215,22 @@ class TestFig5:
         assert summary["variance"] == approx(0.0, abs=1e-10)
         assert float(rows[0][0]) <= summary["mean"] <= float(rows[0][1])
         assert summary["scheme"] == {"kind": "gauss", "n_theta": 256, "n_phi": 256}
+
+    def test_polarized_regime_histogram(self, tmp_path, capsys):
+        out_file = tmp_path / "hist.csv"
+        code = run(
+            ["fig5", "--n", "8", "--delta", "-2", "--r", "1", "--deterministic",
+             "--out", str(out_file)] + cache_args(tmp_path)
+        )
+        capsys.readouterr()
+        assert code == 0
+        _, rows = parse_csv(out_file.read_text())
+        assert sum(float(row[2]) for row in rows) == approx(1.0, abs=1e-9)
+        summary = json.loads((tmp_path / "hist.summary.json").read_text())
+        # diagonal u = v = 1/2 pair state: C(theta) = H((1 + cos theta)/2),
+        # whose solid-angle mean is 1/(2 ln 2)
+        assert summary["mean"] == approx(1.0 / (2.0 * math.log(2.0)), abs=1e-6)
+        assert not list((tmp_path / "cache").glob("*.bin"))
 
     def test_json_embeds_summary(self, tmp_path, capsys):
         code = run(
@@ -263,14 +293,14 @@ class TestDeterminism:
 
 class TestIncompleteSweep:
     def test_partial_csv_gets_trailer(self, tmp_path, capsys, monkeypatch):
-        real = cli.discord_profile_vs_delta
+        real = correlators.ground_state
 
-        def failing(n_sites, deltas, rs, **kwargs):
-            if deltas[0] > 1.0:
+        def failing(n_sites, delta, **kwargs):
+            if delta > 1.0:
                 raise ConvergenceError("stalled")
-            return real(n_sites, deltas, rs, **kwargs)
+            return real(n_sites, delta, **kwargs)
 
-        monkeypatch.setattr(cli, "discord_profile_vs_delta", failing)
+        monkeypatch.setattr(correlators, "ground_state", failing)
         out_file = tmp_path / "partial.csv"
         code = run(
             ["fig3", "--n", "4", "--rs", "1", "--delta-range", "0.5:1.5:0.5",
@@ -285,14 +315,14 @@ class TestIncompleteSweep:
         assert len(lines) == 4
 
     def test_partial_json_flagged(self, tmp_path, capsys, monkeypatch):
-        real = cli.discord_profile_vs_delta
+        real = correlators.ground_state
 
-        def failing(n_sites, deltas, rs, **kwargs):
-            if deltas[0] > 1.0:
+        def failing(n_sites, delta, **kwargs):
+            if delta > 1.0:
                 raise ConvergenceError("stalled")
-            return real(n_sites, deltas, rs, **kwargs)
+            return real(n_sites, delta, **kwargs)
 
-        monkeypatch.setattr(cli, "discord_profile_vs_delta", failing)
+        monkeypatch.setattr(correlators, "ground_state", failing)
         out_file = tmp_path / "partial.json"
         code = run(
             ["fig3", "--n", "4", "--rs", "1", "--delta-range", "0.5:1.5:0.5",
@@ -306,10 +336,10 @@ class TestIncompleteSweep:
         assert len(doc["rows"]) == 2
 
     def test_failure_with_no_rows_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        def always_failing(n_sites, deltas, rs, **kwargs):
+        def always_failing(n_sites, delta, **kwargs):
             raise ConvergenceError("stalled")
 
-        monkeypatch.setattr(cli, "discord_profile_vs_delta", always_failing)
+        monkeypatch.setattr(correlators, "ground_state", always_failing)
         out_file = tmp_path / "never.csv"
         code = run(
             ["fig3", "--n", "4", "--rs", "1", "--delta-range", "0.5:1.5:0.5",

@@ -18,6 +18,7 @@ from spindiscord.correlators import (
     discord_symmetric,
     k_ratio,
     pair_correlations,
+    pair_state_sweep,
     two_site_rdm,
 )
 from spindiscord.spinchain import GroundState, build_sector, dense_sector_hamiltonian
@@ -237,25 +238,25 @@ class TestAsymptotics:
 
 
 class TestDiscordProfileVsR:
-    def test_isotropic_pipeline_matches_closed_form(self, solve):
-        rows = discord_profile_vs_r(solve(12, 1.0))
+    def test_isotropic_pipeline_matches_closed_form(self):
+        rows = list(discord_profile_vs_r(pair_state_sweep(12, [1.0], range(1, 7))))
         assert len(rows) == 6
         for row in rows:
             assert row.isotropic_closed_form is not None
             assert row.discord == approx(row.isotropic_closed_form, abs=1e-9)
             assert row.discord == approx(row.symmetric_closed_form, abs=1e-9)
 
-    def test_four_site_nearest_neighbor_value(self, solve):
-        rows = discord_profile_vs_r(solve(4, 1.0))
+    def test_four_site_nearest_neighbor_value(self):
+        rows = list(discord_profile_vs_r(pair_state_sweep(4, [1.0], [1, 2])))
         assert rows[0].discord == approx(0.4425036720089324, abs=1e-9)
 
-    def test_decays_inside_half_ring(self, solve):
-        rows = discord_profile_vs_r(solve(12, 1.0))
+    def test_decays_inside_half_ring(self):
+        rows = list(discord_profile_vs_r(pair_state_sweep(12, [1.0], range(1, 7))))
         values = [row.discord for row in rows]
         assert all(b < a for a, b in zip(values[:-2], values[1:-1]))
 
-    def test_isotropic_form_absent_off_the_isotropic_point(self, solve):
-        rows = discord_profile_vs_r(solve(8, 0.5))
+    def test_isotropic_form_absent_off_the_isotropic_point(self):
+        rows = list(discord_profile_vs_r(pair_state_sweep(8, [0.5], range(1, 5))))
         assert all(row.isotropic_closed_form is None for row in rows)
         assert all(row.symmetric_closed_form is not None for row in rows)
 
@@ -269,7 +270,7 @@ class TestDiscordProfileVsR:
 
 class TestDiscordProfileVsDelta:
     def test_ferromagnetic_rows_are_analytic(self):
-        rows = discord_profile_vs_delta(8, [-2.0, -1.0], [1, 2])
+        rows = list(discord_profile_vs_delta(pair_state_sweep(8, [-2.0, -1.0], [1, 2])))
         assert len(rows) == 4
         for row in rows:
             assert row.discord == 0.0
@@ -277,19 +278,19 @@ class TestDiscordProfileVsDelta:
             assert row.chosen_theta is OptimalTheta.ZERO
 
     def test_basis_switch_across_isotropic_point(self):
-        rows = discord_profile_vs_delta(12, [0.5, 1.5], [1])
+        rows = list(discord_profile_vs_delta(pair_state_sweep(12, [0.5, 1.5], [1])))
         assert rows[0].chosen_theta is OptimalTheta.NINETY
         assert rows[1].chosen_theta is OptimalTheta.ZERO
 
     def test_k_columns_track_anisotropy(self):
-        rows = discord_profile_vs_delta(8, [0.5, 1.0, 1.5], [1])
+        rows = list(discord_profile_vs_delta(pair_state_sweep(8, [0.5, 1.0, 1.5], [1])))
         assert rows[0].k > 2.0
         assert rows[1].k == approx(2.0, abs=1e-9)
         assert rows[2].k < 2.0
 
     def test_rejects_bad_separation(self):
         with pytest.raises(ValueError, match="separation"):
-            discord_profile_vs_delta(8, [1.0], [8])
+            list(discord_profile_vs_delta(pair_state_sweep(8, [1.0], [8])))
 
 
 class TestMeasurementConsistency:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from spindiscord.correlators import two_site_rdm
+from spindiscord.correlators import pair_state_sweep, two_site_rdm
 from spindiscord.distribution import (
     AngleGrid,
     EntropyHistogram,
@@ -16,7 +16,7 @@ from spindiscord.distribution import (
     moments_vs_delta,
     sample_distribution,
 )
-from spindiscord.xstate import XState, c00, c90, conditional_entropy, random_xstate
+from spindiscord.xstate import XState, c00, c90, conditional_entropy_values, random_xstate
 
 BELL = XState(0.5, 0.5, 0.0, 0.0, 0.0, 0.5)
 
@@ -121,8 +121,8 @@ class TestSampleDistribution:
             state = XState(state.u, state.v, state.w1, state.w2, abs(state.x), abs(state.y))
             theta = rng.uniform(0.0, math.pi)
             phi = rng.uniform(0.0, math.pi)
-            assert conditional_entropy(state, theta, phi) == approx(
-                conditional_entropy(state, theta, phi + math.pi), abs=1e-12
+            assert float(conditional_entropy_values(state, theta, phi)) == approx(
+                float(conditional_entropy_values(state, theta, phi + math.pi)), abs=1e-12
             )
 
     def test_rejects_bad_bin_width_and_scheme(self):
@@ -176,28 +176,30 @@ class TestFindPeaks:
 
 class TestMomentsVsDelta:
     def test_isotropic_point_variance_vanishes(self):
-        rows = moments_vs_delta(12, [1.0], [1, 4], GaussGrid(128, 128))
+        rows = list(moments_vs_delta(pair_state_sweep(12, [1.0], [1, 4]), GaussGrid(128, 128)))
         for row in rows:
             assert row.var_c <= 1e-10
 
     def test_far_pair_mean_peaks_at_isotropic_point(self):
-        rows = moments_vs_delta(12, [0.8, 0.9, 1.0, 1.1, 1.2], [4], GaussGrid(128, 128))
+        rows = list(moments_vs_delta(pair_state_sweep(12, [0.8, 0.9, 1.0, 1.1, 1.2], [4]), GaussGrid(128, 128)))
         means = [row.mean_c for row in rows]
         assert means[2] == max(means)
 
     def test_variance_dips_at_isotropic_point(self):
-        rows = moments_vs_delta(12, [0.8, 0.9, 1.0, 1.1, 1.2], [1, 4], GaussGrid(128, 128))
+        rows = list(
+            moments_vs_delta(pair_state_sweep(12, [0.8, 0.9, 1.0, 1.1, 1.2], [1, 4]), GaussGrid(128, 128))
+        )
         for r in (1, 4):
             variances = [row.var_c for row in rows if row.r == r]
             assert variances[2] == min(variances)
 
     def test_nearest_neighbor_mean_monotone_under_angle_measure(self):
-        rows = moments_vs_delta(12, [0.5, 1.0, 1.5, 2.0], [1], AngleGrid(1025, 64))
+        rows = list(moments_vs_delta(pair_state_sweep(12, [0.5, 1.0, 1.5, 2.0], [1]), AngleGrid(1025, 64)))
         means = [row.mean_c for row in rows]
         assert all(b < a for a, b in zip(means, means[1:]))
 
     def test_ferromagnetic_rows_use_polarized_mixture(self):
-        rows = moments_vs_delta(8, [-1.5, -1.0], [1, 3], GaussGrid(128, 128))
+        rows = list(moments_vs_delta(pair_state_sweep(8, [-1.5, -1.0], [1, 3]), GaussGrid(128, 128)))
         assert len(rows) == 4
         for row in rows:
             # diagonal u = v = 1/2 state: mean integrates the binary entropy
@@ -207,10 +209,10 @@ class TestMomentsVsDelta:
             assert row.min_c == approx(0.0, abs=5e-3)
 
     def test_default_scheme_is_quadrature(self):
-        rows = moments_vs_delta(8, [0.5], [1])
-        explicit = moments_vs_delta(8, [0.5], [1], GaussGrid(256, 256))
+        rows = list(moments_vs_delta(pair_state_sweep(8, [0.5], [1])))
+        explicit = list(moments_vs_delta(pair_state_sweep(8, [0.5], [1]), GaussGrid(256, 256)))
         assert rows[0].mean_c == explicit[0].mean_c
 
     def test_rejects_bad_separation(self):
         with pytest.raises(ValueError, match="separation"):
-            moments_vs_delta(8, [1.0], [0])
+            list(moments_vs_delta(pair_state_sweep(8, [1.0], [0])))
