@@ -8,6 +8,7 @@ from pytest import approx
 
 from spindiscord.correlators import pair_state_sweep, two_site_rdm
 from spindiscord.distribution import (
+    _CHUNK,
     AngleGrid,
     EntropyHistogram,
     GaussGrid,
@@ -130,6 +131,68 @@ class TestSampleDistribution:
             sample_distribution(BELL, GaussGrid(64, 64), bin_width=0.0)
         with pytest.raises(ValueError, match="scheme"):
             sample_distribution(BELL, "gauss")
+
+
+def flat_product_reference(state, theta, phi, weights, bin_width=0.005):
+    """Histogram of C over the materialized theta x phi product (theta-major).
+
+    Values are evaluated once over the whole flat grid; bins and sums are
+    accumulated over the same row blocks the library chunks by, so the
+    bins and sums are reproducible to the last bit.
+    """
+    n_phi = len(phi)
+    flat_theta = np.repeat(theta, n_phi)
+    flat_phi = np.tile(phi, len(theta))
+    flat_w = np.repeat(weights, n_phi)
+    values = np.maximum(conditional_entropy_values(state, flat_theta, flat_phi), 0.0)
+    n_bins = int(math.ceil(1.0 / bin_width)) + 1
+    dense = np.zeros(n_bins)
+    s1 = s2 = 0.0
+    step = max(1, _CHUNK // n_phi) * n_phi
+    for start in range(0, len(values), step):
+        v = values[start : start + step]
+        w = flat_w[start : start + step]
+        idx = np.minimum((v / bin_width).astype(np.int64), n_bins - 1)
+        dense += np.bincount(idx, weights=w, minlength=n_bins)
+        s1 += float(np.sum(w * v))
+        s2 += float(np.sum(w * v * v))
+    bins = {int(i): float(m) for i, m in enumerate(dense) if m > 0.0}
+    return bins, s1, max(s2 - s1 * s1, 0.0), float(values.min()), float(values.max()), len(values)
+
+
+class TestChunkedProductGrids:
+    """Grids whose last theta block is ragged match the flat product."""
+
+    STATE = random_xstate(np.random.default_rng(2024))
+
+    def check(self, scheme, theta, phi, weights):
+        assert abs(self.STATE.y) > 0.0
+        assert len(theta) % max(1, _CHUNK // len(phi)) != 0
+        hist = sample_distribution(self.STATE, scheme)
+        bins, mean, variance, lo, hi, count = flat_product_reference(
+            self.STATE, theta, phi, weights
+        )
+        assert hist.bins == bins
+        assert hist.min_c == lo
+        assert hist.max_c == hi
+        assert hist.n_samples == count
+        assert abs(hist.mean - mean) <= 1e-15
+        assert abs(hist.variance - variance) <= 1e-15
+
+    def test_gauss_grid(self):
+        n_theta, n_phi = 1100, 300
+        nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+        phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+        self.check(
+            GaussGrid(n_theta, n_phi), np.arccos(nodes), phi, weights / (2.0 * n_phi)
+        )
+
+    def test_angle_grid(self):
+        n_theta, n_phi = 2049, 200
+        theta = np.linspace(0.0, math.pi, n_theta)
+        phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+        weights = np.full(n_theta, 1.0 / (n_theta * n_phi))
+        self.check(AngleGrid(n_theta, n_phi), theta, phi, weights)
 
 
 class TestFindPeaks:
