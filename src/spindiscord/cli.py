@@ -43,6 +43,7 @@ __all__ = ["main", "entry"]
 
 _ENV_CACHE = "SPINDISCORD_CACHE"
 _DEFAULT_CACHE = "cache"
+_SCHEMES = {"gauss": GaussGrid, "angle": AngleGrid, "mc": UniformSphere}
 
 
 # ── argument parsing ────────────────────────────────────────────────────────
@@ -65,8 +66,9 @@ def _range_arg(text: str) -> list:
     if stop < start:
         raise argparse.ArgumentTypeError(f"range {text!r} is empty")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    # grid points rounded so sweep values like 1.0 land exactly on the axis
-    return [round(start + i * step, 12) for i in range(count)]
+    # grid points rounded so sweep values like 1.0 land exactly on the axis;
+    # adding 0.0 turns a rounded -0.0 into the 0.0 every other path writes
+    return [round(start + i * step, 12) + 0.0 for i in range(count)]
 
 
 def _int_list_arg(text: str) -> list:
@@ -118,13 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
     quad = argparse.ArgumentParser(add_help=False)
     quad.add_argument(
         "--scheme",
-        choices=("gauss", "angle", "mc"),
+        choices=tuple(_SCHEMES),
         default="gauss",
         help="basis-sampling scheme: solid-angle quadrature, uniform angle "
         "grid, or seeded Monte Carlo",
     )
     quad.add_argument("--quadrature", type=_quadrature_arg, help="grid size NxM")
-    quad.add_argument("--samples", type=int, default=1_000_000, help="mc sample count")
+    quad.add_argument(
+        "--samples", type=int, default=UniformSphere.n_samples, help="mc sample count"
+    )
     quad.add_argument("--bin-width", type=float, default=0.005)
 
     p = sub.add_parser("ground-state", parents=[io, solver], help="solve one sector")
@@ -295,20 +299,13 @@ def _solver_config(args) -> dict:
 def _build_scheme(args, seed: int):
     if args.scheme == "mc":
         return UniformSphere(n_samples=args.samples, seed=seed)
-    if args.quadrature is not None:
-        n_theta, n_phi = args.quadrature
-    else:
-        n_theta, n_phi = (256, 256) if args.scheme == "gauss" else (8193, 256)
-    if args.scheme == "gauss":
-        return GaussGrid(n_theta=n_theta, n_phi=n_phi)
-    return AngleGrid(n_theta=n_theta, n_phi=n_phi)
+    return _SCHEMES[args.scheme](*(args.quadrature or ()))
 
 
 def _scheme_descriptor(scheme) -> dict:
-    if isinstance(scheme, UniformSphere):
-        return {"kind": "mc", "n_samples": scheme.n_samples, "seed": scheme.seed}
-    kind = "gauss" if isinstance(scheme, GaussGrid) else "angle"
-    return {"kind": kind, "n_theta": scheme.n_theta, "n_phi": scheme.n_phi}
+    """{"kind", then the scheme's dataclass fields in declaration order}."""
+    kind = next(k for k, cls in _SCHEMES.items() if type(scheme) is cls)
+    return {"kind": kind, **vars(scheme)}
 
 
 # ── subcommands ─────────────────────────────────────────────────────────────

@@ -45,6 +45,28 @@ __all__ = [
 _CHUNK = 1 << 18
 
 
+def _check_grid(n_theta: int, n_phi: int) -> None:
+    if n_theta < 2 or n_phi < 2:
+        raise ValueError("grid needs at least 2 nodes per axis")
+    if n_theta * n_phi < 1000:
+        raise ValueError(
+            f"grid of {n_theta}x{n_phi} points is below the 1000-point minimum"
+        )
+
+
+def _grid_blocks(theta, weights, phi):
+    """Broadcastable (theta column, phi row, weight column) blocks.
+
+    The product grid theta x phi is never materialized: each block holds
+    whole theta rows, at most _CHUNK points, and flattens theta-major.
+    """
+    rows = max(1, _CHUNK // len(phi))
+    phi = phi[None, :]
+    for start in range(0, len(theta), rows):
+        block = slice(start, start + rows)
+        yield theta[block, None], phi, weights[block, None]
+
+
 @dataclass(frozen=True)
 class UniformSphere:
     """Seeded Monte Carlo over the solid-angle measure."""
@@ -64,7 +86,7 @@ class UniformSphere:
             m = min(remaining, _CHUNK)
             cos_theta = rng.uniform(-1.0, 1.0, m)
             phi = rng.uniform(0.0, 2.0 * math.pi, m)
-            yield np.arccos(cos_theta), phi, np.full(m, weight)
+            yield np.arccos(cos_theta), phi, weight
             remaining -= m
 
 
@@ -76,27 +98,12 @@ class GaussGrid:
     n_phi: int = 256
 
     def __post_init__(self):
-        if self.n_theta < 2 or self.n_phi < 2:
-            raise ValueError("grid needs at least 2 nodes per axis")
-        if self.n_theta * self.n_phi < 1000:
-            raise ValueError(
-                f"grid of {self.n_theta}x{self.n_phi} points is below the "
-                "1000-point minimum"
-            )
+        _check_grid(self.n_theta, self.n_phi)
 
     def _chunks(self):
         nodes, weights = np.polynomial.legendre.leggauss(self.n_theta)
-        theta = np.arccos(nodes)
         phi = (np.arange(self.n_phi) + 0.5) * (2.0 * math.pi / self.n_phi)
-        rows = max(1, _CHUNK // self.n_phi)
-        for start in range(0, self.n_theta, rows):
-            th = theta[start : start + rows]
-            wt = weights[start : start + rows] / (2.0 * self.n_phi)
-            yield (
-                np.repeat(th, self.n_phi),
-                np.tile(phi, len(th)),
-                np.repeat(wt, self.n_phi),
-            )
+        return _grid_blocks(np.arccos(nodes), weights / (2.0 * self.n_phi), phi)
 
 
 @dataclass(frozen=True)
@@ -107,26 +114,13 @@ class AngleGrid:
     n_phi: int = 256
 
     def __post_init__(self):
-        if self.n_theta < 2 or self.n_phi < 2:
-            raise ValueError("grid needs at least 2 nodes per axis")
-        if self.n_theta * self.n_phi < 1000:
-            raise ValueError(
-                f"grid of {self.n_theta}x{self.n_phi} points is below the "
-                "1000-point minimum"
-            )
+        _check_grid(self.n_theta, self.n_phi)
 
     def _chunks(self):
         theta = np.linspace(0.0, math.pi, self.n_theta)
         phi = np.arange(self.n_phi) * (2.0 * math.pi / self.n_phi)
-        weight = 1.0 / (self.n_theta * self.n_phi)
-        rows = max(1, _CHUNK // self.n_phi)
-        for start in range(0, self.n_theta, rows):
-            th = theta[start : start + rows]
-            yield (
-                np.repeat(th, self.n_phi),
-                np.tile(phi, len(th)),
-                np.full(len(th) * self.n_phi, weight),
-            )
+        weights = np.full(self.n_theta, 1.0 / (self.n_theta * self.n_phi))
+        return _grid_blocks(theta, weights, phi)
 
 
 @dataclass(frozen=True)
@@ -181,6 +175,9 @@ def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> Entr
     total = 0
     for theta, phi, w in scheme._chunks():
         values = np.maximum(conditional_entropy_values(state, theta, phi), 0.0)
+        # C-order flattening is theta-major: the order of the flat product grid
+        w = np.broadcast_to(w, values.shape).ravel()
+        values = values.ravel()
         idx = np.minimum((values / bin_width).astype(np.int64), n_bins - 1)
         dense += np.bincount(idx, weights=w, minlength=n_bins)
         s1 += float(np.sum(w * values))

@@ -24,6 +24,7 @@ import itertools
 import math
 import os
 import struct
+import tempfile
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,7 +72,12 @@ class DegenerateGroundStateError(RuntimeError):
 
 
 class SectorBasis:
-    """All N-site configurations with a fixed number of up spins, ascending."""
+    """All N-site configurations with a fixed number of up spins, ascending.
+
+    The configurations are picked from all 2^N bit patterns by one popcount
+    mask, which briefly holds about 2^N * 10 B (the uint64 patterns and two
+    byte masks): 10 MB at N = 20, 640 MB at N = 26.
+    """
 
     def __init__(self, n_sites: int, n_up: int):
         if n_sites < 4 or n_sites % 2:
@@ -83,7 +89,8 @@ class SectorBasis:
             raise ValueError(f"n_up {n_up} outside [0, {n_sites}]")
         self.n_sites = n_sites
         self.n_up = n_up
-        self.states = _enumerate_sector(n_sites, n_up)
+        every = np.arange(1 << n_sites, dtype=np.uint64)
+        self.states = every[np.bitwise_count(every) == n_up]
         self.states.flags.writeable = False
         self.dim = len(self.states)
 
@@ -118,22 +125,6 @@ class SectorBasis:
             np.concatenate(srcs).astype(np.intp),
             np.concatenate(dsts).astype(np.intp),
         )
-
-
-def _enumerate_sector(n_sites: int, n_up: int) -> np.ndarray:
-    """Ascending bit patterns with n_up set bits (Gosper's next-combination)."""
-    if n_up == 0:
-        return np.zeros(1, dtype=np.uint64)
-    out = np.empty(math.comb(n_sites, n_up), dtype=np.uint64)
-    v = (1 << n_up) - 1
-    top = 1 << n_sites
-    k = 0
-    while v < top:
-        out[k] = v
-        k += 1
-        t = (v | (v - 1)) + 1
-        v = t | ((((t & -t) // (v & -v)) >> 1) - 1)
-    return out
 
 
 def build_sector(n_sites: int, n_up: int) -> SectorBasis:
@@ -335,12 +326,17 @@ def save_ground_state(path, state: GroundState) -> None:
         state.energy,
         state.basis.dim,
     )
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(_CACHE_FOOTER.pack(zlib.crc32(payload)))
-    os.replace(tmp, path)
+    # a temp file per writer: concurrent writers of one key never share one
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(header)
+            fh.write(payload)
+            fh.write(_CACHE_FOOTER.pack(zlib.crc32(payload)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_ground_state(path):

@@ -182,6 +182,23 @@ class TestFig3:
         assert by_delta["-1.5"][4] == "zero"
         assert float(by_delta["1.0"][2]) > 0.0
 
+    def test_range_through_zero_has_no_negative_zero(self, tmp_path, capsys):
+        # -0.9 + 3 * 0.3 rounds to -0.0; the sweep must use the 0.0 that
+        # `ground-state --delta 0` caches under
+        [zero] = [d for d in cli._range_arg("-0.9:0.9:0.3") if d == 0.0]
+        assert math.copysign(1.0, zero) == 1.0
+        code = run(
+            ["fig3", "--n", "4", "--rs", "1", "--delta-range", "-0.9:0.9:0.3",
+             "--deterministic"] + cache_args(tmp_path)
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "-0.0" not in out
+        assert [row[0] for row in parse_csv(out)[1]].count("0.0") == 1
+        names = [p.name for p in (tmp_path / "cache").iterdir()]
+        assert any("_d0_" in name for name in names)
+        assert not any("_d-0_" in name for name in names)
+
 
 class TestFig4:
     def test_basis_switch_columns(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Sector basis, matrix-free matvec, Lanczos ground states, and the cache."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -40,7 +41,11 @@ class TestBuildSector:
 
     def test_dimension_is_binomial(self):
         for n in (4, 6, 8, 10, 12):
-            assert build_sector(n, n // 2).dim == math.comb(n, n // 2)
+            for n_up in range(n + 1):
+                basis = build_sector(n, n_up)
+                assert basis.dim == math.comb(n, n_up)
+                assert np.all(np.bitwise_count(basis.states) == n_up)
+                assert np.all(basis.states[1:] > basis.states[:-1])
 
     def test_large_ring_enumeration(self):
         assert build_sector(22, 11).dim == 705432
@@ -270,6 +275,31 @@ class TestCache:
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
         assert load_ground_state(path) is None
+
+    def test_writer_does_not_depend_on_a_shared_temp_name(self, tmp_path):
+        # a directory where a fixed "<key>.tmp" would go blocks such a writer
+        gs = ground_state(6, 1.5)
+        path = cache_path(tmp_path, 6, 3, 1.5, gs.tol)
+        path.with_suffix(".tmp").mkdir()
+        save_ground_state(path, gs)
+        energy, amplitudes = load_ground_state(path)
+        assert energy == gs.energy
+        assert np.array_equal(amplitudes, gs.amplitudes)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [path.name, path.with_suffix(".tmp").name]
+        )
+
+    def test_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        gs = ground_state(6, 1.5)
+        path = cache_path(tmp_path, 6, 3, 1.5, gs.tol)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_ground_state(path, gs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_load_helpers_compose(self, tmp_path):
         gs = ground_state(6, 1.5)
