@@ -195,6 +195,67 @@ class TestChunkedProductGrids:
         self.check(AngleGrid(n_theta, n_phi), theta, phi, weights)
 
 
+class TestPhiFreeStates:
+    """States with x = 0 or y = 0 match the full theta x phi evaluation."""
+
+    @pytest.fixture(params=["ring pair (y = 0)", "x = 0", "polarized"])
+    def state(self, request, solve):
+        if request.param == "ring pair (y = 0)":
+            state = two_site_rdm(solve(12, 2.0), 1, 2)
+            assert state.y == 0 and state.x != 0
+            return state
+        if request.param == "x = 0":
+            return XState(0.35, 0.25, 0.22, 0.18, 0.0, 0.2 + 0.1j)
+        return XState(0.5, 0.5, 0.0, 0.0)
+
+    def check(self, state, scheme, theta, phi, weights):
+        hist = sample_distribution(state, scheme)
+        bins, mean, variance, lo, hi, count = flat_product_reference(state, theta, phi, weights)
+        assert hist.bins.keys() == bins.keys()
+        for i, mass in bins.items():
+            assert abs(hist.bins[i] - mass) <= 1e-12
+        assert abs(hist.mean - mean) <= 1e-12
+        assert abs(hist.variance - variance) <= 1e-12
+        assert abs(hist.min_c - lo) <= 1e-15
+        assert abs(hist.max_c - hi) <= 1e-15
+        assert hist.n_samples == count == scheme.n_theta * scheme.n_phi
+
+    def test_gauss_grid(self, state):
+        n_theta, n_phi = 1100, 300
+        nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+        phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+        self.check(
+            state, GaussGrid(n_theta, n_phi), np.arccos(nodes), phi, weights / (2.0 * n_phi)
+        )
+
+    def test_angle_grid(self, state):
+        n_theta, n_phi = 2049, 200
+        theta = np.linspace(0.0, math.pi, n_theta)
+        phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+        weights = np.full(n_theta, 1.0 / (n_theta * n_phi))
+        self.check(state, AngleGrid(n_theta, n_phi), theta, phi, weights)
+
+    def test_monte_carlo_matches_drawn_phi(self, solve):
+        state = two_site_rdm(solve(12, 2.0), 1, 2)
+        n = 5000
+        hist = sample_distribution(state, UniformSphere(n, seed=7))
+        rng = np.random.default_rng(7)
+        theta = np.arccos(rng.uniform(-1.0, 1.0, n))
+        phi = rng.uniform(0.0, 2.0 * math.pi, n)
+        values = np.maximum(conditional_entropy_values(state, theta, phi), 0.0)
+        idx = np.minimum((values / hist.bin_width).astype(np.int64), math.ceil(1.0 / hist.bin_width))
+        bins = {int(i): float(m) for i, m in enumerate(np.bincount(idx) / n) if m > 0.0}
+        mean = float(np.mean(values))
+        assert hist.bins.keys() == bins.keys()
+        for i, mass in bins.items():
+            assert abs(hist.bins[i] - mass) <= 1e-12
+        assert abs(hist.mean - mean) <= 1e-12
+        assert abs(hist.variance - (float(np.mean(values**2)) - mean**2)) <= 1e-12
+        assert abs(hist.min_c - float(values.min())) <= 1e-12
+        assert abs(hist.max_c - float(values.max())) <= 1e-12
+        assert hist.n_samples == n
+
+
 class TestFindPeaks:
     def test_well_separated_peaks_both_found(self):
         hist = synthetic_histogram({10: 0.5, 20: 0.5})
