@@ -19,12 +19,20 @@ P(C) and moments under a choice of sampling scheme:
 
 Moments, extrema, and the histogram are all computed from the raw weighted
 values; bins exist only for presentation and peak counting.
+
+C depends on phi only through |x e^{i phi} + y e^{-i phi}|, so for states
+with x = 0 or y = 0 (every ring pair state, whose fixed S^z forces y = 0) it
+does not depend on phi at all.  Such states are histogrammed over theta
+alone: each grid theta node is evaluated once and carries the weight of its
+whole phi row, and Monte Carlo still draws phi (keeping the seeded stream)
+but evaluates at phi = 0.  `n_samples` stays the nominal point count.  The
+Gauss-Legendre nodes are built once per n_theta and memoized read-only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np
@@ -52,6 +60,21 @@ def _check_grid(n_theta: int, n_phi: int) -> None:
         raise ValueError(
             f"grid of {n_theta}x{n_phi} points is below the 1000-point minimum"
         )
+
+
+_GAUSS_NODES = {}  # n_theta -> read-only (polar angles, weights)
+
+
+def _gauss_nodes(n_theta: int):
+    """Gauss-Legendre nodes in cos(theta) as polar angles, with their weights."""
+    nodes = _GAUSS_NODES.get(n_theta)
+    if nodes is None:
+        cos_theta, weights = np.polynomial.legendre.leggauss(n_theta)
+        theta = np.arccos(cos_theta)
+        theta.flags.writeable = False
+        weights.flags.writeable = False
+        nodes = _GAUSS_NODES[n_theta] = (theta, weights)
+    return nodes
 
 
 def _grid_blocks(theta, weights, phi):
@@ -101,9 +124,9 @@ class GaussGrid:
         _check_grid(self.n_theta, self.n_phi)
 
     def _chunks(self):
-        nodes, weights = np.polynomial.legendre.leggauss(self.n_theta)
+        theta, weights = _gauss_nodes(self.n_theta)
         phi = (np.arange(self.n_phi) + 0.5) * (2.0 * math.pi / self.n_phi)
-        return _grid_blocks(np.arccos(nodes), weights / (2.0 * self.n_phi), phi)
+        return _grid_blocks(theta, weights / (2.0 * self.n_phi), phi)
 
 
 @dataclass(frozen=True)
@@ -173,7 +196,13 @@ def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> Entr
     lo = math.inf
     hi = -math.inf
     total = 0
+    phi_free = state.x == 0 or state.y == 0
     for theta, phi, w in scheme._chunks():
+        n_points = np.broadcast(theta, phi).size
+        if phi_free:
+            # C is constant along phi: one value per theta stands for its phi row
+            w = w * (n_points // theta.size)
+            phi = 0.0
         values = np.maximum(conditional_entropy_values(state, theta, phi), 0.0)
         # C-order flattening is theta-major: the order of the flat product grid
         w = np.broadcast_to(w, values.shape).ravel()
@@ -184,7 +213,7 @@ def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> Entr
         s2 += float(np.sum(w * values * values))
         lo = min(lo, float(values.min()))
         hi = max(hi, float(values.max()))
-        total += len(values)
+        total += n_points
     return EntropyHistogram(
         bin_width=bin_width,
         bins={int(i): float(m) for i, m in enumerate(dense) if m > 0.0},

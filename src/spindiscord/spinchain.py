@@ -24,7 +24,6 @@ import itertools
 import math
 import os
 import struct
-import tempfile
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -260,8 +259,9 @@ def ground_state(
 
     path = None
     if cache_dir is not None:
-        path = cache_path(cache_dir, n_sites, basis.n_up, delta, tol)
-        cached = load_ground_state(path)
+        key = (n_sites, basis.n_up, delta, tol)
+        path = cache_path(cache_dir, *key)
+        cached = load_ground_state(path, key)
         if cached is not None:
             energy, amplitudes = cached
             if amplitudes.shape == (basis.dim,):
@@ -326,8 +326,10 @@ def save_ground_state(path, state: GroundState) -> None:
         state.energy,
         state.basis.dim,
     )
-    # a temp file per writer: concurrent writers of one key never share one
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # a temp file per writer: concurrent writers of one key never share one.
+    # Created like any other file, so the cache entry's mode follows the umask.
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
@@ -339,8 +341,12 @@ def save_ground_state(path, state: GroundState) -> None:
         raise
 
 
-def load_ground_state(path):
-    """(energy, amplitudes) from a cache file, or None on any mismatch."""
+def load_ground_state(path, key):
+    """(energy, amplitudes) from a cache file, or None on any mismatch.
+
+    `key` is the request (n_sites, n_up, delta, tol); a header recording any
+    other request is a mismatch.
+    """
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -348,8 +354,10 @@ def load_ground_state(path):
         return None
     if len(blob) < _CACHE_HEADER.size + _CACHE_FOOTER.size:
         return None
-    magic, _n, _n_up, _delta, _tol, energy, dim = _CACHE_HEADER.unpack_from(blob)
+    magic, n_sites, n_up, delta, tol, energy, dim = _CACHE_HEADER.unpack_from(blob)
     if magic != _CACHE_MAGIC:
+        return None
+    if (n_sites, n_up, delta, tol) != tuple(key):
         return None
     expected = _CACHE_HEADER.size + 8 * dim + _CACHE_FOOTER.size
     if len(blob) != expected:

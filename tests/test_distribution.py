@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from spindiscord import distribution
 from spindiscord.correlators import pair_state_sweep, two_site_rdm
 from spindiscord.distribution import (
     _CHUNK,
@@ -254,6 +255,35 @@ class TestPhiFreeStates:
         assert abs(hist.min_c - float(values.min())) <= 1e-12
         assert abs(hist.max_c - float(values.max())) <= 1e-12
         assert hist.n_samples == n
+
+
+class TestGaussNodeMemo:
+    def test_nodes_are_built_once_per_size(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(distribution, "_GAUSS_NODES", {})
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        scheme = GaussGrid(256, 256)
+        first = sample_distribution(BELL, scheme)
+        second = sample_distribution(BELL, scheme)
+        assert calls == [256]
+        assert first == second
+
+    def test_memoized_nodes_are_read_only(self):
+        theta, weights = distribution._gauss_nodes(64)
+        for array in (theta, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_memo_adds_no_scheme_field(self):
+        scheme = GaussGrid(64, 64)
+        sample_distribution(BELL, scheme)
+        assert set(vars(scheme)) == {"n_theta", "n_phi"}
 
 
 class TestFindPeaks:

@@ -2,6 +2,8 @@
 
 import math
 import os
+import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -232,7 +234,7 @@ class TestCache:
         gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
         path = cache_path(tmp_path, 8, 4, 0.5, 1e-10)
         assert path.exists()
-        loaded = load_ground_state(path)
+        loaded = load_ground_state(path, (8, 4, 0.5, 1e-10))
         assert loaded is not None
         energy, amplitudes = loaded
         assert energy == gs.energy
@@ -247,8 +249,8 @@ class TestCache:
 
     def test_key_separates_parameters(self, tmp_path):
         ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
-        assert load_ground_state(cache_path(tmp_path, 8, 4, 0.6, 1e-10)) is None
-        assert load_ground_state(cache_path(tmp_path, 8, 4, 0.5, 1e-9)) is None
+        for key in ((8, 4, 0.6, 1e-10), (8, 4, 0.5, 1e-9)):
+            assert load_ground_state(cache_path(tmp_path, *key), key) is None
 
     def test_corrupt_payload_is_rejected_and_resolved(self, tmp_path):
         gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
@@ -256,17 +258,17 @@ class TestCache:
         blob = bytearray(path.read_bytes())
         blob[60] ^= 0xFF  # flip one payload byte; CRC must catch it
         path.write_bytes(bytes(blob))
-        assert load_ground_state(path) is None
+        assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is None
         again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
         assert again.iterations > 0  # cache miss forced a fresh solve
         assert np.array_equal(again.amplitudes, gs.amplitudes)
-        assert load_ground_state(path) is not None  # rewritten clean
+        assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is not None  # rewritten clean
 
     def test_truncated_file_is_rejected(self, tmp_path):
         ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
         path = cache_path(tmp_path, 8, 4, 0.5, 1e-10)
         path.write_bytes(path.read_bytes()[:-7])
-        assert load_ground_state(path) is None
+        assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is None
 
     def test_wrong_magic_is_rejected(self, tmp_path):
         ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
@@ -274,7 +276,35 @@ class TestCache:
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
-        assert load_ground_state(path) is None
+        assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is None
+
+    @pytest.mark.parametrize(
+        "key",
+        [(10, 4, 0.5, 1e-10), (8, 3, 0.5, 1e-10), (8, 4, 0.6, 1e-10), (8, 4, 0.5, 1e-9)],
+        ids=["n_sites", "n_up", "delta", "tol"],
+    )
+    def test_header_must_match_the_requested_key(self, tmp_path, key):
+        ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        source = cache_path(tmp_path, 8, 4, 0.5, 1e-10)
+        moved = cache_path(tmp_path, *key)
+        shutil.copyfile(source, moved)
+        assert load_ground_state(moved, (8, 4, 0.5, 1e-10)) is not None  # intact file
+        assert load_ground_state(moved, key) is None
+        n_sites, n_up, delta, tol = key
+        if n_up == n_sites // 2:
+            again = ground_state(n_sites, delta, tol=tol, cache_dir=tmp_path)
+            assert again.iterations > 0  # the misplaced entry forced a solve
+            assert load_ground_state(moved, key) is not None  # rewritten
+
+    def test_saved_file_mode_follows_umask(self, tmp_path):
+        gs = ground_state(6, 1.5)
+        path = tmp_path / "state.bin"
+        old = os.umask(0o022)
+        try:
+            save_ground_state(path, gs)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
     def test_writer_does_not_depend_on_a_shared_temp_name(self, tmp_path):
         # a directory where a fixed "<key>.tmp" would go blocks such a writer
@@ -282,7 +312,7 @@ class TestCache:
         path = cache_path(tmp_path, 6, 3, 1.5, gs.tol)
         path.with_suffix(".tmp").mkdir()
         save_ground_state(path, gs)
-        energy, amplitudes = load_ground_state(path)
+        energy, amplitudes = load_ground_state(path, (6, 3, 1.5, gs.tol))
         assert energy == gs.energy
         assert np.array_equal(amplitudes, gs.amplitudes)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -305,6 +335,6 @@ class TestCache:
         gs = ground_state(6, 1.5)
         path = tmp_path / "nested" / "dir" / "state.bin"
         save_ground_state(path, gs)
-        energy, amplitudes = load_ground_state(path)
+        energy, amplitudes = load_ground_state(path, (6, 3, 1.5, gs.tol))
         assert energy == gs.energy
         assert np.array_equal(amplitudes, gs.amplitudes)
