@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from spindiscord import spinchain
 from spindiscord.spinchain import (
     ConvergenceError,
+    DegenerateGroundStateError,
     FerromagneticRegimeError,
     apply_hamiltonian,
     build_sector,
@@ -223,6 +225,26 @@ class TestGroundState:
             ground_state(4, 1.0, tol=0.0)
         with pytest.raises(ValueError, match="tol"):
             ground_state(4, 1.0, tol=1e-3)
+
+    @pytest.mark.parametrize("gap, raises", [(5e-11, True), (1e-9, False)])
+    def test_degenerate_ground_state_raises(self, monkeypatch, gap, raises):
+        """A lowest Ritz gap at or below 1e-10 is refused, a wider one is not.
+
+        The N = 4 sector (dim 6) gets a fake diagonal Hamiltonian whose two
+        lowest levels are `gap` apart.  An exactly zero gap is not asserted:
+        a single-start Lanczos sees only its start vector's component in a
+        degenerate eigenspace, so it finds one level, not two (ROADMAP
+        item 3).
+        """
+        levels = np.array([-1.0, -1.0 + gap, 0.0, 0.5, 1.0, 2.0])
+        monkeypatch.setattr(
+            spinchain, "apply_hamiltonian", lambda basis, delta, psi: levels * psi
+        )
+        if raises:
+            with pytest.raises(DegenerateGroundStateError):
+                ground_state(4, 1.0)
+        else:
+            assert ground_state(4, 1.0).energy == approx(-1.0, abs=1e-8)
 
     def test_budget_exhaustion_raises(self):
         with pytest.raises(ConvergenceError):
