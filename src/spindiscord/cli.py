@@ -36,7 +36,7 @@ from .distribution import (
     sample_distribution,
 )
 from .scaling import PairKind, ScalingParams, normalized_discord_curve
-from .spinchain import cache_path, ground_state
+from .spinchain import cache_path, check_ring_size, ground_state
 from .xstate import OptimalTheta
 
 __all__ = ["main", "entry"]
@@ -269,6 +269,7 @@ def _resolve_cache_dir(args) -> str:
 
 
 def _solver_kwargs(args) -> dict:
+    check_ring_size(args.n)
     if args.n > 16:
         dim = math.comb(args.n, args.n // 2)
         print(

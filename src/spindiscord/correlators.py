@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .spinchain import GroundState, ground_state
+from .spinchain import GroundState, check_ring_size, ground_state
 from .xstate import OptimalTheta, XState, _entropy_of, binary_entropy, discord
 
 __all__ = [
@@ -175,8 +175,10 @@ def pair_state_sweep(
     Anisotropies at or below −1 yield the pair state of the polarized
     mixture without a solve: there the ground state leaves the S^z = 0
     sector for the two fully polarized states.  Every other anisotropy is
-    solved once.
+    solved once.  The ring size and separations are checked before anything
+    is yielded.
     """
+    check_ring_size(n_sites)
     _check_separations(n_sites, rs)
     for delta in deltas:
         delta = float(delta)

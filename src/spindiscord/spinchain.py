@@ -11,9 +11,9 @@ site i; a set bit is spin up).  The two Hamiltonian pieces in that basis:
   * flip-flop: matrix element 1/2 between configurations that differ by
     swapping one anti-aligned neighbor pair.
 
-The lowest eigenpair comes from a seeded Lanczos iteration (full
-reorthogonalization up to sector dimension 1e5, restarted cycles with
-cycle-local reorthogonalization above).  `dense_spectrum_oracle` provides an
+The lowest eigenpair comes from one seeded Lanczos path for every sector:
+cycles of at most 80 vectors, fully reorthogonalized within the cycle, each
+restarting from its Ritz vector.  `dense_spectrum_oracle` provides an
 independently constructed dense cross-check for small sectors.  Solved ground
 states can be persisted in a binary cache keyed by (N, n_up, Δ, tol).
 """
@@ -37,6 +37,7 @@ __all__ = [
     "FerromagneticRegimeError",
     "ConvergenceError",
     "DegenerateGroundStateError",
+    "check_ring_size",
     "build_sector",
     "apply_hamiltonian",
     "ground_state",
@@ -48,9 +49,10 @@ __all__ = [
 ]
 
 MAX_SITES = 26
-# Above this sector dimension the solver reorthogonalizes only within the
-# running restart cycle instead of against the full Krylov history.
-_FULL_REORTH_LIMIT = 100_000
+# Lanczos vectors per restart cycle in every sector (a block of 80 * dim * 8 B:
+# 0.12 GB at N = 20, 6.7 GB at N = 26), and cycles before ConvergenceError.
+_KRYLOV_VECTORS = 80
+_MAX_CYCLES = 60
 
 _CACHE_MAGIC = b"SDKGS1"
 _CACHE_HEADER = struct.Struct("<6sIIdddQ")
@@ -70,6 +72,15 @@ class DegenerateGroundStateError(RuntimeError):
     """Raised when the lowest two Ritz values are closer than 1e-10."""
 
 
+def check_ring_size(n_sites: int) -> None:
+    """Refuse ring sizes the solver does not support: odd, below 4 or above MAX_SITES."""
+    if n_sites < 4 or n_sites % 2:
+        raise ValueError(f"n_sites must be even and >= 4, got {n_sites}"
+                         " (a 2-site ring double-counts its only bond)")
+    if n_sites > MAX_SITES:
+        raise ValueError(f"n_sites {n_sites} above the supported cap {MAX_SITES}")
+
+
 class SectorBasis:
     """All N-site configurations with a fixed number of up spins, ascending.
 
@@ -79,11 +90,7 @@ class SectorBasis:
     """
 
     def __init__(self, n_sites: int, n_up: int):
-        if n_sites < 4 or n_sites % 2:
-            raise ValueError(f"n_sites must be even and >= 4, got {n_sites}"
-                             " (a 2-site ring double-counts its only bond)")
-        if n_sites > MAX_SITES:
-            raise ValueError(f"n_sites {n_sites} above the supported cap {MAX_SITES}")
+        check_ring_size(n_sites)
         if not 0 <= n_up <= n_sites:
             raise ValueError(f"n_up {n_up} outside [0, {n_sites}]")
         self.n_sites = n_sites
@@ -156,80 +163,63 @@ class GroundState:
     iterations: int
     ritz_history: tuple
 
-    @property
-    def n_sites(self) -> int:
-        return self.basis.n_sites
 
-
-def _lanczos_lowest(matvec, dim: int, *, seed: int, tol: float, max_cycles: int = 60):
+def _lanczos_lowest(matvec, dim: int, *, seed: int, tol: float):
     """Seeded restarted Lanczos for the lowest eigenpair.
 
-    Converged when the Ritz value moves less than tol between iterations and
-    the residual estimate is below 10*tol.  Returns (energy, vector, explicit
-    residual, total iterations, ritz history, final tridiagonal eigenvalues).
+    Cycles of at most `_KRYLOV_VECTORS` vectors, reorthogonalized in two
+    passes, each restart from the lowest Ritz vector.  Converged when the Ritz
+    value moves less than tol with a residual estimate below 10*tol, or when
+    the Krylov space is invariant.  Returns (energy, vector, explicit
+    residual, Ritz history, last cycle's Ritz gap, inf when T is 1×1).
     """
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(dim)
     q /= np.linalg.norm(q)
 
-    cycle_len = min(dim, 300 if dim <= _FULL_REORTH_LIMIT else 80)
+    m = min(dim, _KRYLOV_VECTORS)
+    v = np.empty((m, dim))
+    t = np.zeros((m, m))  # entries of T are rewritten before each use
     history = []
     theta_prev = None
-    iterations = 0
-    t_eigs = None
 
-    for _ in range(max_cycles):
-        v = np.empty((cycle_len + 1, dim))
+    for _ in range(_MAX_CYCLES):
         v[0] = q
-        alphas: list[float] = []
-        betas: list[float] = []
-        exhausted = False
-        converged = False
-
-        for j in range(cycle_len):
+        for j in range(m):
             w = matvec(v[j])
-            alphas.append(float(v[j] @ w))
-            w -= alphas[j] * v[j]
-            if j > 0:
-                w -= betas[j - 1] * v[j - 1]
+            t[j, j] = v[j] @ w
             # two-pass reorthogonalization against the stored cycle vectors
             for _pass in range(2):
                 w -= v[: j + 1].T @ (v[: j + 1] @ w)
             beta = float(np.linalg.norm(w))
-            iterations += 1
 
-            t = np.diag(alphas)
-            if betas:
-                off = np.array(betas)
-                t += np.diag(off, 1) + np.diag(off, -1)
-            t_eigs, t_vecs = np.linalg.eigh(t)
+            t_eigs, t_vecs = np.linalg.eigh(t[: j + 1, : j + 1])
             theta = float(t_eigs[0])
             history.append(theta)
             res_est = beta * abs(float(t_vecs[-1, 0]))
 
-            if theta_prev is not None and abs(theta_prev - theta) < tol and res_est < 10.0 * tol:
-                converged = True
+            converged = (
+                theta_prev is not None and abs(theta_prev - theta) < tol and res_est < 10.0 * tol
+            ) or beta < 1e-13 * max(1.0, abs(theta))  # invariant subspace: Ritz pair is exact
             theta_prev = theta
-            if beta < 1e-13 * max(1.0, abs(theta)):
-                exhausted = True  # invariant subspace: Ritz pair is exact
-                converged = True
-            if converged or j == cycle_len - 1:
+            if converged or j == m - 1:
                 q = v[: j + 1].T @ t_vecs[:, 0]
                 q /= np.linalg.norm(q)
                 break
-            betas.append(beta)
+            t[j, j + 1] = t[j + 1, j] = beta
             v[j + 1] = w / beta
 
-        if converged or exhausted:
+        if converged:
             hq = matvec(q)
             energy = float(q @ hq)
             residual = float(np.linalg.norm(hq - energy * q))
             if residual <= max(10.0 * tol, 1e-12):
-                return energy, q, residual, iterations, tuple(history), t_eigs
+                gap = float(t_eigs[1] - t_eigs[0]) if j else math.inf
+                return energy, q, residual, tuple(history), gap
             theta_prev = None  # restart with a sharper target
 
     raise ConvergenceError(
-        f"Lanczos did not converge in {max_cycles} cycles (last Ritz value "
+        f"Lanczos did not converge in {_MAX_CYCLES} cycles (last Ritz value "
         f"{history[-1] if history else math.nan!r})"
     )
 
@@ -241,7 +231,6 @@ def ground_state(
     tol: float = 1e-12,
     seed: int = 0,
     cache_dir=None,
-    max_cycles: int = 60,
 ) -> GroundState:
     """Lowest eigenpair of the XXZ ring in the S^z = 0 sector.
 
@@ -275,24 +264,19 @@ def ground_state(
                     )
             # corrupt or stale entry: fall through and re-solve
 
-    energy, vec, residual, iterations, history, t_eigs = _lanczos_lowest(
-        lambda p: apply_hamiltonian(basis, delta, p),
-        basis.dim,
-        seed=seed,
-        tol=tol,
-        max_cycles=max_cycles,
+    energy, vec, residual, history, gap = _lanczos_lowest(
+        lambda p: apply_hamiltonian(basis, delta, p), basis.dim, seed=seed, tol=tol
     )
-    if t_eigs is not None and len(t_eigs) >= 2 and float(t_eigs[1] - t_eigs[0]) <= 1e-10:
+    if gap <= 1e-10:
         raise DegenerateGroundStateError(
-            f"Ritz gap {float(t_eigs[1] - t_eigs[0])!r} <= 1e-10: sector ground "
-            "state is not unique, pair density matrices are ill-defined"
+            f"Ritz gap {gap!r} <= 1e-10: sector ground state is not unique, pair "
+            "density matrices are ill-defined"
         )
     if vec[np.argmax(np.abs(vec))] < 0.0:
         vec = -vec
-    vec = vec / np.linalg.norm(vec)
     vec.flags.writeable = False
 
-    state = GroundState(basis, delta, energy, vec, residual, tol, seed, iterations, history)
+    state = GroundState(basis, delta, energy, vec, residual, tol, seed, len(history), history)
     if path is not None:
         save_ground_state(path, state)
     return state

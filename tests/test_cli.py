@@ -100,6 +100,25 @@ class TestUsage:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig3", "--n", "30", "--delta-range", "-2:-1.5:0.5"],
+            ["fig3", "--n", "17"],
+            ["fig5", "--n", "17", "--delta", "-2"],
+            ["ground-state", "--n", "28", "--delta", "1.0"],
+        ],
+    )
+    def test_unsupported_ring_refused_before_any_row(self, tmp_path, capsys, argv):
+        out_file = tmp_path / "out.csv"
+        code = run(argv + ["--deterministic", "--out", str(out_file)] + cache_args(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert not out_file.exists()
+        assert captured.out == ""
+        assert "warning" not in captured.err
+        assert "n_sites" in captured.err
+
     def test_bad_quadrature(self, tmp_path, capsys):
         code = run(["fig5", "--n", "4", "--quadrature", "256"] + cache_args(tmp_path))
         assert code == 1

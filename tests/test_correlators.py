@@ -292,6 +292,13 @@ class TestDiscordProfileVsDelta:
         with pytest.raises(ValueError, match="separation"):
             list(discord_profile_vs_delta(pair_state_sweep(8, [1.0], [8])))
 
+    def test_rejects_bad_ring_size_before_polarized_rows(self):
+        # Δ ≤ −1 builds no sector, so the sweep itself must check the size
+        with pytest.raises(ValueError, match="even"):
+            list(pair_state_sweep(5, [-2.0], [1]))
+        with pytest.raises(ValueError, match="cap"):
+            list(pair_state_sweep(28, [-2.0], [1]))
+
 
 class TestMeasurementConsistency:
     def test_candidate_entropies_match_binary_forms(self, solve):

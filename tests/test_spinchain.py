@@ -186,6 +186,18 @@ class TestGroundState:
         assert len(hist) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
+    @pytest.mark.parametrize("n_sites, delta", [(10, 1.0), (12, -0.9), (12, 2.0)])
+    def test_restarted_cycles_match_dense_oracle(self, monkeypatch, n_sites, delta):
+        monkeypatch.setattr(spinchain, "_KRYLOV_VECTORS", 10)
+        gs = ground_state(n_sites, delta)
+        _, vecs = np.linalg.eigh(dense_sector_hamiltonian(n_sites, delta))
+        assert gs.energy == approx(dense_spectrum_oracle(n_sites, delta)[0], abs=1e-10)
+        assert abs(float(gs.amplitudes @ vecs[:, 0])) >= 1.0 - 1e-8
+        assert gs.residual <= 1e-8
+        assert gs.iterations > 10  # more than one 10-vector cycle: it restarted
+        hist = gs.ritz_history
+        assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
+
     def test_deterministic_for_fixed_seed(self):
         a = ground_state(8, 0.7, seed=5)
         b = ground_state(8, 0.7, seed=5)
@@ -246,9 +258,10 @@ class TestGroundState:
         else:
             assert ground_state(4, 1.0).energy == approx(-1.0, abs=1e-8)
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(spinchain, "_MAX_CYCLES", 0)
         with pytest.raises(ConvergenceError):
-            ground_state(12, 1.0, max_cycles=0)
+            ground_state(12, 1.0)
 
 
 class TestCache:
