@@ -270,11 +270,11 @@ def _resolve_cache_dir(args) -> str:
 
 def _solver_kwargs(args) -> dict:
     check_ring_size(args.n)
-    if args.n > 16:
+    if args.n > 22:
         dim = math.comb(args.n, args.n // 2)
         print(
-            f"warning: n={args.n} sector dimension is {dim}; expect minutes of "
-            "runtime and gigabytes of memory",
+            f"warning: n={args.n} sector dimension is {dim}; a cold solve takes "
+            "seconds and hundreds of MB (15 s and 0.75 GB measured at n=26)",
             file=sys.stderr,
         )
     return {

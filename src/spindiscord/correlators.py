@@ -230,27 +230,28 @@ def k_ratio(gs: GroundState, r: int) -> KRatio:
     return KRatio(r=_ring_distance(n, 1, 1 + r), k=k)
 
 
-def _symmetric_eigenvalues(gamma_d: float, k: float) -> list:
-    g = gamma_d
-    return [0.25 + g, 0.25 + g, 0.25 + (k - 1.0) * g, 0.25 - (k + 1.0) * g]
-
-
 def discord_symmetric(gamma_d: float, k: float) -> float:
     """Closed-form discord of the symmetric pair state (u = v, w1 = w2).
 
     The state has x = k*gamma_d, zero local magnetization, and maximally mixed
     marginals, so D = 1 − S_joint + min over the two candidate bases.
     """
-    eigs = _symmetric_eigenvalues(gamma_d, k)
+    return _symmetric_discord(gamma_d, k * gamma_d)
+
+
+def _symmetric_discord(gamma_d: float, gamma_o: float) -> float:
+    """`discord_symmetric` in terms of gamma_o = x, defined also at gamma_d = 0."""
+    g, x = gamma_d, gamma_o
+    eigs = [0.25 + g, 0.25 + g, 0.25 + x - g, 0.25 - x - g]
     if min(eigs) < -1e-12:
         raise CorrelatorDomainError(
             f"eigenvalues {eigs} of the symmetric pair state are negative for "
-            f"gamma_d={gamma_d!r}, k={k!r}; gamma_d must stay within "
-            "[-1/(4(k-1)), 1/(4(k+1))] for k > 1"
+            f"gamma_d={gamma_d!r}, gamma_o={gamma_o!r}; |gamma_o| + gamma_d "
+            "must stay within 1/4"
         )
     s_joint = _entropy_of(eigs)
-    c_zero = binary_entropy(min(max(0.5 + 2.0 * gamma_d, 0.0), 1.0))
-    c_ninety = binary_entropy(min(max(0.5 + k * gamma_d, 0.0), 1.0))
+    c_zero = binary_entropy(min(max(0.5 + 2.0 * g, 0.0), 1.0))
+    c_ninety = binary_entropy(min(max(0.5 + x, 0.0), 1.0))
     return 1.0 - s_joint + min(c_zero, c_ninety)
 
 
@@ -273,21 +274,21 @@ def asymptotic_discord_check(gamma_d: float, k: float) -> AsymptoticCheck:
 def discord_profile_vs_r(pairs):
     """Discord rows with closed-form companions over `pair_state_sweep` output.
 
-    The symmetric closed form applies whenever k is defined; the isotropic
-    one is attached only where the measured k is 2 (the isotropic point).
+    The symmetric closed form is evaluated from gamma_d and gamma_o, so it
+    needs no k and is defined where gamma_d vanishes (even r at Delta = 0);
+    the isotropic one is attached only where the measured k is 2 (the
+    isotropic point).
     """
     for delta, r, state in pairs:
         gamma_d = _gamma_d(state)
         k = _ratio(state)
-        symmetric = None
+        try:
+            symmetric = _symmetric_discord(gamma_d, state.x.real)
+        except CorrelatorDomainError:
+            symmetric = None
         isotropic = None
-        if not math.isnan(k):
-            try:
-                symmetric = discord_symmetric(gamma_d, k)
-            except CorrelatorDomainError:
-                pass
-            if abs(k - 2.0) < 1e-6:
-                isotropic = discord_isotropic(gamma_d)
+        if not math.isnan(k) and abs(k - 2.0) < 1e-6:
+            isotropic = discord_isotropic(gamma_d)
         yield DiscordByDistance(
             delta=delta,
             r=r,

@@ -11,15 +11,27 @@ site i; a set bit is spin up).  The two Hamiltonian pieces in that basis:
   * flip-flop: matrix element 1/2 between configurations that differ by
     swapping one anti-aligned neighbor pair.
 
-The lowest eigenpair comes from one seeded Lanczos path for every sector:
-cycles of at most 80 vectors, fully reorthogonalized within the cycle, each
-restarting from its Ritz vector.  `dense_spectrum_oracle` provides an
-independently constructed dense cross-check for small sectors.  Solved ground
-states can be persisted in a binary cache keyed by (N, n_up, Δ, tol).
+H also commutes with the translation T (site i → i+1), and the solver works
+in one of its eigenspaces.  Marshall's sign rule: on the even ring, the signs
+(−1)^(up spins on odd sites) make every off-diagonal element −1/2, and the
+flip-flops connect the whole S^z = 0 sector, so by Perron–Frobenius its ground
+state is unique and has amplitudes (−1)^(up spins on odd sites)·(positive).
+T swaps odd and even sites, which multiplies that sign by (−1)^(N/2), so the
+ground state has translation eigenvalue λ = (−1)^(N/2) for every Δ.  The
+`MomentumSector` of λ holds one Bloch state per translation orbit (about
+dim/N of them), and its ground state is expanded once to the S^z = 0
+amplitudes.
+
+The lowest eigenpair comes from one seeded Lanczos path: cycles of at most 80
+vectors, fully reorthogonalized within the cycle, each restarting from its
+Ritz vector.  `dense_spectrum_oracle` provides an independently constructed
+dense cross-check for small sectors.  Solved ground states can be persisted in
+a binary cache keyed by (N, n_up, Δ, tol).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -33,6 +45,7 @@ import numpy as np
 
 __all__ = [
     "SectorBasis",
+    "MomentumSector",
     "GroundState",
     "FerromagneticRegimeError",
     "ConvergenceError",
@@ -49,15 +62,15 @@ __all__ = [
 ]
 
 MAX_SITES = 26
-# Lanczos vectors per restart cycle in every sector (a block of 80 * dim * 8 B:
-# 0.12 GB at N = 20, 6.7 GB at N = 26), and cycles before ConvergenceError.
+# Lanczos vectors per restart cycle (a block of 80 * dim * 8 B in the momentum
+# sector: 6 MB at N = 20, 0.26 GB at N = 26), and cycles before ConvergenceError.
 _KRYLOV_VECTORS = 80
 _MAX_CYCLES = 60
 
 _CACHE_MAGIC = b"SDKGS1"
 _CACHE_HEADER = struct.Struct("<6sIIdddQ")
 _CACHE_FOOTER = struct.Struct("<I")
-_CACHE_CODE_VERSION = 1
+_CACHE_CODE_VERSION = 2
 
 
 class FerromagneticRegimeError(ValueError):
@@ -109,28 +122,37 @@ class SectorBasis:
 
     @cached_property
     def _diag_zz(self) -> np.ndarray:
-        """Σ_bonds s^z s^z per configuration: (aligned − anti)/4."""
-        n = self.n_sites
-        mask = np.uint64((1 << n) - 1)
-        rot = ((self.states >> np.uint64(1)) | (self.states << np.uint64(n - 1))) & mask
-        anti = np.bitwise_count(self.states ^ rot).astype(np.float64)
-        return (n - 2.0 * anti) / 4.0
+        return _bond_zz(self.states, self.n_sites)
 
     @cached_property
     def _flip_pairs(self):
-        """(src, dst) index pairs connected by one neighbor flip-flop."""
+        """(src, dst, 1/2): index pairs connected by one neighbor flip-flop."""
         srcs, dsts = [], []
-        for i in range(self.n_sites):
-            j = (i + 1) % self.n_sites
-            bond = np.uint64((1 << i) | (1 << j))
+        for bond in _bonds(self.n_sites):
             src = np.nonzero(np.bitwise_count(self.states & bond) == 1)[0]
-            dst = np.searchsorted(self.states, self.states[src] ^ bond)
             srcs.append(src)
-            dsts.append(dst)
-        return (
-            np.concatenate(srcs).astype(np.intp),
-            np.concatenate(dsts).astype(np.intp),
-        )
+            dsts.append(np.searchsorted(self.states, self.states[src] ^ bond))
+        return np.concatenate(srcs), np.concatenate(dsts), 0.5
+
+
+def _bonds(n_sites: int):
+    """Bit masks of the ring's N nearest-neighbor bonds."""
+    return [np.uint64((1 << i) | (1 << ((i + 1) % n_sites))) for i in range(n_sites)]
+
+
+def _bond_zz(states: np.ndarray, n_sites: int) -> np.ndarray:
+    """Σ_bonds s^z s^z per configuration: (aligned − anti)/4."""
+    rot = _rotate(states, n_sites)
+    anti = np.bitwise_count(states ^ rot).astype(np.float64)
+    return (n_sites - 2.0 * anti) / 4.0
+
+
+def _rotate(states: np.ndarray, n_sites: int) -> np.ndarray:
+    """T on bit patterns: site i moves to site i+1, site N to site 1."""
+    rot = states << np.uint64(1)
+    rot |= states >> np.uint64(n_sites - 1)
+    rot &= np.uint64((1 << n_sites) - 1)
+    return rot
 
 
 def build_sector(n_sites: int, n_up: int) -> SectorBasis:
@@ -138,20 +160,96 @@ def build_sector(n_sites: int, n_up: int) -> SectorBasis:
     return SectorBasis(n_sites, n_up)
 
 
-def apply_hamiltonian(basis: SectorBasis, delta: float, psi: np.ndarray) -> np.ndarray:
-    """Matrix-free H·psi in the sector basis."""
+class MomentumSector:
+    """S^z = 0 Bloch states with translation eigenvalue λ = (−1)^(N/2).
+
+    Every configuration c is T^s r for the representative r of its orbit, the
+    smallest of its N rotations, and the orbit has period R.  The Bloch state
+    |a⟩ = R^(−1/2) Σ_{s<R} λ^s T^s|r⟩ vanishes unless λ^R = 1, so for λ = −1
+    orbits of odd period are dropped.  The `dim` Bloch states are the
+    orthonormal columns of U: `expand` maps Bloch amplitudes φ to sector
+    amplitudes ψ(c) = φ[a(c)]·λ^s(c)/√R(c), and `project` applies Uᵀ.  In
+    this basis H_λ = UᵀHU has the diagonal Δ·zz(r_a) and, for each flip-flop
+    taking r_a to c = T^s r_b, the element ½·λ^s·√(R_a/R_b) at (b, a).
+
+    The sector basis itself is kept as `basis`; building both briefly holds
+    about six sector-length uint64 arrays (0.5 GB at N = 26).
+    """
+
+    def __init__(self, n_sites: int):
+        self.basis = basis = build_sector(n_sites, n_sites // 2)
+        parity = -1 if (n_sites // 2) % 2 else 1
+        states = basis.states
+        rep = states.copy()
+        shift = np.zeros(basis.dim, dtype=np.int8)
+        fixed = np.ones(basis.dim, dtype=np.int8)  # rotations that leave c unchanged
+        rot = states
+        for s in range(1, n_sites):
+            rot = _rotate(rot, n_sites)
+            smaller = rot < rep
+            rep[smaller] = rot[smaller]
+            shift[smaller] = s
+            fixed += rot == states
+        period = (n_sites // fixed).astype(np.float64)
+        allowed = period % 2 == 0 if parity < 0 else np.ones(basis.dim, dtype=bool)
+        is_rep = (shift == 0) & allowed
+        reps = states[is_rep]
+        self.dim = reps.size
+
+        orbit = np.searchsorted(reps, rep)
+        orbit[~allowed] = 0
+        sign = 1.0 - 2.0 * (shift & 1) if parity < 0 else 1.0
+        coef = np.where(allowed, sign / np.sqrt(period), 0.0)
+        del rep, shift, fixed, rot
+        self._orbit, self._coef = orbit, coef
+
+        self._diag_zz = _bond_zz(reps, n_sites)
+        root_period = np.sqrt(period[is_rep])
+        srcs, dsts, amps = [], [], []
+        for bond in _bonds(n_sites):
+            src = np.nonzero(np.bitwise_count(reps & bond) == 1)[0]
+            hit = np.searchsorted(states, reps[src] ^ bond)
+            amp = 0.5 * root_period[src] * coef[hit]
+            keep = amp != 0.0  # images in dropped orbits
+            srcs.append(src[keep])
+            dsts.append(orbit[hit[keep]])
+            amps.append(amp[keep])
+        self._flip_pairs = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(amps)
+        for array in (orbit, coef, self._diag_zz, *self._flip_pairs):
+            array.flags.writeable = False
+
+    def expand(self, phi: np.ndarray) -> np.ndarray:
+        """U·φ: sector amplitudes of the Bloch-state combination φ."""
+        return phi[self._orbit] * self._coef
+
+    def project(self, psi: np.ndarray) -> np.ndarray:
+        """Uᵀ·ψ: Bloch amplitudes of the sector vector ψ."""
+        return np.bincount(self._orbit, weights=psi * self._coef, minlength=self.dim)
+
+
+# One momentum sector per ring size serves every Δ; two sizes stay resident.
+_momentum_sector = functools.lru_cache(maxsize=2)(MomentumSector)
+
+
+def apply_hamiltonian(
+    basis: SectorBasis | MomentumSector, delta: float, psi: np.ndarray
+) -> np.ndarray:
+    """Matrix-free H·psi in a `SectorBasis`, or H_λ·psi in a `MomentumSector`."""
     psi = np.asarray(psi, dtype=np.float64)
     if psi.shape != (basis.dim,):
         raise ValueError(f"psi has shape {psi.shape}, expected ({basis.dim},)")
     out = (delta * basis._diag_zz) * psi
-    src, dst = basis._flip_pairs
-    out += 0.5 * np.bincount(dst, weights=psi[src], minlength=basis.dim)
+    src, dst, amp = basis._flip_pairs
+    out += np.bincount(dst, weights=amp * psi[src], minlength=basis.dim)
     return out
 
 
 @dataclass(frozen=True)
 class GroundState:
-    """Converged lowest eigenpair of the sector Hamiltonian."""
+    """Converged lowest eigenpair of the sector Hamiltonian.
+
+    A state read from the cache has an empty Ritz history.
+    """
 
     basis: SectorBasis
     delta: float
@@ -159,9 +257,11 @@ class GroundState:
     amplitudes: np.ndarray
     residual: float
     tol: float
-    seed: int
-    iterations: int
     ritz_history: tuple
+
+    @property
+    def iterations(self) -> int:
+        return len(self.ritz_history)
 
 
 def _lanczos_lowest(matvec, dim: int, *, seed: int, tol: float):
@@ -235,7 +335,10 @@ def ground_state(
     """Lowest eigenpair of the XXZ ring in the S^z = 0 sector.
 
     Requires Δ > −1 so that sector actually hosts the global ground state.
-    With `cache_dir` set, solved states are persisted and read back exactly.
+    Lanczos runs on H_λ in the `MomentumSector`, and the result is expanded
+    to the sector amplitudes.  With `cache_dir` set, solved states are
+    persisted and read back exactly; an entry is used only if it lies in the
+    momentum sector and passes the residual check there.
     """
     if not delta > -1.0:
         raise FerromagneticRegimeError(
@@ -244,7 +347,8 @@ def ground_state(
         )
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol {tol!r} outside (0, 1e-4]")
-    basis = build_sector(n_sites, n_sites // 2)
+    sector = _momentum_sector(n_sites)
+    basis = sector.basis
 
     path = None
     if cache_dir is not None:
@@ -255,28 +359,29 @@ def ground_state(
             energy, amplitudes = cached
             if amplitudes.shape == (basis.dim,):
                 amplitudes.flags.writeable = False
+                phi = sector.project(amplitudes)
+                off_sector = float(np.linalg.norm(sector.expand(phi) - amplitudes))
                 residual = float(
-                    np.linalg.norm(apply_hamiltonian(basis, delta, amplitudes) - energy * amplitudes)
+                    np.linalg.norm(apply_hamiltonian(sector, delta, phi) - energy * phi)
                 )
-                if residual <= 1e-8:
-                    return GroundState(
-                        basis, delta, energy, amplitudes, residual, tol, seed, 0, ()
-                    )
-            # corrupt or stale entry: fall through and re-solve
+                if off_sector <= 1e-8 and residual <= 1e-8:
+                    return GroundState(basis, delta, energy, amplitudes, residual, tol, ())
+            # corrupt, stale or off-sector entry: fall through and re-solve
 
-    energy, vec, residual, history, gap = _lanczos_lowest(
-        lambda p: apply_hamiltonian(basis, delta, p), basis.dim, seed=seed, tol=tol
+    energy, phi, residual, history, gap = _lanczos_lowest(
+        lambda p: apply_hamiltonian(sector, delta, p), sector.dim, seed=seed, tol=tol
     )
     if gap <= 1e-10:
         raise DegenerateGroundStateError(
             f"Ritz gap {gap!r} <= 1e-10: sector ground state is not unique, pair "
             "density matrices are ill-defined"
         )
+    vec = sector.expand(phi)
     if vec[np.argmax(np.abs(vec))] < 0.0:
         vec = -vec
     vec.flags.writeable = False
 
-    state = GroundState(basis, delta, energy, vec, residual, tol, seed, len(history), history)
+    state = GroundState(basis, delta, energy, vec, residual, tol, history)
     if path is not None:
         save_ground_state(path, state)
     return state

@@ -57,6 +57,9 @@ __all__ = [
 
 # Probabilities within this distance of the valid range are clamped, not rejected.
 _CLAMP = 1e-12
+# C_00 and C_90 closer than this are a tie: at the isotropic point they are
+# equal, and which one rounds lower depends on the last digits of the state.
+_TIE = 1e-12
 
 
 def binary_entropy(p: float) -> float:
@@ -259,13 +262,13 @@ def c90(state: XState) -> C90Result:
 def discord(state: XState) -> DiscordResult:
     """Quantum discord D(A:B) = min(C_00, C_90) − S(ρ_AB) + S(ρ_B).
 
-    Ties between the two candidate angles resolve to θ = 0.
+    Ties between the two candidate angles (within `_TIE`) resolve to θ = 0.
     """
     c_zero = c00(state)
     c_ninety, phi_star = c90(state)
     s_joint = _entropy_of(joint_eigenvalues(state))
     s_b = binary_entropy(state.u + state.w2)
-    if c_zero <= c_ninety:
+    if c_zero <= c_ninety + _TIE:
         chosen, c_min = OptimalTheta.ZERO, c_zero
     else:
         chosen, c_min = OptimalTheta.NINETY, c_ninety

@@ -172,7 +172,7 @@ class TestKRatio:
         amps = np.zeros(basis.dim)
         amps[basis.index_of(0b0011)] = math.sqrt(0.5)
         amps[basis.index_of(0b0101)] = math.sqrt(0.5)
-        gs = GroundState(basis, 0.0, 0.0, amps, 0.0, 1e-10, 0, 0, ())
+        gs = GroundState(basis, 0.0, 0.0, amps, 0.0, 1e-10, ())
         with pytest.raises(UndefinedRatioError):
             k_ratio(gs, 1)
 

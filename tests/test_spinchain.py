@@ -1,5 +1,6 @@
-"""Sector basis, matrix-free matvec, Lanczos ground states, and the cache."""
+"""Sector basis, momentum sector, matrix-free matvec, Lanczos ground states, and the cache."""
 
+import dataclasses
 import math
 import os
 import shutil
@@ -14,6 +15,7 @@ from spindiscord.spinchain import (
     ConvergenceError,
     DegenerateGroundStateError,
     FerromagneticRegimeError,
+    MomentumSector,
     apply_hamiltonian,
     build_sector,
     cache_path,
@@ -153,6 +155,65 @@ class TestDenseOracle:
             dense_sector_hamiltonian(18, 1.0)
 
 
+def bloch_columns(sector):
+    """U as a dense matrix: the sector amplitudes of each Bloch state."""
+    return np.stack([sector.expand(e) for e in np.eye(sector.dim)], axis=1)
+
+
+def dense_reduced_hamiltonian(sector, delta):
+    """H_λ as a dense matrix, one `apply_hamiltonian` column at a time."""
+    return np.stack([apply_hamiltonian(sector, delta, e) for e in np.eye(sector.dim)], axis=1)
+
+
+class TestMomentumSector:
+    def test_sector_sizes(self):
+        assert MomentumSector(16).dim == 810
+        assert MomentumSector(20).dim == 9252
+
+    @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 14])
+    def test_projects_the_dense_hamiltonian(self, n_sites):
+        sector = MomentumSector(n_sites)
+        u = bloch_columns(sector)
+        assert u.T @ u == approx(np.eye(sector.dim), abs=1e-14)
+        for delta in (-0.5, 1.0, 2.5):
+            dense = dense_sector_hamiltonian(n_sites, delta)
+            assert dense_reduced_hamiltonian(sector, delta) == approx(
+                u.T @ dense @ u, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 14])
+    def test_holds_the_sector_ground_state(self, n_sites):
+        # Marshall's sign rule puts the S^z = 0 ground state at λ = (−1)^(N/2)
+        sector = MomentumSector(n_sites)
+        for delta in (-0.99, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0):
+            e0 = dense_spectrum_oracle(n_sites, delta)[0]
+            reduced = np.linalg.eigvalsh(dense_reduced_hamiltonian(sector, delta))
+            assert reduced[0] == approx(e0, abs=1e-10)
+            assert ground_state(n_sites, delta).energy == approx(e0, abs=1e-10)
+
+    @pytest.mark.parametrize("n_sites", [8, 10])
+    def test_ground_state_has_the_translation_eigenvalue(self, n_sites):
+        gs = ground_state(n_sites, 0.7)
+        mask = (1 << n_sites) - 1
+        rot = [
+            gs.basis.index_of(((int(s) << 1) | (int(s) >> (n_sites - 1))) & mask)
+            for s in gs.basis.states
+        ]
+        parity = (-1) ** (n_sites // 2)
+        assert gs.amplitudes[rot] == approx(parity * gs.amplitudes, abs=1e-15)
+
+    def test_expanded_vector_solves_the_full_sector(self):
+        for delta in (0.5, 1.0):
+            gs = ground_state(16, delta)
+            full = apply_hamiltonian(gs.basis, delta, gs.amplitudes)
+            assert np.linalg.norm(full - gs.energy * gs.amplitudes) <= 1e-10
+            assert np.linalg.norm(gs.amplitudes) == approx(1.0, abs=1e-12)
+
+    def test_twenty_sites_match_the_full_sector_solver(self):
+        # energy of the 184,756-state S^z = 0 Lanczos solve that this replaced
+        assert ground_state(20, 1.0).energy == approx(-8.904386529876442, abs=1e-10)
+
+
 class TestGroundState:
     def test_four_site_heisenberg_energy(self):
         gs = ground_state(4, 1.0)
@@ -242,21 +303,21 @@ class TestGroundState:
     def test_degenerate_ground_state_raises(self, monkeypatch, gap, raises):
         """A lowest Ritz gap at or below 1e-10 is refused, a wider one is not.
 
-        The N = 4 sector (dim 6) gets a fake diagonal Hamiltonian whose two
+        The N = 8 momentum sector (dim 10) gets a fake diagonal H_λ whose two
         lowest levels are `gap` apart.  An exactly zero gap is not asserted:
         a single-start Lanczos sees only its start vector's component in a
         degenerate eigenspace, so it finds one level, not two (ROADMAP
         item 3).
         """
-        levels = np.array([-1.0, -1.0 + gap, 0.0, 0.5, 1.0, 2.0])
+        levels = np.array([-1.0, -1.0 + gap, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0])
         monkeypatch.setattr(
             spinchain, "apply_hamiltonian", lambda basis, delta, psi: levels * psi
         )
         if raises:
             with pytest.raises(DegenerateGroundStateError):
-                ground_state(4, 1.0)
+                ground_state(8, 1.0)
         else:
-            assert ground_state(4, 1.0).energy == approx(-1.0, abs=1e-8)
+            assert ground_state(8, 1.0).energy == approx(-1.0, abs=1e-8)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(spinchain, "_MAX_CYCLES", 0)
@@ -330,6 +391,27 @@ class TestCache:
             again = ground_state(n_sites, delta, tol=tol, cache_dir=tmp_path)
             assert again.iterations > 0  # the misplaced entry forced a solve
             assert load_ground_state(moved, key) is not None  # rewritten
+
+    def test_entry_outside_the_momentum_sector_is_rejected_and_resolved(self, tmp_path):
+        # An exact eigenvector of H with another translation eigenvalue passes
+        # the CRC, the header and a full-sector residual check.
+        gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 8, 4, 0.5, 1e-10)
+        key = (8, 4, 0.5, 1e-10)
+        sector = MomentumSector(8)
+        levels, vecs = np.linalg.eigh(dense_sector_hamiltonian(8, 0.5))
+        outside = [v - sector.expand(sector.project(v)) for v in vecs.T]
+        j = next(j for j, v in enumerate(outside) if np.linalg.norm(v) > 0.5)
+        fake = outside[j] / np.linalg.norm(outside[j])
+        assert np.linalg.norm(apply_hamiltonian(gs.basis, 0.5, fake) - levels[j] * fake) <= 1e-12
+        save_ground_state(path, dataclasses.replace(gs, energy=float(levels[j]), amplitudes=fake))
+        assert load_ground_state(path, key) is not None
+
+        again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        assert again.iterations > 0  # the off-sector entry forced a solve
+        assert again.energy == gs.energy
+        assert np.array_equal(again.amplitudes, gs.amplitudes)
+        assert np.array_equal(load_ground_state(path, key)[1], gs.amplitudes)  # rewritten
 
     def test_saved_file_mode_follows_umask(self, tmp_path):
         gs = ground_state(6, 1.5)
