@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--n", type=int, default=12, help="ring size (even, >= 4)")
     solver.add_argument("--tol", type=_tol_arg, default=1e-12)
-    solver.add_argument("--seed", type=int, default=0)
     solver.add_argument(
         "--cache-dir",
         help=f"ground-state cache (default ./{_DEFAULT_CACHE}; env {_ENV_CACHE})",
@@ -130,6 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=UniformSphere.n_samples, help="mc sample count"
     )
     quad.add_argument("--bin-width", type=float, default=0.005)
+    quad.add_argument("--seed", type=int, default=0, help="mc sampler seed")
 
     p = sub.add_parser("ground-state", parents=[io, solver], help="solve one sector")
     p.add_argument("--delta", type=float, default=1.0)
@@ -274,14 +274,10 @@ def _solver_kwargs(args) -> dict:
         dim = math.comb(args.n, args.n // 2)
         print(
             f"warning: n={args.n} sector dimension is {dim}; a cold solve takes "
-            "seconds and hundreds of MB (15 s and 0.75 GB measured at n=26)",
+            "seconds and hundreds of MB (13 s and 0.75 GB measured at n=26)",
             file=sys.stderr,
         )
-    return {
-        "tol": args.tol,
-        "seed": args.seed,
-        "cache_dir": _resolve_cache_dir(args),
-    }
+    return {"tol": args.tol, "cache_dir": _resolve_cache_dir(args)}
 
 
 def _pair_states(args, deltas, rs):
@@ -292,14 +288,13 @@ def _solver_config(args) -> dict:
     return {
         "n": args.n,
         "tol": args.tol,
-        "seed": args.seed,
         "cache_dir": str(_resolve_cache_dir(args)),
     }
 
 
-def _build_scheme(args, seed: int):
+def _build_scheme(args):
     if args.scheme == "mc":
-        return UniformSphere(n_samples=args.samples, seed=seed)
+        return UniformSphere(n_samples=args.samples, seed=args.seed)
     return _SCHEMES[args.scheme](*(args.quadrature or ()))
 
 
@@ -381,7 +376,7 @@ def _cmd_fig4(args) -> int:
 
 def _cmd_fig5(args) -> int:
     pairs = _pair_states(args, [args.delta], [args.r])
-    scheme = _build_scheme(args, args.seed)
+    scheme = _build_scheme(args)
     [(_, _, state)] = pairs
     hist = sample_distribution(state, scheme, bin_width=args.bin_width)
     rows = [
@@ -400,6 +395,7 @@ def _cmd_fig5(args) -> int:
     }
     config = {
         **_solver_config(args),
+        "seed": args.seed,
         "delta": args.delta,
         "r": args.r,
         "scheme": _scheme_descriptor(scheme),
@@ -423,13 +419,14 @@ def _cmd_fig5(args) -> int:
 
 def _cmd_fig6(args) -> int:
     pairs = _pair_states(args, args.delta_range, args.rs)
-    scheme = _build_scheme(args, args.seed)
+    scheme = _build_scheme(args)
     rows, exc = _sweep(
         (row.delta, row.r, row.mean_c, row.var_c, row.min_c, row.max_c)
         for row in moments_vs_delta(pairs, scheme, bin_width=args.bin_width)
     )
     config = {
         **_solver_config(args),
+        "seed": args.seed,
         "rs": args.rs,
         "deltas": args.delta_range,
         "scheme": _scheme_descriptor(scheme),

@@ -141,17 +141,15 @@ def two_site_rdm(gs: GroundState, i: int, j: int) -> XState:
     fixed-S^z sector.
     """
     _check_pair(gs, i, j)
-    bi = _site_bits(gs, i)
-    bj = _site_bits(gs, j)
-    weights = gs.amplitudes * gs.amplitudes
+    amps = gs.amplitudes
     # qubit index: 0 = up (bit 1), so |00> collects both-up configurations
-    occ = np.bincount(2 * (1 - bi) + (1 - bj), weights=weights, minlength=4)
+    local = 2 * (1 - _site_bits(gs, i)) + (1 - _site_bits(gs, j))
+    occ = np.bincount(local, weights=amps * amps, minlength=4)
     # x = sum of amp(c ^ flip) * amp(c) over configurations c with i down and
-    # j up; the flip-flop keeps S^z, so every partner c ^ flip is in the sector
-    states = gs.basis.states
-    src = np.nonzero((bi == 0) & (bj == 1))[0]
-    dst = np.searchsorted(states, states[src] ^ np.uint64((1 << (i - 1)) | (1 << (j - 1))))
-    x = float(np.sum(gs.amplitudes[dst] * gs.amplitudes[src]))
+    # j up (|10>).  The flip adds one constant to each such c and lands in the
+    # sector, so the ascending |10> configurations map in order onto the
+    # ascending |01> ones (i up, j down): partners match by position.
+    x = float(amps[local == 2] @ amps[local == 1])
     return XState(u=occ[0], v=occ[3], w1=occ[1], w2=occ[2], x=x)
 
 
@@ -167,7 +165,6 @@ def pair_state_sweep(
     rs,
     *,
     tol: float = 1e-12,
-    seed: int = 0,
     cache_dir=None,
 ):
     """Yield (delta, r, pair state of sites (1, 1+r)) in (delta, r) order.
@@ -186,7 +183,7 @@ def pair_state_sweep(
             for r in rs:
                 yield delta, r, _POLARIZED
             continue
-        gs = ground_state(n_sites, delta, tol=tol, seed=seed, cache_dir=cache_dir)
+        gs = ground_state(n_sites, delta, tol=tol, cache_dir=cache_dir)
         for r in rs:
             yield delta, r, two_site_rdm(gs, 1, 1 + r)
         del gs  # free this sector before the next solve builds its own

@@ -217,7 +217,8 @@ def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> Entr
     return EntropyHistogram(
         bin_width=bin_width,
         bins={int(i): float(m) for i, m in enumerate(dense) if m > 0.0},
-        mean=s1,
+        # a weighted sum of values in [lo, hi] can round just outside them
+        mean=min(max(s1, lo), hi),
         variance=max(s2 - s1 * s1, 0.0),
         min_c=lo,
         max_c=hi,

@@ -22,11 +22,16 @@ ground state has translation eigenvalue λ = (−1)^(N/2) for every Δ.  The
 dim/N of them), and its ground state is expanded once to the S^z = 0
 amplitudes.
 
-The lowest eigenpair comes from one seeded Lanczos path: cycles of at most 80
+The lowest eigenpair comes from one Lanczos path: cycles of at most 80
 vectors, fully reorthogonalized within the cycle, each restarting from its
-Ritz vector.  `dense_spectrum_oracle` provides an independently constructed
-dense cross-check for small sectors.  Solved ground states can be persisted in
-a binary cache keyed by (N, n_up, Δ, tol).
+Ritz vector.  The first cycle starts from the uniform Marshall-signed vector
+(−1)^(up spins on odd sites) projected into the `MomentumSector`: by
+Perron–Frobenius it overlaps the ground state for every Δ > −1, and it is an
+eigenvector of reflection and spin inversion with the ground state's
+eigenvalues, so the Krylov space stays in the ground state's symmetry
+sector.  `dense_spectrum_oracle` provides an independently constructed dense
+cross-check for small sectors.  Solved ground states can be persisted in a
+binary cache keyed by (N, n_up, Δ, tol).
 """
 
 from __future__ import annotations
@@ -172,8 +177,10 @@ class MomentumSector:
     this basis H_λ = UᵀHU has the diagonal Δ·zz(r_a) and, for each flip-flop
     taking r_a to c = T^s r_b, the element ½·λ^s·√(R_a/R_b) at (b, a).
 
-    The sector basis itself is kept as `basis`; building both briefly holds
-    about six sector-length uint64 arrays (0.5 GB at N = 26).
+    `start` is the normalized projection of the Marshall signs, the
+    solver's start vector.  The sector basis itself is kept as `basis`;
+    building both briefly holds about six sector-length uint64 arrays
+    (0.5 GB at N = 26).
     """
 
     def __init__(self, n_sites: int):
@@ -215,7 +222,13 @@ class MomentumSector:
             dsts.append(orbit[hit[keep]])
             amps.append(amp[keep])
         self._flip_pairs = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(amps)
-        for array in (orbit, coef, self._diag_zz, *self._flip_pairs):
+        del srcs, dsts, amps  # before the start vector's temporaries, off the peak
+        # Uᵀ of the Marshall signs m(c) = (−1)^(up spins on odd sites): m(T^s r)
+        # = λ^s m(r), so each of the R terms of ⟨a|m⟩ is m(r_a)
+        odd_sites = np.uint64(int("01" * (n_sites // 2), 2))
+        start = root_period * (1.0 - 2.0 * (np.bitwise_count(reps & odd_sites) & 1))
+        self.start = start / np.linalg.norm(start)
+        for array in (orbit, coef, self._diag_zz, self.start, *self._flip_pairs):
             array.flags.writeable = False
 
     def expand(self, phi: np.ndarray) -> np.ndarray:
@@ -248,7 +261,9 @@ def apply_hamiltonian(
 class GroundState:
     """Converged lowest eigenpair of the sector Hamiltonian.
 
-    A state read from the cache has an empty Ritz history.
+    `ritz_history` holds the lowest Ritz value of each check of T and
+    `iterations` counts Lanczos steps; a state read from the cache has an
+    empty history and 0 iterations.
     """
 
     basis: SectorBasis
@@ -258,54 +273,59 @@ class GroundState:
     residual: float
     tol: float
     ritz_history: tuple
-
-    @property
-    def iterations(self) -> int:
-        return len(self.ritz_history)
+    iterations: int = 0
 
 
-def _lanczos_lowest(matvec, dim: int, *, seed: int, tol: float):
-    """Seeded restarted Lanczos for the lowest eigenpair.
+def _lanczos_lowest(matvec, start: np.ndarray, *, tol: float):
+    """Restarted Lanczos for the lowest eigenpair from the unit vector `start`.
 
     Cycles of at most `_KRYLOV_VECTORS` vectors, reorthogonalized in two
-    passes, each restart from the lowest Ritz vector.  Converged when the Ritz
-    value moves less than tol with a residual estimate below 10*tol, or when
-    the Krylov space is invariant.  Returns (energy, vector, explicit
-    residual, Ritz history, last cycle's Ritz gap, inf when T is 1×1).
+    passes, each restart from the lowest Ritz vector.  T is diagonalized only
+    on every fourth step of a cycle, on its last step, and on a step whose β
+    is negligible against T.  Converged when the Ritz value moves less than
+    tol between two such checks with a residual estimate below 10*tol, or
+    when the Krylov space is invariant.  Returns (energy, vector, explicit
+    residual, Ritz history, last cycle's Ritz gap, inf when T is 1×1,
+    Lanczos steps).
     """
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(dim)
-    q /= np.linalg.norm(q)
-
+    dim = start.size
     m = min(dim, _KRYLOV_VECTORS)
     v = np.empty((m, dim))
     t = np.zeros((m, m))  # entries of T are rewritten before each use
     history = []
     theta_prev = None
+    steps = 0
+    q = start
 
     for _ in range(_MAX_CYCLES):
         v[0] = q
+        t_norm = beta = 0.0  # Gershgorin bound on ‖T‖, and the previous β
         for j in range(m):
             w = matvec(v[j])
-            t[j, j] = v[j] @ w
+            steps += 1
+            t[j, j] = alpha = v[j] @ w
             # two-pass reorthogonalization against the stored cycle vectors
             for _pass in range(2):
                 w -= v[: j + 1].T @ (v[: j + 1] @ w)
-            beta = float(np.linalg.norm(w))
+            beta_prev, beta = beta, float(np.linalg.norm(w))
+            t_norm = max(t_norm, abs(alpha) + beta_prev + beta)
+            invariant = beta < 1e-13 * max(1.0, t_norm)  # the Ritz pair is exact
 
-            t_eigs, t_vecs = np.linalg.eigh(t[: j + 1, : j + 1])
-            theta = float(t_eigs[0])
-            history.append(theta)
-            res_est = beta * abs(float(t_vecs[-1, 0]))
-
-            converged = (
-                theta_prev is not None and abs(theta_prev - theta) < tol and res_est < 10.0 * tol
-            ) or beta < 1e-13 * max(1.0, abs(theta))  # invariant subspace: Ritz pair is exact
-            theta_prev = theta
-            if converged or j == m - 1:
-                q = v[: j + 1].T @ t_vecs[:, 0]
-                q /= np.linalg.norm(q)
-                break
+            if invariant or j % 4 == 3 or j == m - 1:
+                t_eigs, t_vecs = np.linalg.eigh(t[: j + 1, : j + 1])
+                theta = float(t_eigs[0])
+                history.append(theta)
+                res_est = beta * abs(float(t_vecs[-1, 0]))
+                converged = invariant or (
+                    theta_prev is not None
+                    and abs(theta_prev - theta) < tol
+                    and res_est < 10.0 * tol
+                )
+                theta_prev = theta
+                if converged or j == m - 1:
+                    q = v[: j + 1].T @ t_vecs[:, 0]
+                    q /= np.linalg.norm(q)
+                    break
             t[j, j + 1] = t[j + 1, j] = beta
             v[j + 1] = w / beta
 
@@ -315,7 +335,7 @@ def _lanczos_lowest(matvec, dim: int, *, seed: int, tol: float):
             residual = float(np.linalg.norm(hq - energy * q))
             if residual <= max(10.0 * tol, 1e-12):
                 gap = float(t_eigs[1] - t_eigs[0]) if j else math.inf
-                return energy, q, residual, tuple(history), gap
+                return energy, q, residual, tuple(history), gap, steps
             theta_prev = None  # restart with a sharper target
 
     raise ConvergenceError(
@@ -329,7 +349,6 @@ def ground_state(
     delta: float,
     *,
     tol: float = 1e-12,
-    seed: int = 0,
     cache_dir=None,
 ) -> GroundState:
     """Lowest eigenpair of the XXZ ring in the S^z = 0 sector.
@@ -368,8 +387,8 @@ def ground_state(
                     return GroundState(basis, delta, energy, amplitudes, residual, tol, ())
             # corrupt, stale or off-sector entry: fall through and re-solve
 
-    energy, phi, residual, history, gap = _lanczos_lowest(
-        lambda p: apply_hamiltonian(sector, delta, p), sector.dim, seed=seed, tol=tol
+    energy, phi, residual, history, gap, steps = _lanczos_lowest(
+        lambda p: apply_hamiltonian(sector, delta, p), sector.start, tol=tol
     )
     if gap <= 1e-10:
         raise DegenerateGroundStateError(
@@ -381,7 +400,7 @@ def ground_state(
         vec = -vec
     vec.flags.writeable = False
 
-    state = GroundState(basis, delta, energy, vec, residual, tol, history)
+    state = GroundState(basis, delta, energy, vec, residual, tol, history, steps)
     if path is not None:
         save_ground_state(path, state)
     return state

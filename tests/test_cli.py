@@ -119,6 +119,27 @@ class TestUsage:
         assert "warning" not in captured.err
         assert "n_sites" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["ground-state"], ["fig2"], ["fig3", "--rs", "1", "--delta-range", "0:1:0.5"],
+         ["fig4", "--rs", "1", "--delta-range", "0:1:0.5"]],
+    )
+    def test_seed_only_for_monte_carlo_commands(self, tmp_path, capsys, argv):
+        base = argv + ["--n", "4", "--format", "json", "--deterministic"] + cache_args(tmp_path)
+        assert run(base + ["--seed", "3"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert run(base) == 0
+        assert "seed" not in json.loads(capsys.readouterr().out)["config"]
+
+    @pytest.mark.parametrize("argv", [["fig5"], ["fig6", "--rs", "1", "--delta-range", "0:1:0.5"]])
+    def test_monte_carlo_commands_echo_their_seed(self, tmp_path, capsys, argv):
+        code = run(
+            argv + ["--n", "4", "--scheme", "mc", "--samples", "1000", "--seed", "3",
+                    "--format", "json", "--deterministic"] + cache_args(tmp_path)
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+
     def test_bad_quadrature(self, tmp_path, capsys):
         code = run(["fig5", "--n", "4", "--quadrature", "256"] + cache_args(tmp_path))
         assert code == 1

@@ -75,6 +75,27 @@ class TestTwoSiteRdm:
                 j = (i - 1 + r) % 8 + 1
                 assert two_site_rdm(gs, i, j).matrix() == approx(ref, abs=1e-8)
 
+    @pytest.mark.parametrize("n_sites", [8, 10])
+    def test_position_matching_equals_searchsorted(self, n_sites):
+        # flip partners found by searching the sector, as the reduction once did
+        def x_by_search(gs, i, j):
+            states = gs.basis.states
+            bit_i = (states >> np.uint64(i - 1)) & np.uint64(1)
+            bit_j = (states >> np.uint64(j - 1)) & np.uint64(1)
+            src = np.nonzero((bit_i == 0) & (bit_j == 1))[0]
+            flip = np.uint64((1 << (i - 1)) | (1 << (j - 1)))
+            dst = np.searchsorted(states, states[src] ^ flip)
+            return float(np.sum(gs.amplitudes[dst] * gs.amplitudes[src]))
+
+        basis = build_sector(n_sites, n_sites // 2)
+        rng = np.random.default_rng(n_sites)
+        for _ in range(3):
+            amps = rng.standard_normal(basis.dim)  # no translation symmetry
+            amps /= np.linalg.norm(amps)
+            gs = GroundState(basis, 0.0, 0.0, amps, 0.0, 1e-10, ())
+            for i, j in itertools.permutations(range(1, n_sites + 1), 2):
+                assert two_site_rdm(gs, i, j).x == approx(x_by_search(gs, i, j), abs=1e-15)
+
     def test_rejects_bad_pairs(self, solve):
         gs = solve(4, 1.0)
         with pytest.raises(ValueError, match="differ"):

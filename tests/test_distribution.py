@@ -85,6 +85,15 @@ class TestSampleDistribution:
                 assert hist.min_c - 1e-12 <= hist.mean <= hist.max_c + 1e-12
                 assert hist.variance >= 0.0
 
+    @pytest.mark.parametrize("n_sites", [4, 8])
+    def test_isotropic_mean_within_extrema_exactly(self, n_sites):
+        # at Δ = 1 C is constant, so a weighted sum can round past both extrema
+        schemes = (GaussGrid(), AngleGrid(), UniformSphere(20_000, seed=1))
+        for _, r, state in pair_state_sweep(n_sites, [1.0], range(1, n_sites // 2 + 1)):
+            for scheme in schemes:
+                hist = sample_distribution(state, scheme)
+                assert hist.min_c <= hist.mean <= hist.max_c, (r, scheme)
+
     def test_binned_moments_track_raw_moments(self, solve):
         state = two_site_rdm(solve(8, 2.0), 1, 2)
         for scheme in (GaussGrid(64, 64), AngleGrid(257, 64)):

@@ -209,6 +209,20 @@ class TestMomentumSector:
             assert np.linalg.norm(full - gs.energy * gs.amplitudes) <= 1e-10
             assert np.linalg.norm(gs.amplitudes) == approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 14])
+    def test_marshall_start_has_the_ground_state_signs(self, n_sites):
+        sector = MomentumSector(n_sites)
+        start = sector.expand(sector.start)
+        u = bloch_columns(sector)
+        for delta in (-0.9, 0.0, 1.0, 2.0):
+            # the dense ground vector, from the independently built sector matrix
+            _, vecs = np.linalg.eigh(u.T @ dense_sector_hamiltonian(n_sites, delta) @ u)
+            psi = u @ vecs[:, 0]
+            big = np.abs(psi) > 1e-8
+            agree = np.sign(start[big]) * np.sign(psi[big])
+            assert np.all(agree == agree[0])  # up to the eigenvector's overall sign
+            assert agree[0] * (psi @ start) > 0.0
+
     def test_twenty_sites_match_the_full_sector_solver(self):
         # energy of the 184,756-state S^z = 0 Lanczos solve that this replaced
         assert ground_state(20, 1.0).energy == approx(-8.904386529876442, abs=1e-10)
@@ -260,16 +274,33 @@ class TestGroundState:
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     def test_deterministic_for_fixed_seed(self):
-        a = ground_state(8, 0.7, seed=5)
-        b = ground_state(8, 0.7, seed=5)
+        a = ground_state(8, 0.7)
+        b = ground_state(8, 0.7)
         assert np.array_equal(a.amplitudes, b.amplitudes)
         assert a.energy == b.energy
 
-    def test_seed_independence_of_converged_pair(self):
-        a = ground_state(8, 0.5, seed=0)
-        b = ground_state(8, 0.5, seed=13)
-        assert a.energy == approx(b.energy, abs=1e-10)
-        assert a.amplitudes == approx(b.amplitudes, abs=1e-6)
+    def test_iterations_count_steps_and_ritz_checks_skip_most(self, monkeypatch):
+        """T is diagonalized on every fourth step, a cycle's last and a tiny-β one."""
+        eighs, matvecs = [], []
+        real_eigh, real_matvec = np.linalg.eigh, spinchain.apply_hamiltonian
+
+        def counting_eigh(a):
+            eighs.append(a.shape)
+            return real_eigh(a)
+
+        def counting_matvec(basis, delta, psi):
+            matvecs.append(1)
+            return real_matvec(basis, delta, psi)
+
+        monkeypatch.setattr(spinchain, "apply_hamiltonian", counting_matvec)
+        monkeypatch.setattr(spinchain.np.linalg, "eigh", counting_eigh)
+        gs = ground_state(16, 1.0)
+        # unrestarted: one matvec per Lanczos step plus the explicit residual
+        cycles = 1
+        assert gs.iterations < spinchain._KRYLOV_VECTORS
+        assert gs.iterations == len(matvecs) - 1
+        assert len(eighs) == len(gs.ritz_history)
+        assert len(eighs) <= math.ceil(gs.iterations / 4) + cycles + 1
 
     def test_spin_flip_symmetry_of_amplitudes(self):
         gs = ground_state(8, 0.7)
@@ -318,6 +349,29 @@ class TestGroundState:
                 ground_state(8, 1.0)
         else:
             assert ground_state(8, 1.0).energy == approx(-1.0, abs=1e-8)
+
+    def test_invariant_subspace_stops_on_its_step(self):
+        """A start spanning three eigenvectors stops after step 3, dividing by no β ≈ 0."""
+        levels = np.array([2.0, -1.5, 0.25, 3.0, 1.0, 4.0])
+        start = np.array([0.0, 0.6, 0.48, 0.0, 0.64, 0.0])
+        calls = []
+
+        def matvec(p):
+            calls.append(1)
+            return levels * p
+
+        with np.errstate(all="raise"):
+            energy, vec, residual, history, gap, steps = spinchain._lanczos_lowest(
+                matvec, start, tol=1e-12
+            )
+        assert steps == 3
+        assert len(calls) == 4  # three steps and the explicit residual
+        assert len(history) == 1  # the one check, on the invariant step
+        assert energy == approx(-1.5, abs=1e-14)
+        assert history[0] == approx(-1.5, abs=1e-14)
+        assert gap == approx(1.75, abs=1e-14)
+        assert residual <= 1e-14
+        assert abs(vec[1]) == approx(1.0, abs=1e-14)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(spinchain, "_MAX_CYCLES", 0)
