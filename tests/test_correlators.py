@@ -2,11 +2,13 @@
 
 import itertools
 import math
+from math import comb
 
 import numpy as np
 import pytest
 from pytest import approx
 
+from spindiscord import correlators
 from spindiscord.correlators import (
     CorrelatorDomainError,
     PairCorrelations,
@@ -22,7 +24,7 @@ from spindiscord.correlators import (
     two_site_rdm,
 )
 from spindiscord.spinchain import GroundState, build_sector, dense_sector_hamiltonian
-from spindiscord.xstate import OptimalTheta, binary_entropy, c00, c90, discord
+from spindiscord.xstate import OptimalTheta, XState, binary_entropy, c00, c90, discord
 
 
 def dense_rdm(n_sites, delta, i, j):
@@ -95,6 +97,40 @@ class TestTwoSiteRdm:
             gs = GroundState(basis, 0.0, 0.0, amps, 0.0, 1e-10, ())
             for i, j in itertools.permutations(range(1, n_sites + 1), 2):
                 assert two_site_rdm(gs, i, j).x == approx(x_by_search(gs, i, j), abs=1e-15)
+
+    @pytest.mark.parametrize("n_sites", [8, 10])
+    def test_pair_layout_matches_bincount_reduction(self, n_sites):
+        # the reduction before pair layouts: per-site bits and one bincount
+        def rdm_by_bincount(gs, i, j):
+            states = gs.basis.states
+            bit_i = ((states >> np.uint64(i - 1)) & np.uint64(1)).astype(np.int64)
+            bit_j = ((states >> np.uint64(j - 1)) & np.uint64(1)).astype(np.int64)
+            local = 2 * (1 - bit_i) + (1 - bit_j)
+            amps = gs.amplitudes
+            occ = np.bincount(local, weights=amps * amps, minlength=4)
+            x = float(amps[local == 2] @ amps[local == 1])
+            return XState(u=occ[0], v=occ[3], w1=occ[1], w2=occ[2], x=x).matrix()
+
+        half = n_sites // 2
+        sizes = [comb(n_sites - 2, half - 2), comb(n_sites - 2, half - 1),
+                 comb(n_sites - 2, half - 1), comb(n_sites - 2, half)]
+        basis = build_sector(n_sites, half)
+        rng = np.random.default_rng(n_sites + 1)
+        states = []
+        for _ in range(3):
+            amps = rng.standard_normal(basis.dim)  # no translation symmetry
+            amps /= np.linalg.norm(amps)
+            states.append(GroundState(basis, 0.0, 0.0, amps, 0.0, 1e-10, ()))
+        for i, j in itertools.permutations(range(1, n_sites + 1), 2):
+            order, bounds = correlators._pair_layout(basis, i, j)
+            assert order.dtype == np.int32
+            assert [b - a for a, b in zip(bounds, bounds[1:])] == sizes
+            assert bounds[0] == 0 and bounds[-1] == basis.dim
+            for a, b in zip(bounds, bounds[1:]):
+                assert np.all(np.diff(order[a:b]) > 0)
+            for gs in states:
+                lhs = two_site_rdm(gs, i, j).matrix()
+                assert np.max(np.abs(lhs - rdm_by_bincount(gs, i, j))) <= 1e-15
 
     def test_rejects_bad_pairs(self, solve):
         gs = solve(4, 1.0)
@@ -319,6 +355,31 @@ class TestDiscordProfileVsDelta:
             list(pair_state_sweep(5, [-2.0], [1]))
         with pytest.raises(ValueError, match="cap"):
             list(pair_state_sweep(28, [-2.0], [1]))
+
+
+class TestPairStateSweep:
+    def test_accepts_one_shot_separations(self):
+        rows = list(pair_state_sweep(8, [0.5], iter([1, 2])))
+        assert [(delta, r) for delta, r, _ in rows] == [(0.5, 1), (0.5, 2)]
+
+    def test_builds_one_layout_per_separation(self, monkeypatch, solve):
+        built = []
+        pair_layout = correlators._pair_layout
+
+        def counting(basis, i, j):
+            built.append((i, j))
+            return pair_layout(basis, i, j)
+
+        monkeypatch.setattr(correlators, "_pair_layout", counting)
+        deltas = [0.0, 0.5, 1.0, 1.5, 2.0]
+        rows = list(pair_state_sweep(10, deltas, [1, 2, 3]))
+        assert built == [(1, 2), (1, 3), (1, 4)]
+        for delta, r, state in rows:
+            assert state == two_site_rdm(solve(10, delta), 1, 1 + r)
+        built.clear()
+        rows = list(pair_state_sweep(10, [-2.0, -1.5, -1.0], [1, 2, 3]))
+        assert len(rows) == 9
+        assert built == []
 
 
 class TestMeasurementConsistency:
