@@ -273,6 +273,27 @@ class TestClosedForms:
         with pytest.raises(CorrelatorDomainError):
             discord_symmetric(-0.2, 4.0)  # 1/4 + 3*(-0.2) < 0
 
+    @pytest.mark.parametrize(
+        "call, eigs, gamma",
+        [
+            (lambda: discord_symmetric(0.2, 2.0), "[0.45, 0.45, 0.45, -0.35000000000000003]", "gamma_d=0.2, gamma_o=0.4"),
+            (
+                lambda: discord_symmetric(-0.2, 4.0),
+                "[0.04999999999999999, 0.04999999999999999, -0.35000000000000003, 1.25]",
+                "gamma_d=-0.2, gamma_o=-0.8",
+            ),
+            (lambda: discord_isotropic(0.1), "[0.35, 0.35, 0.35, -0.05000000000000002]", "gamma_d=0.1, gamma_o=0.2"),
+            (lambda: asymptotic_discord_check(0.3, 2.0), "[0.55, 0.55, 0.55, -0.6499999999999999]", "gamma_d=0.3, gamma_o=0.6"),
+        ],
+    )
+    def test_domain_error_message(self, call, eigs, gamma):
+        with pytest.raises(CorrelatorDomainError) as info:
+            call()
+        assert str(info.value) == (
+            f"eigenvalues {eigs} of the symmetric pair state are negative for {gamma}; "
+            "|gamma_o| + gamma_d must stay within 1/4"
+        )
+
 
 class TestAsymptotics:
     def test_isotropic_small_gamma_within_one_percent(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from spindiscord.correlators import discord_isotropic
+from spindiscord.correlators import CorrelatorDomainError, discord_isotropic
 from spindiscord.scaling import (
     NormalizedDiscordPoint,
     PairKind,
@@ -18,6 +18,37 @@ from spindiscord.scaling import (
     gamma_nn,
     normalized_discord_curve,
 )
+
+
+def reference_curve(params, ts, pair):
+    """Per-point curve: the model correlator and the isotropic closed form, in `math`."""
+
+    def gamma(t):
+        if pair is PairKind.NN:
+            return params.gamma_c - (params.gamma_c - params.gamma_0) * abs(1.0 - t) ** (
+                1.0 - params.alpha
+            )
+        if params.form is ScalingForm.KOSTERLITZ_THOULESS:
+            xi = math.exp(math.pi / math.sqrt(t - 1.0))
+        else:
+            xi = math.inf if t == 1.0 else params.xi0 * abs(1.0 - t) ** (-params.nu)
+        return -math.exp(-params.r / xi) / params.r
+
+    def h(p):
+        p = min(max(p, 0.0), 1.0)
+        return -sum(q * math.log2(q) for q in (p, 1.0 - p) if q > 0.0)
+
+    def discord(g):
+        eigs = [0.25 + g, 0.25 + g, 0.25 + g, 0.25 - 3.0 * g]
+        s_joint = -sum(e * math.log2(e) for e in eigs if e > 0.0)
+        return 1.0 - s_joint + min(h(0.5 + 2.0 * g), h(0.5 + 2.0 * g))
+
+    g_ref = params.gamma_c if pair is PairKind.NN else -1.0 / params.r
+    return [discord(gamma(t)) / discord(g_ref) for t in ts]
+
+
+# the fig1 benchmark grid 0:2:0.0001, built as the CLI builds a range
+FINE_GRID = [round(i * 0.0001, 12) + 0.0 for i in range(20001)]
 
 
 def power_grid(step=0.01):
@@ -237,6 +268,88 @@ class TestNormalizedCurve:
             for pair in (PairKind.NN, PairKind.FAR):
                 (pt,) = normalized_discord_curve(p, [1.0], pair)
                 assert pt.value == 1.0
+
+
+class TestCurveMatchesReference:
+    @pytest.mark.parametrize("pair", [PairKind.NN, PairKind.FAR])
+    def test_fine_grid(self, pair):
+        p = ScalingParams()
+        points = normalized_discord_curve(p, FINE_GRID, pair)
+        assert len(points) == len(FINE_GRID)
+        assert [pt.t for pt in points] == FINE_GRID
+        want = reference_curve(p, FINE_GRID, pair)
+        assert max(abs(pt.value - w) for pt, w in zip(points, want)) <= 1e-13
+        assert points[10000].t == 1.0 and points[10000].value == 1.0
+
+    def test_kosterlitz_thouless_side(self):
+        p = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)
+        ts = FINE_GRID[10001:]
+        points = normalized_discord_curve(p, ts, PairKind.FAR)
+        want = reference_curve(p, ts, PairKind.FAR)
+        assert max(abs(pt.value - w) for pt, w in zip(points, want)) <= 1e-13
+
+    def test_accepts_arrays_and_ranges(self):
+        p = ScalingParams()
+        want = [pt.value for pt in normalized_discord_curve(p, [0.0, 1.0, 2.0], PairKind.NN)]
+        for ts in (np.array([0.0, 1.0, 2.0]), range(3)):
+            points = normalized_discord_curve(p, ts, PairKind.NN)
+            assert [pt.t for pt in points] == [0.0, 1.0, 2.0]
+            assert [pt.value for pt in points] == want
+
+
+KT = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)
+
+
+class TestDomainMessages:
+    """Domain errors name the first offending input, in the same words as before."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: correlation_length(KT, 1.0), "Kosterlitz-Thouless correlation length defined for t > 1, got 1.0"),
+            (lambda: correlation_length(KT, 0.5), "Kosterlitz-Thouless correlation length defined for t > 1, got 0.5"),
+            (lambda: gamma_nn(ScalingParams(), -0.1), "t -0.1 outside the model window [0, 2]"),
+            (lambda: gamma_nn(ScalingParams(), 2.5), "t 2.5 outside the model window [0, 2]"),
+            (
+                lambda: normalized_discord_curve(KT, [1.2, 0.9], PairKind.FAR),
+                "Kosterlitz-Thouless correlation length defined for t > 1, got 0.9",
+            ),
+            (
+                lambda: normalized_discord_curve(KT, [1.5, 1.0, 0.2], PairKind.FAR),
+                "Kosterlitz-Thouless correlation length defined for t > 1, got 1.0",
+            ),
+            (
+                lambda: normalized_discord_curve(ScalingParams(), [0.5, 2.5, -1.0], PairKind.NN),
+                "t 2.5 outside the model window [0, 2]",
+            ),
+        ],
+    )
+    def test_scaling_domain(self, call, message):
+        with pytest.raises(ScalingDomainError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "params, ts, pair, gamma",
+        [
+            # the reference correlator -1/r is already unphysical
+            (ScalingParams(r=2), [0.5], PairKind.FAR, "gamma_d=-0.5, gamma_o=-1.0"),
+            (ScalingParams(gamma_c=0.2), [0.5], PairKind.NN, "gamma_d=0.2, gamma_o=0.4"),
+            # only the t = 2 point leaves the physical window
+            (ScalingParams(gamma_0=0.2), [1.0, 0.5, 2.0, 0.0], PairKind.NN, "gamma_d=0.2, gamma_o=0.4"),
+        ],
+    )
+    def test_correlator_domain(self, params, ts, pair, gamma):
+        eigs = {
+            "gamma_d=-0.5, gamma_o=-1.0": "[-0.25, -0.25, -0.25, 1.75]",
+            "gamma_d=0.2, gamma_o=0.4": "[0.45, 0.45, 0.45, -0.35000000000000003]",
+        }[gamma]
+        with pytest.raises(CorrelatorDomainError) as info:
+            normalized_discord_curve(params, ts, pair)
+        assert str(info.value) == (
+            f"eigenvalues {eigs} of the symmetric pair state are negative for {gamma}; "
+            "|gamma_o| + gamma_d must stay within 1/4"
+        )
 
 
 class TestQuadraticLaw:

@@ -145,6 +145,104 @@ class TestConditionalEntropy:
         assert np.ptp(vals) > 1e-3
 
 
+def reference_conditional_entropy(state, theta, phi):
+    """C_{θ,φ} from cos(θ/2) and sin(θ/2), one masked binary entropy per branch.
+
+    The original elementwise kernel, kept verbatim as the reference for the
+    single-cosine kernel in `xstate`.
+    """
+
+    def h2(p):
+        p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
+        q = 1.0 - p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = -np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+            out -= np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
+        return out
+
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    a2 = np.cos(theta / 2.0) ** 2
+    b2 = np.sin(theta / 2.0) ** 2
+    ab = np.cos(theta / 2.0) * np.sin(theta / 2.0)
+    zmag2 = ab * ab * np.abs(state.x * np.exp(1j * phi) + state.y * np.exp(-1j * phi)) ** 2
+    d0 = state.u + state.w2
+    d1 = state.w1 + state.v
+    e0 = state.u - state.w2
+    e1 = state.w1 - state.v
+    out = np.zeros(np.broadcast(theta, phi, zmag2).shape)
+    for pk, bk in (
+        (a2 * d0 + b2 * d1, a2 * e0 + b2 * e1),
+        (b2 * d0 + a2 * d1, b2 * e0 + a2 * e1),
+    ):
+        root = np.sqrt(bk * bk + 4.0 * zmag2)
+        safe = np.where(pk > 1e-12, pk, 1.0)
+        lam = np.clip((safe + root) / (2.0 * safe), 0.0, 1.0)
+        out += np.where(pk > 1e-12, pk * h2(lam), 0.0)
+    return out
+
+
+def reference_states(kind):
+    """Random states (y ≠ 0), ring-like states (y = 0), an empty branch, the polarized mixture."""
+    rng = np.random.default_rng(61)
+    if kind == "random":
+        return [random_xstate(rng) for _ in range(40)]
+    if kind == "ring":
+        states = [XState(s.u, s.v, s.w1, s.w2, s.x, 0.0) for s in reference_states("random")[:20]]
+        for g, x in ((-0.25, -0.5), (-1 / 6, -1 / 3), (-0.1, -0.13), (0.05, 0.02), (0.0, 0.25)):
+            states.append(XState(0.25 + g, 0.25 + g, 0.25 - g, 0.25 - g, x))
+        return states
+    if kind == "empty_branch":
+        return [XState(1.0, 0.0, 0.0, 0.0)]
+    return [XState(0.5, 0.5, 0.0, 0.0)]
+
+
+STATE_KINDS = ("random", "ring", "empty_branch", "polarized")
+
+
+class TestConditionalEntropyMatchesReference:
+    """The kernel against the reference above, within 1e-15, in every input shape."""
+
+    THETA = np.concatenate(
+        [
+            [0.0, 1e-9, math.pi / 2, math.pi - 1e-9, math.pi, -0.7, 4.0, 7.5],
+            np.linspace(0.0, math.pi, 97),
+        ]
+    )
+    PHI = np.concatenate([[0.0, math.pi / 4, math.pi, -1.3, 9.0], np.linspace(0.0, 2 * math.pi, 31)])
+
+    @staticmethod
+    def check(state, theta, phi):
+        got = conditional_entropy_values(state, theta, phi)
+        want = reference_conditional_entropy(state, theta, phi)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15)
+
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    def test_zero_dimensional(self, kind):
+        for state in reference_states(kind):
+            for theta in self.THETA[:8]:
+                for phi in self.PHI[:5]:
+                    self.check(state, float(theta), float(phi))
+            assert conditional_entropy_values(state, 0.3, 0.2).ndim == 0
+
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    def test_one_dimensional(self, kind):
+        rng = np.random.default_rng(67)
+        for state in reference_states(kind):
+            theta = np.concatenate([self.THETA, np.arccos(rng.uniform(-1.0, 1.0, 500))])
+            self.check(state, theta, rng.uniform(0.0, 2 * math.pi, theta.size))
+            self.check(state, theta, 0.0)
+            self.check(state, 1.1, self.PHI)
+
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    def test_theta_column_by_phi_row(self, kind):
+        for state in reference_states(kind):
+            self.check(state, self.THETA[:, None], self.PHI[None, :])
+            self.check(state, self.THETA[:, None], 0.0)
+
+
 class TestC00:
     def test_spot_value(self):
         s = XState(0.3, 0.3, 0.2, 0.2)
