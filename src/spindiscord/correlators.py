@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .spinchain import GroundState, check_ring_size, ground_state
-from .xstate import OptimalTheta, XState, _entropy_of, binary_entropy, discord
+from .xstate import OptimalTheta, XState, _clamped_binary_entropy, _entropy_of, discord
 
 __all__ = [
     "PairCorrelations",
@@ -262,23 +262,40 @@ def discord_symmetric(gamma_d: float, k: float) -> float:
     The state has x = k*gamma_d, zero local magnetization, and maximally mixed
     marginals, so D = 1 − S_joint + min over the two candidate bases.
     """
+    gamma_d = float(gamma_d)
     return _symmetric_discord(gamma_d, k * gamma_d)
 
 
-def _symmetric_discord(gamma_d: float, gamma_o: float) -> float:
-    """`discord_symmetric` in terms of gamma_o = x, defined also at gamma_d = 0."""
+def _symmetric_discord(gamma_d, gamma_o):
+    """`discord_symmetric` in terms of gamma_o = x, defined also at gamma_d = 0.
+
+    Floats give a float.  Arrays of one shape give an array, elementwise; an
+    unphysical entry raises for the first one, in the words a float would.
+    """
     g, x = gamma_d, gamma_o
     eigs = [0.25 + g, 0.25 + g, 0.25 + x - g, 0.25 - x - g]
-    if min(eigs) < -1e-12:
-        raise CorrelatorDomainError(
-            f"eigenvalues {eigs} of the symmetric pair state are negative for "
-            f"gamma_d={gamma_d!r}, gamma_o={gamma_o!r}; |gamma_o| + gamma_d "
-            "must stay within 1/4"
-        )
-    s_joint = _entropy_of(eigs)
-    c_zero = binary_entropy(min(max(0.5 + 2.0 * g, 0.0), 1.0))
-    c_ninety = binary_entropy(min(max(0.5 + x, 0.0), 1.0))
-    return 1.0 - s_joint + min(c_zero, c_ninety)
+    if isinstance(g, float):
+        smaller = min
+        if min(eigs) < -1e-12:
+            raise _negative_eigenvalues(eigs, g, x)
+    else:
+        smaller = np.minimum
+        negative = np.flatnonzero(smaller(smaller(eigs[0], eigs[2]), eigs[3]) < -1e-12)
+        if negative.size:
+            i = negative[0]
+            first = [float(e.flat[i]) for e in eigs]
+            raise _negative_eigenvalues(first, float(g.flat[i]), float(x.flat[i]))
+    c_zero = _clamped_binary_entropy(0.5 + 2.0 * g)
+    c_ninety = _clamped_binary_entropy(0.5 + x)
+    return 1.0 - _entropy_of(eigs) + smaller(c_zero, c_ninety)
+
+
+def _negative_eigenvalues(eigs, gamma_d, gamma_o) -> CorrelatorDomainError:
+    return CorrelatorDomainError(
+        f"eigenvalues {eigs} of the symmetric pair state are negative for "
+        f"gamma_d={gamma_d!r}, gamma_o={gamma_o!r}; |gamma_o| + gamma_d "
+        "must stay within 1/4"
+    )
 
 
 def discord_isotropic(gamma_d: float) -> float:

@@ -27,6 +27,11 @@ alone: each grid theta node is evaluated once and carries the weight of its
 whole phi row, and Monte Carlo still draws phi (keeping the seeded stream)
 but evaluates at phi = 0.  `n_samples` stays the nominal point count.  The
 Gauss-Legendre nodes are built once per n_theta and memoized read-only.
+
+Every scheme hands whole chunks of angles to one array kernel,
+`xstate.conditional_entropy_values`: the outcome probabilities are computed
+once per theta, and the entropies of a chunk in place, from the same
+p log2 p term as every other entropy in the package.
 """
 
 from __future__ import annotations

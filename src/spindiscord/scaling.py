@@ -13,15 +13,20 @@ along the curve is the isotropic closed form evaluated at the (negative,
 antiferromagnetic-sign) correlator and normalized by its t = 1 value, which
 produces a peak of height 1 at the critical point with a kink: the one-sided
 slopes diverge because of the |1-t|^(1-alpha) and |1-t|^nu cusps.
+
+The model functions take a float or an array of t, so a whole curve is one
+numpy evaluation of the correlator and one of the closed form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .correlators import discord_isotropic
+import numpy as np
+
+from .correlators import _symmetric_discord
 
 __all__ = [
     "ScalingForm",
@@ -73,36 +78,45 @@ class ScalingParams:
             raise ValueError(f"separation r {self.r!r} must be >= 1")
 
 
-def correlation_length(params: ScalingParams, t: float) -> float:
-    """xi(t); +inf at t = 1 for the power law (documented sentinel)."""
+def _check_domain(t: np.ndarray, outside: np.ndarray, message: str) -> None:
+    """Raise ScalingDomainError for the first t flagged in `outside`."""
+    if outside.any():
+        raise ScalingDomainError(message.format(float(t[outside].flat[0])))
+
+
+def correlation_length(params: ScalingParams, t):
+    """xi(t) for a float or an array of t; +inf at t = 1 for the power law (documented sentinel).
+
+    For Kosterlitz-Thouless, xi beyond the float range (t − 1 below about
+    2e-5) is +inf too, which leaves gamma_far at its t = 1 value 1/r.
+    """
+    t = np.asarray(t, dtype=float)
     if params.form is ScalingForm.KOSTERLITZ_THOULESS:
-        if t <= 1.0:
-            raise ScalingDomainError(
-                f"Kosterlitz-Thouless correlation length defined for t > 1, got {t!r}"
-            )
-        return math.exp(math.pi / math.sqrt(t - 1.0))
-    if t == 1.0:
-        return math.inf
-    return params.xi0 * abs(1.0 - t) ** (-params.nu)
+        _check_domain(
+            t, t <= 1.0, "Kosterlitz-Thouless correlation length defined for t > 1, got {!r}"
+        )
+        with np.errstate(over="ignore"):
+            return np.exp(np.pi / np.sqrt(t - 1.0))
+    with np.errstate(divide="ignore"):
+        return params.xi0 * np.abs(1.0 - t) ** (-params.nu)
 
 
-def gamma_far(params: ScalingParams, t: float) -> float:
+def gamma_far(params: ScalingParams, t):
     """Large-separation correlator magnitude exp(-r/xi)/r; 1/r at t = 1."""
     xi = correlation_length(params, t)
-    return math.exp(-params.r / xi) / params.r
+    return np.exp(-params.r / xi) / params.r
 
 
-def gamma_nn(params: ScalingParams, t: float) -> float:
+def gamma_nn(params: ScalingParams, t):
     """Nearest-neighbor correlator gamma_c - (gamma_c - gamma_0)|1-t|^(1-alpha)."""
-    if not 0.0 <= t <= 2.0:
-        raise ScalingDomainError(f"t {t!r} outside the model window [0, 2]")
-    return params.gamma_c - (params.gamma_c - params.gamma_0) * abs(1.0 - t) ** (
+    t = np.asarray(t, dtype=float)
+    _check_domain(t, ~((0.0 <= t) & (t <= 2.0)), "t {!r} outside the model window [0, 2]")
+    return params.gamma_c - (params.gamma_c - params.gamma_0) * np.abs(1.0 - t) ** (
         1.0 - params.alpha
     )
 
 
-@dataclass(frozen=True)
-class NormalizedDiscordPoint:
+class NormalizedDiscordPoint(NamedTuple):
     t: float
     value: float
 
@@ -112,18 +126,21 @@ def normalized_discord_curve(params: ScalingParams, ts, pair: PairKind) -> list:
 
     The far pair feeds -gamma_far into the isotropic closed form (the
     reference correlator is antiferromagnetic, hence negative); normalization
-    uses the t = 1 limits gamma_c and -1/r, so the curve equals 1.0 exactly
-    at the critical point.
+    uses the t = 1 limits gamma_c and -1/r.  The reference goes through the
+    same array kernel as the points, so the curve equals 1.0 exactly at the
+    critical point.
     """
     if pair is PairKind.FAR:
         gamma_at = lambda t: -gamma_far(params, t)
-        reference = discord_isotropic(-1.0 / params.r)
+        reference = -1.0 / params.r
     elif pair is PairKind.NN:
         gamma_at = lambda t: gamma_nn(params, t)
-        reference = discord_isotropic(params.gamma_c)
+        reference = params.gamma_c
     else:
         raise ValueError(f"unknown pair kind {pair!r}")
-    return [
-        NormalizedDiscordPoint(float(t), discord_isotropic(gamma_at(float(t))) / reference)
-        for t in ts
-    ]
+    reference = np.array([reference])
+    scale = _symmetric_discord(reference, 2.0 * reference)
+    t = np.asarray(ts, dtype=float)
+    gamma = gamma_at(t)
+    values = _symmetric_discord(gamma, 2.0 * gamma) / scale
+    return list(map(NormalizedDiscordPoint._make, zip(t.tolist(), values.tolist())))

@@ -14,7 +14,10 @@ qubit A in a conditional state whose eigenvalues are
     z      = cos(θ/2) sin(θ/2) (x e^{iφ} + y e^{-iφ}),
 
 with outcome probabilities p_0̃, p_1̃ and diagonal splittings b_0̃, b_1̃ given
-below.  `discord` evaluates the measurement-conditioned entropy
+below.  Every entropy here is a sum of p·log2 p terms from one helper,
+evaluated with `math` for a float and with numpy for an array, so a scalar
+caller pays no array overhead and an array caller no Python loop.
+`discord` evaluates the measurement-conditioned entropy
 C_{θ,φ} = Σ_k̃ p_k̃ S(ρ_{A|B_k̃}) at the two candidate angles θ = 0 and
 θ = π/2 (with the optimal azimuth φ*) and returns the two-angle closed form
 
@@ -62,35 +65,45 @@ _CLAMP = 1e-12
 _TIE = 1e-12
 
 
+def _xlog2x(p):
+    """p·log2 p, and 0 for p ≤ 0: a float from `math`, an array from numpy.
+
+    Every entropy in this package is a sum of these terms.
+    """
+    if isinstance(p, float):
+        return p * math.log2(p) if p > 0.0 else 0.0
+    p = np.asarray(p, dtype=float)
+    positive = p > 0.0
+    out = np.log2(p, out=np.zeros(p.shape), where=positive)
+    return np.multiply(out, p, out=out, where=positive)
+
+
+def _entropy_of(eigs):
+    """Shannon entropy (base 2) of a probability vector; zeros contribute 0.
+
+    The entries are floats, or arrays of one shape for an elementwise entropy.
+    """
+    total = 0.0
+    for lam in eigs:
+        total -= _xlog2x(lam)
+    return total
+
+
+def _clamped_binary_entropy(p):
+    """Binary entropy of p clamped into [0, 1]; a float or an array."""
+    p = min(max(p, 0.0), 1.0) if isinstance(p, float) else np.clip(p, 0.0, 1.0)
+    return _entropy_of((p, 1.0 - p))
+
+
 def binary_entropy(p: float) -> float:
     """H(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0.
 
     Accepts p within 1e-12 outside [0, 1] (clamped); otherwise raises ValueError.
     """
+    p = float(p)
     if not -_CLAMP <= p <= 1.0 + _CLAMP:
         raise ValueError(f"binary_entropy argument {p!r} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    return _entropy_of((p, 1.0 - p))
-
-
-def _h2(p):
-    """Vectorized binary entropy; input is clipped to [0, 1]."""
-    p = np.clip(np.asarray(p, dtype=float), 0.0, 1.0)
-    q = 1.0 - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-        out -= np.where(q > 0.0, q * np.log2(np.where(q > 0.0, q, 1.0)), 0.0)
-    return out
-
-
-def _entropy_of(eigs) -> float:
-    """Shannon entropy (base 2) of a probability vector; zeros contribute 0."""
-    total = 0.0
-    for lam in eigs:
-        lam = float(lam)
-        if lam > 0.0:
-            total -= lam * math.log2(lam)
-    return total
+    return _clamped_binary_entropy(p)
 
 
 @dataclass(frozen=True)
@@ -121,7 +134,7 @@ class XState:
         for name in ("u", "v", "w1", "w2"):
             if getattr(self, name) < -_CLAMP:
                 raise ValueError(f"negative occupation {name}={getattr(self, name)!r}")
-        if min(joint_eigenvalues(self)) < -1e-9:
+        if min(_joint_eigs(self)) < -1e-9:
             raise ValueError("X-state matrix is not positive semidefinite")
 
     def matrix(self) -> np.ndarray:
@@ -178,18 +191,21 @@ class GridVerifyReport:
     discrepancy: float
 
 
-def joint_eigenvalues(state: XState) -> np.ndarray:
-    """Eigenvalues of ρ_AB: the X structure splits into two 2x2 blocks."""
+def _joint_eigs(state: XState) -> tuple:
+    """Eigenvalues of ρ_AB as floats: the X structure splits into two 2x2 blocks."""
     outer = math.hypot(state.u - state.v, 2.0 * abs(state.y))
     inner = math.hypot(state.w1 - state.w2, 2.0 * abs(state.x))
-    return np.array(
-        [
-            (state.u + state.v + outer) / 2.0,
-            (state.u + state.v - outer) / 2.0,
-            (state.w1 + state.w2 + inner) / 2.0,
-            (state.w1 + state.w2 - inner) / 2.0,
-        ]
+    return (
+        (state.u + state.v + outer) / 2.0,
+        (state.u + state.v - outer) / 2.0,
+        (state.w1 + state.w2 + inner) / 2.0,
+        (state.w1 + state.w2 - inner) / 2.0,
     )
+
+
+def joint_eigenvalues(state: XState) -> np.ndarray:
+    """Eigenvalues of ρ_AB: the X structure splits into two 2x2 blocks."""
+    return np.array(_joint_eigs(state))
 
 
 def conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
@@ -197,30 +213,49 @@ def conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
 
     Angles are unrestricted; the expression is 2π-periodic and symmetric
     under θ → θ + π (the measurement pair {|0̃⟩, |1̃⟩} is unchanged).
-    A zero-probability branch contributes zero.
+    A branch with probability at most 1e-12 contributes zero.  cos(θ/2) and
+    sin(θ/2) are evaluated once per θ; the outcome probabilities depend on θ
+    alone, so only the splitting root and the entropies take the full
+    broadcast shape, and they are updated in place.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    a2 = np.cos(theta / 2.0) ** 2
-    b2 = np.sin(theta / 2.0) ** 2
-    ab = np.cos(theta / 2.0) * np.sin(theta / 2.0)
-    zmag2 = ab * ab * np.abs(state.x * np.exp(1j * phi) + state.y * np.exp(-1j * phi)) ** 2
+    shape = np.broadcast_shapes(theta.shape, phi.shape)
+    # at least 1-D, so that every intermediate is an array that can be written in place
+    half = np.atleast_1d(theta) / 2.0
+    ab = np.cos(half)
+    sin_half = np.sin(half, out=half)
+    a2 = ab * ab  # cos²(θ/2)
+    b2 = sin_half * sin_half
+    ab *= sin_half
+    # 4|z|², with z = cos(θ/2) sin(θ/2) (x e^{iφ} + y e^{-iφ})
+    turn = np.exp(1j * phi)
+    z4 = ab * ab * np.abs(state.x * turn + state.y * turn.conjugate()) ** 2
+    z4 *= 4.0
+    del half, ab, sin_half, turn
 
     d0 = state.u + state.w2   # P(B=0) weight entering outcome probabilities
     d1 = state.w1 + state.v
     e0 = state.u - state.w2
     e1 = state.w1 - state.v
 
-    out = np.zeros(np.broadcast(theta, phi, zmag2).shape)
-    for pk, bk in (
-        (a2 * d0 + b2 * d1, a2 * e0 + b2 * e1),
-        (b2 * d0 + a2 * d1, b2 * e0 + a2 * e1),
-    ):
-        root = np.sqrt(bk * bk + 4.0 * zmag2)
-        safe = np.where(pk > _CLAMP, pk, 1.0)
-        lam = np.clip((safe + root) / (2.0 * safe), 0.0, 1.0)
-        out += np.where(pk > _CLAMP, pk * _h2(lam), 0.0)
-    return out
+    out = np.zeros(z4.shape)
+    lam = np.empty(z4.shape)
+    for da, db, ea, eb in ((d0, d1, e0, e1), (d1, d0, e1, e0)):
+        pk = a2 * da + b2 * db
+        bk = a2 * ea + b2 * eb
+        np.multiply(bk, bk, out=bk)
+        np.sqrt(np.add(bk, z4, out=lam), out=lam)
+        del bk
+        live = pk > _CLAMP
+        # λ = (p + root) / 2p; entries of a dead branch are never read
+        np.divide(np.add(pk, lam, out=lam), 2.0 * pk, out=lam, where=live)
+        np.clip(lam, 0.0, 1.0, out=lam)
+        h = _xlog2x(lam)
+        h += _xlog2x(np.subtract(1.0, lam, out=lam))
+        np.multiply(pk, h, out=h)
+        np.subtract(out, h, out=out, where=live)  # p·H(λ), with H = −Σ λ log2 λ
+    return out.reshape(shape)
 
 
 def c00(state: XState) -> float:
@@ -239,21 +274,17 @@ def c00(state: XState) -> float:
 def c90(state: XState) -> C90Result:
     """C_{θ=π/2, φ*}: equatorial measurement at the optimal azimuth.
 
-    |z| is maximal where tan(2φ) = -Im(x y̅)/Re(x y̅); of the two branches a
-    quarter turn apart, the one maximizing |x e^{iφ} + y e^{-iφ}| minimizes C.
-    With either amplitude zero the value is φ-independent and φ* = 0.
+    C falls as |x e^{iφ} + y e^{-iφ}| grows.  At φ* = −arg(x y̅)/2 the two
+    terms are parallel, so the modulus takes its maximum |x| + |y| (a quarter
+    turn later it is ||x| − |y||).  With either amplitude zero the value is
+    φ-independent and φ* = 0.
     """
     x, y = state.x, state.y
+    amp = abs(x) + abs(y)
     if abs(x) < _CLAMP or abs(y) < _CLAMP:
         phi_star = 0.0
-        amp = abs(x) + abs(y)
     else:
-        base = -cmath.phase(x * y.conjugate()) / 2.0
-        candidates = [base, base + math.pi / 2.0]
-        amps = [abs(x * cmath.exp(1j * f) + y * cmath.exp(-1j * f)) for f in candidates]
-        pick = 1 if amps[1] > amps[0] else 0
-        phi_star = candidates[pick] % math.pi
-        amp = amps[pick]
+        phi_star = (-cmath.phase(x * y.conjugate()) / 2.0) % math.pi
     gap = state.u - state.v + state.w1 - state.w2
     lam = (1.0 + math.hypot(gap, 2.0 * amp)) / 2.0
     return C90Result(binary_entropy(min(lam, 1.0)), phi_star)
@@ -266,7 +297,7 @@ def discord(state: XState) -> DiscordResult:
     """
     c_zero = c00(state)
     c_ninety, phi_star = c90(state)
-    s_joint = _entropy_of(joint_eigenvalues(state))
+    s_joint = _entropy_of(_joint_eigs(state))
     s_b = binary_entropy(state.u + state.w2)
     if c_zero <= c_ninety + _TIE:
         chosen, c_min = OptimalTheta.ZERO, c_zero

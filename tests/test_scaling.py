@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from spindiscord import correlators, scaling
 from spindiscord.correlators import CorrelatorDomainError, discord_isotropic
 from spindiscord.scaling import (
     NormalizedDiscordPoint,
@@ -114,6 +115,14 @@ class TestCorrelationLength:
     def test_kt_value(self):
         p = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)
         assert correlation_length(p, 1.5) == approx(85.01969522320721, abs=1e-11)
+
+    def test_kt_beyond_float_range_is_infinite(self):
+        # exp(pi/sqrt(t - 1)) overflows for t - 1 < 1.96e-5: the far correlator is then 1/r
+        p = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)
+        assert correlation_length(p, 1.0 + 1e-6) == math.inf
+        assert gamma_far(p, 1.0 + 1e-6) == 1.0 / p.r
+        (pt,) = normalized_discord_curve(p, [1.0 + 1e-6], PairKind.FAR)
+        assert pt.value == 1.0
 
     def test_kt_rejects_low_side(self):
         p = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)
@@ -295,6 +304,28 @@ class TestCurveMatchesReference:
             points = normalized_discord_curve(p, ts, PairKind.NN)
             assert [pt.t for pt in points] == [0.0, 1.0, 2.0]
             assert [pt.value for pt in points] == want
+
+    def test_points_unpack_as_pairs(self):
+        (pt,) = normalized_discord_curve(ScalingParams(), [0.5], PairKind.NN)
+        t, value = pt
+        assert (t, value) == (pt.t, pt.value)
+        assert value == approx(0.6536065250949649, abs=1e-12)
+
+    @pytest.mark.parametrize("pair", [PairKind.NN, PairKind.FAR])
+    def test_one_kernel_call_for_the_points_and_one_for_the_reference(self, monkeypatch, pair):
+        calls = []
+        real = correlators._symmetric_discord
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        # the curve may reach the kernel through either module's binding
+        monkeypatch.setattr(correlators, "_symmetric_discord", counting)
+        monkeypatch.setattr(scaling, "_symmetric_discord", counting, raising=False)
+        points = normalized_discord_curve(ScalingParams(), FINE_GRID, pair)
+        assert len(points) == 20001
+        assert len(calls) <= 2
 
 
 KT = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)

@@ -1,6 +1,7 @@
 """Sector basis, momentum sector, matrix-free matvec, Lanczos ground states, and the cache."""
 
 import dataclasses
+import itertools
 import math
 import os
 import shutil
@@ -165,6 +166,50 @@ def dense_reduced_hamiltonian(sector, delta):
     return np.stack([apply_hamiltonian(sector, delta, e) for e in np.eye(sector.dim)], axis=1)
 
 
+def translation_block_minimum(n_sites, delta):
+    """Lowest eigenvalue of `dense_sector_hamiltonian`, as the minimum over its N momentum blocks.
+
+    The translation orbits are built here from plain integer rotations.  The
+    Bloch state of an orbit b of length R_b at a momentum k with
+    kR_b ≡ 0 (mod N) is |b, k⟩ = Σ_{s<R_b} e^{2πiks/N} |T^s b⟩ / √R_b.  H
+    commutes with T, so H|b, k⟩ is a T eigenvector like |a, k⟩ and
+
+        ⟨a, k|H|b, k⟩ = √(R_a/R_b) Σ_{s<R_b} e^{2πiks/N} H[a, T^s b]
+                      = √(R_a R_b) · (1/N) Σ_{m<N} e^{2πikm/N} H[a, T^m b],
+
+    one inverse FFT over m of the representatives' rotated columns.
+    """
+    h = dense_sector_hamiltonian(n_sites, delta)
+    configs = sorted(
+        sum(1 << i for i in combo)
+        for combo in itertools.combinations(range(n_sites), n_sites // 2)
+    )
+    index = {c: a for a, c in enumerate(configs)}
+    mask = (1 << n_sites) - 1
+    reps, lengths, turns, seen = [], [], [], set()
+    for c in configs:
+        if c in seen:
+            continue
+        orbit = [c]
+        for _ in range(n_sites - 1):
+            orbit.append(((orbit[-1] << 1) | (orbit[-1] >> (n_sites - 1))) & mask)
+        seen.update(orbit)
+        reps.append(index[c])
+        lengths.append(len(set(orbit)))
+        turns.append([index[t] for t in orbit])
+    blocks = np.fft.ifft(h[reps][:, turns], axis=2)  # [a, b, k]
+    lengths = np.array(lengths)
+    lowest, columns = math.inf, 0
+    for k in range(n_sites):
+        keep = np.flatnonzero(k * lengths % n_sites == 0)
+        block = np.sqrt(np.outer(lengths[keep], lengths[keep])) * blocks[keep[:, None], keep, k]
+        assert np.abs(block - block.conj().T).max() <= 1e-12
+        lowest = min(lowest, np.linalg.eigvalsh(block)[0])
+        columns += keep.size
+    assert columns == len(configs)  # the blocks together span the sector
+    return lowest
+
+
 class TestMomentumSector:
     def test_sector_sizes(self):
         assert MomentumSector(16).dim == 810
@@ -186,7 +231,9 @@ class TestMomentumSector:
         # Marshall's sign rule puts the S^z = 0 ground state at λ = (−1)^(N/2)
         sector = MomentumSector(n_sites)
         for delta in (-0.99, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0):
-            e0 = dense_spectrum_oracle(n_sites, delta)[0]
+            e0 = translation_block_minimum(n_sites, delta)
+            if n_sites <= 12:
+                assert e0 == approx(dense_spectrum_oracle(n_sites, delta)[0], abs=1e-12)
             reduced = np.linalg.eigvalsh(dense_reduced_hamiltonian(sector, delta))
             assert reduced[0] == approx(e0, abs=1e-10)
             assert ground_state(n_sites, delta).energy == approx(e0, abs=1e-10)
