@@ -232,7 +232,7 @@ def conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
     turn = np.exp(1j * phi)
     z4 = ab * ab * np.abs(state.x * turn + state.y * turn.conjugate()) ** 2
     z4 *= 4.0
-    del half, ab, sin_half, turn
+    del half, ab, sin_half, turn  # freed before the full-shape buffers below
 
     d0 = state.u + state.w2   # P(B=0) weight entering outcome probabilities
     d1 = state.w1 + state.v
@@ -244,7 +244,7 @@ def conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
     for da, db, ea, eb in ((d0, d1, e0, e1), (d1, d0, e1, e0)):
         pk = a2 * da + b2 * db
         bk = a2 * ea + b2 * eb
-        np.multiply(bk, bk, out=bk)
+        bk *= bk
         np.sqrt(np.add(bk, z4, out=lam), out=lam)
         del bk
         live = pk > _CLAMP
@@ -253,7 +253,7 @@ def conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
         np.clip(lam, 0.0, 1.0, out=lam)
         h = _xlog2x(lam)
         h += _xlog2x(np.subtract(1.0, lam, out=lam))
-        np.multiply(pk, h, out=h)
+        h *= pk
         np.subtract(out, h, out=out, where=live)  # p·H(λ), with H = −Σ λ log2 λ
     return out.reshape(shape)
 
