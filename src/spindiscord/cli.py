@@ -274,7 +274,7 @@ def _solver_kwargs(args) -> dict:
         dim = math.comb(args.n, args.n // 2)
         print(
             f"warning: n={args.n} sector dimension is {dim}; a cold solve takes "
-            "seconds and hundreds of MB (13 s and 0.75 GB measured at n=26)",
+            "seconds and hundreds of MB (7.5 s and 0.69 GB measured at n=26)",
             file=sys.stderr,
         )
     return {"tol": args.tol, "cache_dir": _resolve_cache_dir(args)}

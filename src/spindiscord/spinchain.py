@@ -11,25 +11,29 @@ site i; a set bit is spin up).  The two Hamiltonian pieces in that basis:
   * flip-flop: matrix element 1/2 between configurations that differ by
     swapping one anti-aligned neighbor pair.
 
-H also commutes with the translation T (site i → i+1), and the solver works
-in one of its eigenspaces.  Marshall's sign rule: on the even ring, the signs
-(−1)^(up spins on odd sites) make every off-diagonal element −1/2, and the
-flip-flops connect the whole S^z = 0 sector, so by Perron–Frobenius its ground
-state is unique and has amplitudes (−1)^(up spins on odd sites)·(positive).
-T swaps odd and even sites, which multiplies that sign by (−1)^(N/2), so the
-ground state has translation eigenvalue λ = (−1)^(N/2) for every Δ.  The
-`MomentumSector` of λ holds one Bloch state per translation orbit (about
-dim/N of them), and its ground state is expanded once to the S^z = 0
-amplitudes.
+H also commutes with the translation T (site i → i+1), the reflection P
+(bit i → bit −i mod N, so site 1 stays put) and the spin inversion Z (every
+spin flipped), and the solver works in one sector of the group they generate.
+Marshall's sign rule: on the even ring, the signs (−1)^(up spins on odd
+sites) make every off-diagonal element −1/2, and the flip-flops connect the
+whole S^z = 0 sector, so by Perron–Frobenius its ground state is unique and
+has amplitudes (−1)^(up spins on odd sites)·(positive).  T swaps odd and even
+sites, and Z turns the n up spins on odd sites into N/2 − n; both multiply
+that sign by (−1)^(N/2).  P maps odd sites to odd sites and keeps it.  So for
+every Δ the ground state has translation eigenvalue λ = (−1)^(N/2),
+reflection eigenvalue +1 and spin-inversion eigenvalue (−1)^(N/2).  The
+`MomentumSector` of these characters holds one symmetrized state per orbit
+of the 4N-element group (about dim/4N of them), and its ground state is
+expanded once to the S^z = 0 amplitudes.
 
 The lowest eigenpair comes from one Lanczos path: cycles of at most 80
 vectors, fully reorthogonalized within the cycle, each restarting from its
 Ritz vector.  The first cycle starts from the uniform Marshall-signed vector
 (−1)^(up spins on odd sites) projected into the `MomentumSector`: by
-Perron–Frobenius it overlaps the ground state for every Δ > −1, and it is an
-eigenvector of reflection and spin inversion with the ground state's
-eigenvalues, so the Krylov space stays in the ground state's symmetry
-sector.  `dense_spectrum_oracle` provides an independently constructed dense
+Perron–Frobenius it overlaps the ground state for every Δ > −1.  It has the
+ground state's eigenvalues of T, P and Z, as every vector of its Krylov space
+does, so the sector loses none of the states a Marshall-started Lanczos
+reaches.  `dense_spectrum_oracle` provides an independently constructed dense
 cross-check for small sectors.  Solved ground states can be persisted in a
 binary cache keyed by (N, n_up, Δ, tol).
 """
@@ -67,8 +71,8 @@ __all__ = [
 ]
 
 MAX_SITES = 26
-# Lanczos vectors per restart cycle (a block of 80 * dim * 8 B in the momentum
-# sector: 6 MB at N = 20, 0.26 GB at N = 26), and cycles before ConvergenceError.
+# Lanczos vectors per restart cycle (a block of 80 * dim * 8 B in the reduced
+# sector: 1.6 MB at N = 20, 65 MB at N = 26), and cycles before ConvergenceError.
 _KRYLOV_VECTORS = 80
 _MAX_CYCLES = 60
 
@@ -87,7 +91,13 @@ class ConvergenceError(RuntimeError):
 
 
 class DegenerateGroundStateError(RuntimeError):
-    """Raised when the lowest two Ritz values are closer than 1e-10."""
+    """Raised when the lowest two Ritz values are closer than 1e-10.
+
+    The Ritz gap is measured within the (λ, P, Z) sector of `MomentumSector`.
+    A Lanczos started from the Marshall signs stays in that sector in any
+    larger basis too, so a solve over translation orbits or over all of
+    S^z = 0 sees the same gap.
+    """
 
 
 def check_ring_size(n_sites: int) -> None:
@@ -160,94 +170,141 @@ def _rotate(states: np.ndarray, n_sites: int) -> np.ndarray:
     return rot
 
 
+def _smallest_rotation(states: np.ndarray, n_sites: int):
+    """(r, s) per configuration c: r = T^s c is the smallest of its N rotations."""
+    rep = states.copy()
+    shift = np.zeros(states.size, dtype=np.int8)
+    rot = states
+    for s in range(1, n_sites):
+        rot = _rotate(rot, n_sites)
+        smaller = rot < rep
+        rep[smaller] = rot[smaller]
+        shift[smaller] = s
+    return rep, shift
+
+
+def _reflect(states: np.ndarray, n_sites: int) -> np.ndarray:
+    """P on bit patterns: bit i moves to bit −i mod N, so site 1 stays put."""
+    out = states & np.uint64(1)
+    for i in range(1, n_sites):
+        out |= ((states >> np.uint64(i)) & np.uint64(1)) << np.uint64(n_sites - i)
+    return out
+
+
 def build_sector(n_sites: int, n_up: int) -> SectorBasis:
     """Basis of the fixed-S^z sector with n_up up spins."""
     return SectorBasis(n_sites, n_up)
 
 
 class MomentumSector:
-    """S^z = 0 Bloch states with translation eigenvalue λ = (−1)^(N/2).
+    """S^z = 0 states in the ground state's sector of the ring's symmetry group.
 
-    Every configuration c is T^s r for the representative r of its orbit, the
-    smallest of its N rotations, and the orbit has period R.  The Bloch state
-    |a⟩ = R^(−1/2) Σ_{s<R} λ^s T^s|r⟩ vanishes unless λ^R = 1, so for λ = −1
-    orbits of odd period are dropped.  The `dim` Bloch states are the
-    orthonormal columns of U: `expand` maps Bloch amplitudes φ to sector
-    amplitudes ψ(c) = φ[a(c)]·λ^s(c)/√R(c), and `project` applies Uᵀ.  In
-    this basis H_λ = UᵀHU has the diagonal Δ·zz(r_a) and, for each flip-flop
-    taking r_a to c = T^s r_b, the element ½·λ^s·√(R_a/R_b) at (b, a).
+    The group G has the 4N elements g = T^s h, s < N, h ∈ {1, P, Z, PZ}: T
+    the translation, P the reflection that moves bit i to bit −i mod N (site
+    1 stays put, and P T P = T⁻¹) and Z the spin inversion.  The ground state
+    has the one-dimensional character χ(T) = λ = (−1)^(N/2), χ(P) = +1,
+    χ(Z) = (−1)^(N/2) (see the module docstring).
+
+    Every configuration c is g_c r for the representative r of its G-orbit,
+    the smallest configuration in it, and the orbit has O elements.  The
+    `dim` symmetrized states |a⟩ = O^(−1/2) Σ_c χ(g_c)|c⟩, one per orbit,
+    are the orthonormal columns of U: `expand` maps their amplitudes φ to
+    sector amplitudes ψ(c) = φ[a(c)]·χ(g_c)/√O(c), and `project` applies Uᵀ.
+    In this basis H_χ = UᵀHU has the diagonal Δ·zz(r_a) and, for each
+    flip-flop taking r_a to c = g r_b, the element ½·χ(g)·√(O_a/O_b) at
+    (b, a).
+
+    No orbit drops out, because χ = 1 on the stabilizer of every S^z = 0
+    configuration.  For λ = 1, χ is trivial.  For λ = −1, N/2 is odd, and
+    no element with χ = −1 fixes a configuration with N/2 up spins.  An odd
+    translation period R repeats a pattern N/R times, an even number, and a
+    reflection T^u P with u odd (through bonds) pairs up the sites: either
+    makes the number of up spins even.  A reflection T^u PZ with u even
+    fixes two sites, which it would have to flip.  And Z c = T^v c needs v
+    to be an odd multiple of R/2, which is odd because R is even and divides
+    N = 2·odd, so χ(T^(−v) Z) = +1.
+
+    The orbits are found in two passes.  The first rotates the whole sector
+    to its translation representatives r_t, the smallest of N rotations.
+    The second applies P, Z and PZ to the representatives only, about dim/N
+    of them, and rotates the images to theirs; the smallest image is the
+    G-representative.  One gather through the translation orbits then gives
+    every configuration its a(c), O counts the configurations of each orbit,
+    and a second gather gives every configuration its χ(g_c)/√O.
 
     `start` is the normalized projection of the Marshall signs, the
     solver's start vector.  The sector basis itself is kept as `basis`;
-    building both briefly holds about six sector-length uint64 arrays
-    (0.5 GB at N = 26).
+    building both briefly holds about five sector-length 8-byte arrays,
+    the basis's own included (0.44 GB at N = 26).
     """
 
     def __init__(self, n_sites: int):
         self.basis = basis = build_sector(n_sites, n_sites // 2)
-        parity = -1 if (n_sites // 2) % 2 else 1
+        parity = -1 if (n_sites // 2) % 2 else 1  # λ, and χ(Z)
         states = basis.states
-        rep = states.copy()
-        shift = np.zeros(basis.dim, dtype=np.int8)
-        fixed = np.ones(basis.dim, dtype=np.int8)  # rotations that leave c unchanged
-        rot = states
-        for s in range(1, n_sites):
-            rot = _rotate(rot, n_sites)
-            smaller = rot < rep
-            rep[smaller] = rot[smaller]
-            shift[smaller] = s
-            fixed += rot == states
-        period = (n_sites // fixed).astype(np.float64)
-        allowed = period % 2 == 0 if parity < 0 else np.ones(basis.dim, dtype=bool)
-        is_rep = (shift == 0) & allowed
-        reps = states[is_rep]
-        self.dim = reps.size
+        rep, shift = _smallest_rotation(states, n_sites)  # c = T^(−shift) r_t
+        t_reps = states[shift == 0]
+        orbit = np.searchsorted(t_reps, rep)
+        del rep
 
-        orbit = np.searchsorted(reps, rep)
-        orbit[~allowed] = 0
-        sign = 1.0 - 2.0 * (shift & 1) if parity < 0 else 1.0
-        coef = np.where(allowed, sign / np.sqrt(period), 0.0)
-        del rep, shift, fixed, rot
+        # per translation orbit: its G-representative g r_t = T^u h r_t, the
+        # smallest image under h ∈ {1, P, Z, PZ}, and χ(g)
+        g_rep, g_char = t_reps.copy(), np.ones(t_reps.size)
+        flipped = t_reps ^ np.uint64((1 << n_sites) - 1)
+        for image, h_char in ((_reflect(t_reps, n_sites), 1.0), (flipped, parity),
+                              (_reflect(flipped, n_sites), parity)):
+            image_rep, u = _smallest_rotation(image, n_sites)
+            smaller = image_rep < g_rep
+            g_rep[smaller] = image_rep[smaller]
+            g_char[smaller] = h_char * np.where(u[smaller] & 1, parity, 1.0)
+        del flipped, image, image_rep, u
+
+        reps = t_reps[g_rep == t_reps]
+        self.dim = reps.size
+        t_class = np.searchsorted(reps, g_rep)
+        t_orbit, orbit = orbit, t_class[orbit]
+        root_size = np.sqrt(np.bincount(orbit, minlength=self.dim))  # √O
+        coef = (g_char / root_size[t_class])[t_orbit]
+        if parity < 0:
+            coef[(shift & 1) == 1] *= -1.0  # χ(T^(−shift)) = λ^shift
+        del shift, t_orbit, t_class, g_rep, g_char
         self._orbit, self._coef = orbit, coef
 
         self._diag_zz = _bond_zz(reps, n_sites)
-        root_period = np.sqrt(period[is_rep])
         srcs, dsts, amps = [], [], []
         for bond in _bonds(n_sites):
             src = np.nonzero(np.bitwise_count(reps & bond) == 1)[0]
             hit = np.searchsorted(states, reps[src] ^ bond)
-            amp = 0.5 * root_period[src] * coef[hit]
-            keep = amp != 0.0  # images in dropped orbits
-            srcs.append(src[keep])
-            dsts.append(orbit[hit[keep]])
-            amps.append(amp[keep])
+            srcs.append(src)
+            dsts.append(orbit[hit])
+            amps.append(0.5 * root_size[src] * coef[hit])
         self._flip_pairs = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(amps)
         del srcs, dsts, amps  # before the start vector's temporaries, off the peak
-        # Uᵀ of the Marshall signs m(c) = (−1)^(up spins on odd sites): m(T^s r)
-        # = λ^s m(r), so each of the R terms of ⟨a|m⟩ is m(r_a)
+        # Uᵀ of the Marshall signs m(c) = (−1)^(up spins on odd sites): m(g r)
+        # = χ(g) m(r), so each of the O terms of ⟨a|m⟩ is m(r_a)/√O
         odd_sites = np.uint64(int("01" * (n_sites // 2), 2))
-        start = root_period * (1.0 - 2.0 * (np.bitwise_count(reps & odd_sites) & 1))
+        start = root_size * (1.0 - 2.0 * (np.bitwise_count(reps & odd_sites) & 1))
         self.start = start / np.linalg.norm(start)
         for array in (orbit, coef, self._diag_zz, self.start, *self._flip_pairs):
             array.flags.writeable = False
 
     def expand(self, phi: np.ndarray) -> np.ndarray:
-        """U·φ: sector amplitudes of the Bloch-state combination φ."""
+        """U·φ: sector amplitudes of the symmetrized-state combination φ."""
         return phi[self._orbit] * self._coef
 
     def project(self, psi: np.ndarray) -> np.ndarray:
-        """Uᵀ·ψ: Bloch amplitudes of the sector vector ψ."""
+        """Uᵀ·ψ: symmetrized-state amplitudes of the sector vector ψ."""
         return np.bincount(self._orbit, weights=psi * self._coef, minlength=self.dim)
 
 
-# One momentum sector per ring size serves every Δ; two sizes stay resident.
+# One reduced sector per ring size serves every Δ; two sizes stay resident.
 _momentum_sector = functools.lru_cache(maxsize=2)(MomentumSector)
 
 
 def apply_hamiltonian(
     basis: SectorBasis | MomentumSector, delta: float, psi: np.ndarray
 ) -> np.ndarray:
-    """Matrix-free H·psi in a `SectorBasis`, or H_λ·psi in a `MomentumSector`."""
+    """Matrix-free H·psi in a `SectorBasis`, or H_χ·psi in a `MomentumSector`."""
     psi = np.asarray(psi, dtype=np.float64)
     if psi.shape != (basis.dim,):
         raise ValueError(f"psi has shape {psi.shape}, expected ({basis.dim},)")
@@ -354,10 +411,10 @@ def ground_state(
     """Lowest eigenpair of the XXZ ring in the S^z = 0 sector.
 
     Requires Δ > −1 so that sector actually hosts the global ground state.
-    Lanczos runs on H_λ in the `MomentumSector`, and the result is expanded
+    Lanczos runs on H_χ in the `MomentumSector`, and the result is expanded
     to the sector amplitudes.  With `cache_dir` set, solved states are
     persisted and read back exactly; an entry is used only if it lies in the
-    momentum sector and passes the residual check there.
+    (λ, P, Z) sector and passes the residual check there.
     """
     if not delta > -1.0:
         raise FerromagneticRegimeError(

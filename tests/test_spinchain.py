@@ -1,4 +1,4 @@
-"""Sector basis, momentum sector, matrix-free matvec, Lanczos ground states, and the cache."""
+"""Sector basis, symmetry-reduced sector, matrix-free matvec, Lanczos ground states, and the cache."""
 
 import dataclasses
 import itertools
@@ -157,12 +157,12 @@ class TestDenseOracle:
 
 
 def bloch_columns(sector):
-    """U as a dense matrix: the sector amplitudes of each Bloch state."""
+    """U as a dense matrix: the sector amplitudes of each symmetrized state."""
     return np.stack([sector.expand(e) for e in np.eye(sector.dim)], axis=1)
 
 
 def dense_reduced_hamiltonian(sector, delta):
-    """H_λ as a dense matrix, one `apply_hamiltonian` column at a time."""
+    """H_χ as a dense matrix, one `apply_hamiltonian` column at a time."""
     return np.stack([apply_hamiltonian(sector, delta, e) for e in np.eye(sector.dim)], axis=1)
 
 
@@ -210,10 +210,46 @@ def translation_block_minimum(n_sites, delta):
     return lowest
 
 
+def group_images(n_sites):
+    """[(χ(g), index of g·c for each sector configuration c)] for the 4N elements g = T^s h.
+
+    Built from plain integer bit operations on the ascending configurations:
+    T moves bit i to bit i+1, the reflection P bit i to bit −i mod N, and
+    the spin inversion Z flips every bit.  h runs over 1, P, Z, PZ, and
+    χ(T) = χ(Z) = (−1)^(N/2), χ(P) = 1.
+    """
+    configs = sorted(
+        sum(1 << i for i in combo)
+        for combo in itertools.combinations(range(n_sites), n_sites // 2)
+    )
+    index = {c: a for a, c in enumerate(configs)}
+    mask = (1 << n_sites) - 1
+    parity = (-1) ** (n_sites // 2)
+
+    def reflect(c):
+        return sum(((c >> i) & 1) << (-i % n_sites) for i in range(n_sites))
+
+    elements = []
+    for h, char in ((lambda c: c, 1), (reflect, 1), (lambda c: c ^ mask, parity),
+                    (lambda c: reflect(c) ^ mask, parity)):
+        images = [h(c) for c in configs]
+        for s in range(n_sites):
+            elements.append((char * parity**s, np.array([index[c] for c in images])))
+            images = [((c << 1) | (c >> (n_sites - 1))) & mask for c in images]
+    return elements
+
+
+def act(image, psi):
+    """g·ψ for the element with index map `image`: (gψ)(g c) = ψ(c)."""
+    moved = np.empty_like(psi)
+    moved[image] = psi
+    return moved
+
+
 class TestMomentumSector:
     def test_sector_sizes(self):
-        assert MomentumSector(16).dim == 810
-        assert MomentumSector(20).dim == 9252
+        assert MomentumSector(16).dim == 257
+        assert MomentumSector(20).dim == 2518
 
     @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 14])
     def test_projects_the_dense_hamiltonian(self, n_sites):
@@ -225,6 +261,18 @@ class TestMomentumSector:
             assert dense_reduced_hamiltonian(sector, delta) == approx(
                 u.T @ dense @ u, abs=1e-12
             )
+
+    @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 14])
+    def test_columns_span_the_character_space(self, n_sites):
+        # U Uᵀ is the projector (1/4N) Σ_g χ(g) g on the states with gψ = χ(g)ψ
+        sector = MomentumSector(n_sites)
+        u = bloch_columns(sector)
+        elements = group_images(n_sites)
+        projected = sum(char * act(image, u) for char, image in elements) / len(elements)
+        assert projected == approx(u, abs=1e-14)  # every column lies in the space
+        identity = np.arange(math.comb(n_sites, n_sites // 2))
+        trace = sum(char * np.count_nonzero(image == identity) for char, image in elements)
+        assert trace == len(elements) * sector.dim  # and the columns span it
 
     @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 14])
     def test_holds_the_sector_ground_state(self, n_sites):
@@ -248,6 +296,13 @@ class TestMomentumSector:
         ]
         parity = (-1) ** (n_sites // 2)
         assert gs.amplitudes[rot] == approx(parity * gs.amplitudes, abs=1e-15)
+
+    @pytest.mark.parametrize("n_sites", [8, 10])
+    def test_ground_state_has_the_reflection_and_inversion_eigenvalues(self, n_sites):
+        gs = ground_state(n_sites, 0.7)
+        elements = group_images(n_sites)
+        for char, image in (elements[n_sites], elements[2 * n_sites]):  # P and Z
+            assert act(image, gs.amplitudes) == approx(char * gs.amplitudes, abs=1e-15)
 
     def test_expanded_vector_solves_the_full_sector(self):
         for delta in (0.5, 1.0):
@@ -381,13 +436,13 @@ class TestGroundState:
     def test_degenerate_ground_state_raises(self, monkeypatch, gap, raises):
         """A lowest Ritz gap at or below 1e-10 is refused, a wider one is not.
 
-        The N = 8 momentum sector (dim 10) gets a fake diagonal H_λ whose two
-        lowest levels are `gap` apart.  An exactly zero gap is not asserted:
-        a single-start Lanczos sees only its start vector's component in a
-        degenerate eigenspace, so it finds one level, not two (ROADMAP
-        item 3).
+        The N = 8 sector gets a fake diagonal H_χ whose two lowest levels
+        are `gap` apart.  An exactly zero gap is not asserted: a single-start
+        Lanczos sees only its start vector's component in a degenerate
+        eigenspace, so it finds one level, not two (ROADMAP item 3).
         """
-        levels = np.array([-1.0, -1.0 + gap, 0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 3.5, 4.0])
+        dim = MomentumSector(8).dim
+        levels = np.concatenate([[-1.0, -1.0 + gap], np.linspace(0.0, 4.0, dim - 2)])
         monkeypatch.setattr(
             spinchain, "apply_hamiltonian", lambda basis, delta, psi: levels * psi
         )
@@ -509,6 +564,37 @@ class TestCache:
         assert load_ground_state(path, key) is not None
 
         again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        assert again.iterations > 0  # the off-sector entry forced a solve
+        assert again.energy == gs.energy
+        assert np.array_equal(again.amplitudes, gs.amplitudes)
+        assert np.array_equal(load_ground_state(path, key)[1], gs.amplitudes)  # rewritten
+
+    @pytest.mark.parametrize("n_sites", [8, 10])
+    def test_entry_with_the_wrong_reflection_or_inversion_is_rejected_and_resolved(
+        self, tmp_path, n_sites
+    ):
+        # An exact eigenvector of H with the ground state's translation
+        # eigenvalue, outside the sector: a translation-sector check passes it.
+        gs = ground_state(n_sites, 0.5, tol=1e-10, cache_dir=tmp_path)
+        key = (n_sites, n_sites // 2, 0.5, 1e-10)
+        path = cache_path(tmp_path, *key)
+        sector = MomentumSector(n_sites)
+        translations = group_images(n_sites)[:n_sites]  # h = 1: T^s with χ = λ^s
+        levels, vecs = np.linalg.eigh(dense_sector_hamiltonian(n_sites, 0.5))
+        outside = []
+        for v in vecs.T:
+            in_momentum = sum(char * act(image, v) for char, image in translations) / n_sites
+            outside.append(in_momentum - sector.expand(sector.project(in_momentum)))
+        j = next(j for j, v in enumerate(outside) if np.linalg.norm(v) > 0.5)
+        fake = outside[j] / np.linalg.norm(outside[j])
+        parity = (-1) ** (n_sites // 2)
+        assert act(translations[1][1], fake) == approx(parity * fake, abs=1e-12)
+        assert np.linalg.norm(sector.project(fake)) <= 1e-12
+        assert np.linalg.norm(apply_hamiltonian(gs.basis, 0.5, fake) - levels[j] * fake) <= 1e-12
+        save_ground_state(path, dataclasses.replace(gs, energy=float(levels[j]), amplitudes=fake))
+        assert load_ground_state(path, key) is not None
+
+        again = ground_state(n_sites, 0.5, tol=1e-10, cache_dir=tmp_path)
         assert again.iterations > 0  # the off-sector entry forced a solve
         assert again.energy == gs.energy
         assert np.array_equal(again.amplitudes, gs.amplitudes)
