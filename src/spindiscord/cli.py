@@ -271,12 +271,8 @@ def _resolve_cache_dir(args) -> str:
 def _solver_kwargs(args) -> dict:
     check_ring_size(args.n)
     if args.n > 22:
-        dim = math.comb(args.n, args.n // 2)
-        print(
-            f"warning: n={args.n} sector dimension is {dim}; a cold solve takes "
-            "seconds and hundreds of MB (7.5 s and 0.69 GB measured at n=26)",
-            file=sys.stderr,
-        )
+        print(f"warning: n={args.n} runs take seconds and hundreds of MB cold (at n=26: "
+              "ground-state 1.0 s and 0.16 GB, fig2 3.4 s and 0.44 GB)", file=sys.stderr)
     return {"tol": args.tol, "cache_dir": _resolve_cache_dir(args)}
 
 

@@ -14,10 +14,11 @@ eigenvalues are {1/4+Gamma (twice), 1/4+(k−1)Gamma, 1/4−(k+1)Gamma} and
     D = 1 − S_joint + min(H(1/2 + 2 Gamma), H(1/2 + k Gamma)),
 
 the first argument winning for k below 2 and the second above.  The module
-reduces sector amplitudes to pair states, reads the correlators off those
-states, evaluates the closed forms, and sweeps discord over separation and
-over the anisotropy.  Every sweep draws its pair states from
-`pair_state_sweep`, the one place that handles the polarized regime.
+reads pair states off the ground state's symmetrized amplitudes φ, reads
+the correlators off those states, evaluates the closed forms, and sweeps
+discord over separation and over the anisotropy.  Every sweep draws its
+pair states from `pair_state_sweep`, the one place that handles the
+polarized regime.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class AsymptoticCheck(NamedTuple):
 
 
 def _check_pair(gs: GroundState, i: int, j: int) -> None:
-    n = gs.basis.n_sites
+    n = gs.sector.n_sites
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"sites ({i}, {j}) outside ring [1, {n}]")
     if i == j:
@@ -128,52 +129,43 @@ def _ring_distance(n: int, i: int, j: int) -> int:
     return min(d, n - d)
 
 
-def _pair_layout(basis, i: int, j: int):
-    """Sector indices grouped by the local state of ring sites (i, j).
+def _pair_table(sector, r: int):
+    """(A_r, src, dst, element) / 2N for separation r, independent of the amplitudes.
 
-    Returns (order, bounds).  `order` (int32) lists the indices of the
-    |00>, |01>, |10>, |11> configurations in turn, each group ascending, and
-    group k is order[bounds[k]:bounds[k + 1]].  It depends only on the sector
-    and the pair, not on the amplitudes.
+    A_r(a) counts the aligned site pairs at distance r in the representative
+    r_a; the rest is the int32 flip table of X̃_r = UᵀX_rU, X_r the sum of the
+    flip-flops of the N pairs (i, i+r).
     """
-    bit_i, bit_j = 1 << (i - 1), 1 << (j - 1)
-    pair_bits = basis.states & np.uint64(bit_i | bit_j)
-    order = np.empty(basis.dim, dtype=np.int32)
-    bounds = [0]
-    # qubit value 0 is spin up (bit set), so |00> has both bits set
-    for pattern in (bit_i | bit_j, bit_i, bit_j, 0):
-        group = np.flatnonzero(pair_bits == np.uint64(pattern))
-        order[bounds[-1] : bounds[-1] + group.size] = group
-        bounds.append(bounds[-1] + group.size)
-    return order, tuple(bounds)
+    n = sector.n_sites
+    pairs = [np.uint64((1 << i) | (1 << ((i + r) % n))) for i in range(n)]
+    src, dst, element = sector.flip_table(pairs)
+    aligned = n - np.bincount(src, minlength=sector.dim)
+    return aligned / (2 * n), src.astype(np.int32), dst.astype(np.int32), element / (2 * n)
 
 
-def _reduce(amplitudes: np.ndarray, layout) -> XState:
-    """Pair state of the sector vector `amplitudes` over a `_pair_layout`.
+def _pair_state(phi: np.ndarray, table) -> XState:
+    """Pair state of sites (i, i+r), the mean over the N translates, from φ.
 
-    x pairs the |10> and |01> groups by position (see `two_site_rdm`).
+    u = v = Σ φ²·A_r / 2N, w1 = w2 = ½ − u and x = φᵀX̃_rφ / 2N, one dot product.
     """
-    order, bounds = layout
-    q = np.take(amplitudes, order)
-    q00, q01, q10, q11 = (q[a:b] for a, b in zip(bounds, bounds[1:]))
-    return XState(u=q00 @ q00, v=q11 @ q11, w1=q01 @ q01, w2=q10 @ q10, x=q10 @ q01)
+    aligned, src, dst, element = table
+    u = (phi * phi) @ aligned
+    x = np.take(phi, dst) @ (element * np.take(phi, src))
+    return XState(u=u, v=u, w1=0.5 - u, w2=0.5 - u, x=x)
 
 
 def two_site_rdm(gs: GroundState, i: int, j: int) -> XState:
     """Reduced density matrix of ring sites (i, j); site i is the first qubit.
 
-    Qubit value 0 is spin up.  The sector indices are grouped by the four
-    local (i, j) configurations, each group kept ascending; the occupations
-    are the squared norms of the grouped amplitudes.  The flip-flop term x
-    sums amp(c) * amp(c ^ flip) over the |10> configurations c (i down, j
-    up).  The flip adds one constant to each such c and lands on a |01>
-    configuration, so the ascending |10> group maps in order onto the
-    ascending |01> group: partners match by position, for any amplitude
-    vector.  The double-flip coherence y changes S^z by 2, so it vanishes
-    in the fixed-S^z sector.
+    Qubit value 0 is spin up.  The ground state is invariant under the
+    ring's translations and reflection, so the pair state, symmetric in its
+    two sites, depends only on their ring distance (see `_pair_state`).  The
+    double-flip coherence y changes S^z by 2, so it vanishes in the
+    fixed-S^z sector.
     """
     _check_pair(gs, i, j)
-    return _reduce(gs.amplitudes, _pair_layout(gs.basis, i, j))
+    r = _ring_distance(gs.sector.n_sites, i, j)
+    return _pair_state(gs.phi, _pair_table(gs.sector, r))
 
 
 def _check_separations(n_sites: int, rs) -> None:
@@ -196,14 +188,13 @@ def pair_state_sweep(
     mixture without a solve: there the ground state leaves the S^z = 0
     sector for the two fully polarized states.  Every other anisotropy is
     solved once.  The ring size and separations are checked before anything
-    is yielded.  The pair layouts do not depend on the anisotropy: one per
-    separation is built after the first solve and reused for every later
-    one.  Each holds 4 B per sector state, 41.6 MB at N = 26.
+    is yielded.  One `_pair_table` per separation is built after the first
+    solve and reused for every Δ: 16 B per entry, 22 MB at N = 26.
     """
     rs = tuple(rs)
     check_ring_size(n_sites)
     _check_separations(n_sites, rs)
-    layouts = None
+    tables = None
     for delta in deltas:
         delta = float(delta)
         if delta <= -1.0:
@@ -211,11 +202,10 @@ def pair_state_sweep(
                 yield delta, r, _POLARIZED
             continue
         gs = ground_state(n_sites, delta, tol=tol, cache_dir=cache_dir)
-        if layouts is None:
-            layouts = {r: _pair_layout(gs.basis, 1, 1 + r) for r in rs}
+        if tables is None:
+            tables = {r: _pair_table(gs.sector, r) for r in rs}
         for r in rs:
-            yield delta, r, _reduce(gs.amplitudes, layouts[r])
-        del gs  # free this sector before the next solve builds its own
+            yield delta, r, _pair_state(gs.phi, tables[r])
 
 
 def _gamma_d(state: XState) -> float:
@@ -234,7 +224,7 @@ def pair_correlations(gs: GroundState, i: int, j: int) -> PairCorrelations:
     """Pair expectation values, read off the reduced state of (i, j)."""
     state = two_site_rdm(gs, i, j)
     return PairCorrelations(
-        r=_ring_distance(gs.basis.n_sites, i, j),
+        r=_ring_distance(gs.sector.n_sites, i, j),
         gamma_d=_gamma_d(state),
         gamma_o=state.x,
         y_corr=state.y,
@@ -245,7 +235,7 @@ def pair_correlations(gs: GroundState, i: int, j: int) -> PairCorrelations:
 
 def k_ratio(gs: GroundState, r: int) -> KRatio:
     """Correlator ratio k = gamma_o/gamma_d for the pair (1, 1+r)."""
-    n = gs.basis.n_sites
+    n = gs.sector.n_sites
     _check_separations(n, [r])
     state = two_site_rdm(gs, 1, 1 + r)
     k = _ratio(state)

@@ -23,8 +23,8 @@ that sign by (−1)^(N/2).  P maps odd sites to odd sites and keeps it.  So for
 every Δ the ground state has translation eigenvalue λ = (−1)^(N/2),
 reflection eigenvalue +1 and spin-inversion eigenvalue (−1)^(N/2).  The
 `MomentumSector` of these characters holds one symmetrized state per orbit
-of the 4N-element group (about dim/4N of them), and its ground state is
-expanded once to the S^z = 0 amplitudes.
+of the 4N-element group (about dim/4N of them); it is built, and the ground
+state's amplitudes φ in it kept, without any array as long as the sector.
 
 The lowest eigenpair comes from one Lanczos path: cycles of at most 80
 vectors, fully reorthogonalized within the cycle, each restarting from its
@@ -79,7 +79,7 @@ _MAX_CYCLES = 60
 _CACHE_MAGIC = b"SDKGS1"
 _CACHE_HEADER = struct.Struct("<6sIIdddQ")
 _CACHE_FOOTER = struct.Struct("<I")
-_CACHE_CODE_VERSION = 2
+_CACHE_CODE_VERSION = 3
 
 
 class FerromagneticRegimeError(ValueError):
@@ -112,9 +112,8 @@ def check_ring_size(n_sites: int) -> None:
 class SectorBasis:
     """All N-site configurations with a fixed number of up spins, ascending.
 
-    The configurations are picked from all 2^N bit patterns by one popcount
-    mask, which briefly holds about 2^N * 10 B (the uint64 patterns and two
-    byte masks): 10 MB at N = 20, 640 MB at N = 26.
+    A reference for tests: picking them from all 2^N bit patterns briefly
+    holds about 2^N * 10 B, 10 MB at N = 20 and 640 MB at N = 26.
     """
 
     def __init__(self, n_sites: int, n_up: int):
@@ -142,12 +141,14 @@ class SectorBasis:
     @cached_property
     def _flip_pairs(self):
         """(src, dst, 1/2): index pairs connected by one neighbor flip-flop."""
-        srcs, dsts = [], []
-        for bond in _bonds(self.n_sites):
-            src = np.nonzero(np.bitwise_count(self.states & bond) == 1)[0]
-            srcs.append(src)
-            dsts.append(np.searchsorted(self.states, self.states[src] ^ bond))
-        return np.concatenate(srcs), np.concatenate(dsts), 0.5
+        src, targets = _flips(self.states, _bonds(self.n_sites))
+        return src, np.searchsorted(self.states, targets), 0.5
+
+
+def _flips(states: np.ndarray, masks):
+    """(src, c): each configuration anti-aligned on a pair of `masks`, and its flip there."""
+    srcs = [np.flatnonzero(np.bitwise_count(states & mask) == 1) for mask in masks]
+    return np.concatenate(srcs), np.concatenate([states[s] ^ m for s, m in zip(srcs, masks)])
 
 
 def _bonds(n_sites: int):
@@ -172,15 +173,44 @@ def _rotate(states: np.ndarray, n_sites: int) -> np.ndarray:
 
 def _smallest_rotation(states: np.ndarray, n_sites: int):
     """(r, s) per configuration c: r = T^s c is the smallest of its N rotations."""
-    rep = states.copy()
+    rep, rot = states.copy(), states
     shift = np.zeros(states.size, dtype=np.int8)
-    rot = states
     for s in range(1, n_sites):
         rot = _rotate(rot, n_sites)
         smaller = rot < rep
-        rep[smaller] = rot[smaller]
-        shift[smaller] = s
+        np.copyto(rep, rot, where=smaller)
+        np.copyto(shift, s, where=smaller)
     return rep, shift
+
+
+def _translation_reps(n_sites: int):
+    """(r_t, R) of every S^z = 0 translation orbit: its smallest rotation and period, ascending.
+
+    Candidates come in chunks of (high half << N/2) | low half, with low ≥ high
+    (rotating by N/2 swaps the halves), and are dropped at the first smaller
+    rotation.  A survivor's period is N over the number of rotations fixing it.
+    """
+    half = n_sites // 2
+    halves = np.arange(1 << half, dtype=np.uint64)
+    ones = np.bitwise_count(halves)
+    reps, periods = [], []
+    for p in range(half + 1):
+        highs, lows = halves[ones == p], halves[ones == half - p]
+        rows = max(1, (1 << 17) // lows.size)  # about 2^17 candidates per chunk
+        for k in range(0, highs.size, rows):
+            high = highs[k : k + rows, None]
+            cand = ((high << np.uint64(half)) | lows)[lows >= high]
+            rot, fixed = cand, np.ones(cand.size, dtype=np.int8)
+            for _ in range(n_sites - 1):
+                rot = _rotate(rot, n_sites)
+                keep = rot >= cand
+                cand, rot, fixed = cand[keep], rot[keep], fixed[keep]
+                fixed += rot == cand
+            reps.append(cand)
+            periods.append(n_sites // fixed)
+    reps = np.concatenate(reps)
+    order = np.argsort(reps)
+    return reps[order], np.concatenate(periods)[order]
 
 
 def _reflect(states: np.ndarray, n_sites: int) -> np.ndarray:
@@ -209,10 +239,9 @@ class MomentumSector:
     the smallest configuration in it, and the orbit has O elements.  The
     `dim` symmetrized states |a⟩ = O^(−1/2) Σ_c χ(g_c)|c⟩, one per orbit,
     are the orthonormal columns of U: `expand` maps their amplitudes φ to
-    sector amplitudes ψ(c) = φ[a(c)]·χ(g_c)/√O(c), and `project` applies Uᵀ.
-    In this basis H_χ = UᵀHU has the diagonal Δ·zz(r_a) and, for each
-    flip-flop taking r_a to c = g r_b, the element ½·χ(g)·√(O_a/O_b) at
-    (b, a).
+    sector amplitudes ψ(c) = φ[a(c)]·χ(g_c)/√O(c).  In this basis H_χ =
+    UᵀHU has the diagonal Δ·zz(r_a) and, for each flip-flop taking r_a to
+    c = g r_b, the element ½·χ(g)·√(O_a/O_b) at (b, a) (see `flip_table`).
 
     No orbit drops out, because χ = 1 on the stabilizer of every S^z = 0
     configuration.  For λ = 1, χ is trivial.  For λ = −1, N/2 is odd, and
@@ -224,28 +253,21 @@ class MomentumSector:
     to be an odd multiple of R/2, which is odd because R is even and divides
     N = 2·odd, so χ(T^(−v) Z) = +1.
 
-    The orbits are found in two passes.  The first rotates the whole sector
-    to its translation representatives r_t, the smallest of N rotations.
-    The second applies P, Z and PZ to the representatives only, about dim/N
-    of them, and rotates the images to theirs; the smallest image is the
-    G-representative.  One gather through the translation orbits then gives
-    every configuration its a(c), O counts the configurations of each orbit,
-    and a second gather gives every configuration its χ(g_c)/√O.
+    No array as long as the S^z = 0 sector is built.  P, Z and PZ act on the
+    translation representatives r_t of `_translation_reps` only; the smallest
+    image is the G-representative, and O sums the periods.  The one lookup
+    kept maps each sorted r_t to its orbit a and χ(g)/√O (about 4·dim
+    entries), where `_locate` finds any configuration's smallest rotation.
 
     `start` is the normalized projection of the Marshall signs, the
-    solver's start vector.  The sector basis itself is kept as `basis`;
-    building both briefly holds about five sector-length 8-byte arrays,
-    the basis's own included (0.44 GB at N = 26).
+    solver's start vector.
     """
 
     def __init__(self, n_sites: int):
-        self.basis = basis = build_sector(n_sites, n_sites // 2)
-        parity = -1 if (n_sites // 2) % 2 else 1  # λ, and χ(Z)
-        states = basis.states
-        rep, shift = _smallest_rotation(states, n_sites)  # c = T^(−shift) r_t
-        t_reps = states[shift == 0]
-        orbit = np.searchsorted(t_reps, rep)
-        del rep
+        check_ring_size(n_sites)
+        self.n_sites, self.n_up = n_sites, n_sites // 2
+        parity = -1 if self.n_up % 2 else 1  # λ, and χ(Z)
+        t_reps, periods = _translation_reps(n_sites)
 
         # per translation orbit: its G-representative g r_t = T^u h r_t, the
         # smallest image under h ∈ {1, P, Z, PZ}, and χ(g)
@@ -257,44 +279,49 @@ class MomentumSector:
             smaller = image_rep < g_rep
             g_rep[smaller] = image_rep[smaller]
             g_char[smaller] = h_char * np.where(u[smaller] & 1, parity, 1.0)
-        del flipped, image, image_rep, u
 
-        reps = t_reps[g_rep == t_reps]
+        self._reps = reps = t_reps[g_rep == t_reps]
         self.dim = reps.size
         t_class = np.searchsorted(reps, g_rep)
-        t_orbit, orbit = orbit, t_class[orbit]
-        root_size = np.sqrt(np.bincount(orbit, minlength=self.dim))  # √O
-        coef = (g_char / root_size[t_class])[t_orbit]
-        if parity < 0:
-            coef[(shift & 1) == 1] *= -1.0  # χ(T^(−shift)) = λ^shift
-        del shift, t_orbit, t_class, g_rep, g_char
-        self._orbit, self._coef = orbit, coef
+        root_size = np.sqrt(np.bincount(t_class, weights=periods, minlength=self.dim))  # √O
+        self._root_size, self._t_reps, self._t_class = root_size, t_reps, t_class
+        self._t_coef = g_char / root_size[t_class]
 
         self._diag_zz = _bond_zz(reps, n_sites)
-        srcs, dsts, amps = [], [], []
-        for bond in _bonds(n_sites):
-            src = np.nonzero(np.bitwise_count(reps & bond) == 1)[0]
-            hit = np.searchsorted(states, reps[src] ^ bond)
-            srcs.append(src)
-            dsts.append(orbit[hit])
-            amps.append(0.5 * root_size[src] * coef[hit])
-        self._flip_pairs = np.concatenate(srcs), np.concatenate(dsts), np.concatenate(amps)
-        del srcs, dsts, amps  # before the start vector's temporaries, off the peak
+        src, dst, amp = self.flip_table(_bonds(n_sites))
+        self._flip_pairs = src, dst, 0.5 * amp
         # Uᵀ of the Marshall signs m(c) = (−1)^(up spins on odd sites): m(g r)
         # = χ(g) m(r), so each of the O terms of ⟨a|m⟩ is m(r_a)/√O
         odd_sites = np.uint64(int("01" * (n_sites // 2), 2))
         start = root_size * (1.0 - 2.0 * (np.bitwise_count(reps & odd_sites) & 1))
         self.start = start / np.linalg.norm(start)
-        for array in (orbit, coef, self._diag_zz, self.start, *self._flip_pairs):
+        for array in (reps, root_size, t_reps, t_class, self._t_coef, self._diag_zz,
+                      self.start, *self._flip_pairs):
             array.flags.writeable = False
 
-    def expand(self, phi: np.ndarray) -> np.ndarray:
-        """U·φ: sector amplitudes of the symmetrized-state combination φ."""
-        return phi[self._orbit] * self._coef
+    def _locate(self, configs: np.ndarray):
+        """(a(c), χ(g_c)/√O) of each S^z = 0 configuration c."""
+        rep, shift = _smallest_rotation(configs, self.n_sites)  # c = T^(−shift) r_t
+        t = np.searchsorted(self._t_reps, rep)
+        coef = self._t_coef[t]
+        if self.n_up % 2:
+            coef[(shift & 1) == 1] *= -1.0  # χ(T^(−shift)) = λ^shift
+        return self._t_class[t], coef
 
-    def project(self, psi: np.ndarray) -> np.ndarray:
-        """Uᵀ·ψ: symmetrized-state amplitudes of the sector vector ψ."""
-        return np.bincount(self._orbit, weights=psi * self._coef, minlength=self.dim)
+    def flip_table(self, masks):
+        """(src, dst, element) of UᵀFU, F the sum of the flip-flops of the site pairs `masks`.
+
+        One entry per pair anti-aligned in a representative r_a: the flip takes
+        r_a to c = g r_b, and χ(g)·√(O_a/O_b) sits at (b, a).
+        """
+        src, targets = _flips(self._reps, masks)
+        dst, coef = self._locate(targets)
+        return src, dst, self._root_size[src] * coef
+
+    def expand(self, phi: np.ndarray) -> np.ndarray:
+        """U·φ over the ascending S^z = 0 configurations; builds that basis, for tests."""
+        orbit, coef = self._locate(build_sector(self.n_sites, self.n_up).states)
+        return phi[orbit] * coef
 
 
 # One reduced sector per ring size serves every Δ; two sizes stay resident.
@@ -316,17 +343,16 @@ def apply_hamiltonian(
 
 @dataclass(frozen=True)
 class GroundState:
-    """Converged lowest eigenpair of the sector Hamiltonian.
+    """Converged lowest eigenpair of H_χ: the amplitudes `phi` in the `MomentumSector` `sector`.
 
     `ritz_history` holds the lowest Ritz value of each check of T and
-    `iterations` counts Lanczos steps; a state read from the cache has an
-    empty history and 0 iterations.
+    `iterations` counts Lanczos steps; a cache hit has neither.
     """
 
-    basis: SectorBasis
+    sector: MomentumSector
     delta: float
     energy: float
-    amplitudes: np.ndarray
+    phi: np.ndarray
     residual: float
     tol: float
     ritz_history: tuple
@@ -411,10 +437,10 @@ def ground_state(
     """Lowest eigenpair of the XXZ ring in the S^z = 0 sector.
 
     Requires Δ > −1 so that sector actually hosts the global ground state.
-    Lanczos runs on H_χ in the `MomentumSector`, and the result is expanded
-    to the sector amplitudes.  With `cache_dir` set, solved states are
-    persisted and read back exactly; an entry is used only if it lies in the
-    (λ, P, Z) sector and passes the residual check there.
+    Lanczos runs on H_χ in the `MomentumSector`, and the state keeps its
+    amplitudes φ there.  With `cache_dir` set, solved states are persisted
+    and read back exactly; an entry is used only if its φ has unit norm and
+    passes the residual check.
     """
     if not delta > -1.0:
         raise FerromagneticRegimeError(
@@ -424,25 +450,20 @@ def ground_state(
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol {tol!r} outside (0, 1e-4]")
     sector = _momentum_sector(n_sites)
-    basis = sector.basis
 
     path = None
     if cache_dir is not None:
-        key = (n_sites, basis.n_up, delta, tol)
+        key = (n_sites, sector.n_up, delta, tol)
         path = cache_path(cache_dir, *key)
         cached = load_ground_state(path, key)
         if cached is not None:
-            energy, amplitudes = cached
-            if amplitudes.shape == (basis.dim,):
-                amplitudes.flags.writeable = False
-                phi = sector.project(amplitudes)
-                off_sector = float(np.linalg.norm(sector.expand(phi) - amplitudes))
-                residual = float(
-                    np.linalg.norm(apply_hamiltonian(sector, delta, phi) - energy * phi)
-                )
-                if off_sector <= 1e-8 and residual <= 1e-8:
-                    return GroundState(basis, delta, energy, amplitudes, residual, tol, ())
-            # corrupt, stale or off-sector entry: fall through and re-solve
+            energy, phi = cached
+            if phi.shape == (sector.dim,) and abs(np.linalg.norm(phi) - 1.0) <= 1e-8:
+                phi.flags.writeable = False
+                residual = np.linalg.norm(apply_hamiltonian(sector, delta, phi) - energy * phi)
+                if residual <= 1e-8:
+                    return GroundState(sector, delta, energy, phi, float(residual), tol, ())
+            # corrupt, stale or unnormalized entry: fall through and re-solve
 
     energy, phi, residual, history, gap, steps = _lanczos_lowest(
         lambda p: apply_hamiltonian(sector, delta, p), sector.start, tol=tol
@@ -452,12 +473,11 @@ def ground_state(
             f"Ritz gap {gap!r} <= 1e-10: sector ground state is not unique, pair "
             "density matrices are ill-defined"
         )
-    vec = sector.expand(phi)
-    if vec[np.argmax(np.abs(vec))] < 0.0:
-        vec = -vec
-    vec.flags.writeable = False
+    if phi[np.argmax(np.abs(phi))] < 0.0:
+        phi = -phi
+    phi.flags.writeable = False
 
-    state = GroundState(basis, delta, energy, vec, residual, tol, history, steps)
+    state = GroundState(sector, delta, energy, phi, residual, tol, history, steps)
     if path is not None:
         save_ground_state(path, state)
     return state
@@ -465,8 +485,9 @@ def ground_state(
 
 # ── persistent cache ────────────────────────────────────────────────────────
 # Layout: magic "SDKGS1", u32 N, u32 n_up, f64 delta, f64 tol, f64 energy,
-# u64 dimension, then dimension little-endian f64 amplitudes, then u32 CRC32
-# of the payload bytes.  All integers little-endian.
+# u64 dimension, then dimension little-endian f64 amplitudes φ in the
+# `MomentumSector`, then u32 CRC32 of the payload bytes.  All integers
+# little-endian.
 
 
 def cache_path(cache_dir, n_sites: int, n_up: int, delta: float, tol: float) -> Path:
@@ -481,16 +502,9 @@ def cache_path(cache_dir, n_sites: int, n_up: int, delta: float, tol: float) -> 
 def save_ground_state(path, state: GroundState) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = state.amplitudes.astype("<f8").tobytes()
-    header = _CACHE_HEADER.pack(
-        _CACHE_MAGIC,
-        state.basis.n_sites,
-        state.basis.n_up,
-        state.delta,
-        state.tol,
-        state.energy,
-        state.basis.dim,
-    )
+    sector, payload = state.sector, state.phi.astype("<f8").tobytes()
+    header = _CACHE_HEADER.pack(_CACHE_MAGIC, sector.n_sites, sector.n_up, state.delta,
+                                state.tol, state.energy, sector.dim)
     # a temp file per writer: concurrent writers of one key never share one.
     # Created like any other file, so the cache entry's mode follows the umask.
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -507,7 +521,7 @@ def save_ground_state(path, state: GroundState) -> None:
 
 
 def load_ground_state(path, key):
-    """(energy, amplitudes) from a cache file, or None on any mismatch.
+    """(energy, φ) from a cache file, or None on any mismatch.
 
     `key` is the request (n_sites, n_up, delta, tol); a header recording any
     other request is a mismatch.

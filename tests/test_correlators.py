@@ -23,7 +23,12 @@ from spindiscord.correlators import (
     pair_state_sweep,
     two_site_rdm,
 )
-from spindiscord.spinchain import GroundState, build_sector, dense_sector_hamiltonian
+from spindiscord.spinchain import (
+    GroundState,
+    MomentumSector,
+    build_sector,
+    dense_sector_hamiltonian,
+)
 from spindiscord.xstate import OptimalTheta, XState, binary_entropy, c00, c90, discord
 
 
@@ -77,36 +82,79 @@ class TestTwoSiteRdm:
                 j = (i - 1 + r) % 8 + 1
                 assert two_site_rdm(gs, i, j).matrix() == approx(ref, abs=1e-8)
 
+    def test_rejects_bad_pairs(self, solve):
+        gs = solve(4, 1.0)
+        with pytest.raises(ValueError, match="differ"):
+            two_site_rdm(gs, 2, 2)
+        with pytest.raises(ValueError, match="outside"):
+            two_site_rdm(gs, 0, 1)
+        with pytest.raises(ValueError, match="outside"):
+            two_site_rdm(gs, 1, 5)
+
+
+def pair_layout(basis, i, j):
+    """Sector indices grouped by the local state of ring sites (i, j).
+
+    Returns (order, bounds).  `order` (int32) lists the indices of the
+    |00>, |01>, |10>, |11> configurations in turn, each group ascending, and
+    group k is order[bounds[k]:bounds[k + 1]].
+    """
+    bit_i, bit_j = 1 << (i - 1), 1 << (j - 1)
+    pair_bits = basis.states & np.uint64(bit_i | bit_j)
+    order = np.empty(basis.dim, dtype=np.int32)
+    bounds = [0]
+    # qubit value 0 is spin up (bit set), so |00> has both bits set
+    for pattern in (bit_i | bit_j, bit_i, bit_j, 0):
+        group = np.flatnonzero(pair_bits == np.uint64(pattern))
+        order[bounds[-1] : bounds[-1] + group.size] = group
+        bounds.append(bounds[-1] + group.size)
+    return order, tuple(bounds)
+
+
+def reduce_by_layout(amplitudes, layout):
+    """Pair state of an S^z = 0 vector over a `pair_layout`.
+
+    The flip maps the ascending |10> group in order onto the ascending |01>
+    group, so x pairs the two by position, for any amplitude vector.
+    """
+    order, bounds = layout
+    q = np.take(amplitudes, order)
+    q00, q01, q10, q11 = (q[a:b] for a, b in zip(bounds, bounds[1:]))
+    return XState(u=q00 @ q00, v=q11 @ q11, w1=q01 @ q01, w2=q10 @ q10, x=q10 @ q01)
+
+
+class TestPairStateOracle:
+    """Pair states from φ against the full-sector reduction over pair layouts."""
+
     @pytest.mark.parametrize("n_sites", [8, 10])
     def test_position_matching_equals_searchsorted(self, n_sites):
         # flip partners found by searching the sector, as the reduction once did
-        def x_by_search(gs, i, j):
-            states = gs.basis.states
+        def x_by_search(basis, amps, i, j):
+            states = basis.states
             bit_i = (states >> np.uint64(i - 1)) & np.uint64(1)
             bit_j = (states >> np.uint64(j - 1)) & np.uint64(1)
             src = np.nonzero((bit_i == 0) & (bit_j == 1))[0]
             flip = np.uint64((1 << (i - 1)) | (1 << (j - 1)))
             dst = np.searchsorted(states, states[src] ^ flip)
-            return float(np.sum(gs.amplitudes[dst] * gs.amplitudes[src]))
+            return float(np.sum(amps[dst] * amps[src]))
 
         basis = build_sector(n_sites, n_sites // 2)
         rng = np.random.default_rng(n_sites)
         for _ in range(3):
             amps = rng.standard_normal(basis.dim)  # no translation symmetry
             amps /= np.linalg.norm(amps)
-            gs = GroundState(basis, 0.0, 0.0, amps, 0.0, 1e-10, ())
             for i, j in itertools.permutations(range(1, n_sites + 1), 2):
-                assert two_site_rdm(gs, i, j).x == approx(x_by_search(gs, i, j), abs=1e-15)
+                x = reduce_by_layout(amps, pair_layout(basis, i, j)).x
+                assert x == approx(x_by_search(basis, amps, i, j), abs=1e-15)
 
     @pytest.mark.parametrize("n_sites", [8, 10])
     def test_pair_layout_matches_bincount_reduction(self, n_sites):
         # the reduction before pair layouts: per-site bits and one bincount
-        def rdm_by_bincount(gs, i, j):
-            states = gs.basis.states
+        def rdm_by_bincount(basis, amps, i, j):
+            states = basis.states
             bit_i = ((states >> np.uint64(i - 1)) & np.uint64(1)).astype(np.int64)
             bit_j = ((states >> np.uint64(j - 1)) & np.uint64(1)).astype(np.int64)
             local = 2 * (1 - bit_i) + (1 - bit_j)
-            amps = gs.amplitudes
             occ = np.bincount(local, weights=amps * amps, minlength=4)
             x = float(amps[local == 2] @ amps[local == 1])
             return XState(u=occ[0], v=occ[3], w1=occ[1], w2=occ[2], x=x).matrix()
@@ -116,30 +164,31 @@ class TestTwoSiteRdm:
                  comb(n_sites - 2, half - 1), comb(n_sites - 2, half)]
         basis = build_sector(n_sites, half)
         rng = np.random.default_rng(n_sites + 1)
-        states = []
+        vectors = []
         for _ in range(3):
             amps = rng.standard_normal(basis.dim)  # no translation symmetry
-            amps /= np.linalg.norm(amps)
-            states.append(GroundState(basis, 0.0, 0.0, amps, 0.0, 1e-10, ()))
+            vectors.append(amps / np.linalg.norm(amps))
         for i, j in itertools.permutations(range(1, n_sites + 1), 2):
-            order, bounds = correlators._pair_layout(basis, i, j)
+            order, bounds = pair_layout(basis, i, j)
             assert order.dtype == np.int32
             assert [b - a for a, b in zip(bounds, bounds[1:])] == sizes
             assert bounds[0] == 0 and bounds[-1] == basis.dim
             for a, b in zip(bounds, bounds[1:]):
                 assert np.all(np.diff(order[a:b]) > 0)
-            for gs in states:
-                lhs = two_site_rdm(gs, i, j).matrix()
-                assert np.max(np.abs(lhs - rdm_by_bincount(gs, i, j))) <= 1e-15
+            for amps in vectors:
+                lhs = reduce_by_layout(amps, (order, bounds)).matrix()
+                assert np.max(np.abs(lhs - rdm_by_bincount(basis, amps, i, j))) <= 1e-15
 
-    def test_rejects_bad_pairs(self, solve):
-        gs = solve(4, 1.0)
-        with pytest.raises(ValueError, match="differ"):
-            two_site_rdm(gs, 2, 2)
-        with pytest.raises(ValueError, match="outside"):
-            two_site_rdm(gs, 0, 1)
-        with pytest.raises(ValueError, match="outside"):
-            two_site_rdm(gs, 1, 5)
+    @pytest.mark.parametrize("n_sites", [8, 10, 12, 14, 16])
+    def test_every_separation_matches_the_layout_reduction(self, n_sites, solve):
+        basis = build_sector(n_sites, n_sites // 2)
+        for delta in (-0.5, 0.5, 1.0, 2.0):
+            gs = solve(n_sites, delta)
+            psi = gs.sector.expand(gs.phi)
+            for r in range(1, n_sites):
+                want = reduce_by_layout(psi, pair_layout(basis, 1, 1 + r)).matrix()
+                got = two_site_rdm(gs, 1, 1 + r).matrix()
+                assert np.max(np.abs(got - want)) <= 1e-15, (delta, r)
 
 
 class TestPairCorrelations:
@@ -223,13 +272,11 @@ class TestKRatio:
                     assert corr.gamma_d <= 1 / (4 * (k + 1)) + 1e-10
 
     def test_undefined_ratio_raises(self):
-        # crafted sector vector with <sz_1 sz_2> = 0: equal weight on
-        # configurations 0011 (aligned on the pair) and 0101 (anti-aligned)
-        basis = build_sector(4, 2)
-        amps = np.zeros(basis.dim)
-        amps[basis.index_of(0b0011)] = math.sqrt(0.5)
-        amps[basis.index_of(0b0101)] = math.sqrt(0.5)
-        gs = GroundState(basis, 0.0, 0.0, amps, 0.0, 1e-10, ())
+        # crafted sector vector with <sz_1 sz_2> = 0: all weight on the orbit
+        # of 0011, whose four configurations are aligned on half the bonds
+        sector = MomentumSector(4)
+        assert [int(r) for r in sector._reps] == [0b0011, 0b0101]
+        gs = GroundState(sector, 0.0, 0.0, np.array([1.0, 0.0]), 0.0, 1e-10, ())
         with pytest.raises(UndefinedRatioError):
             k_ratio(gs, 1)
 
@@ -383,18 +430,18 @@ class TestPairStateSweep:
         rows = list(pair_state_sweep(8, [0.5], iter([1, 2])))
         assert [(delta, r) for delta, r, _ in rows] == [(0.5, 1), (0.5, 2)]
 
-    def test_builds_one_layout_per_separation(self, monkeypatch, solve):
+    def test_builds_one_table_per_separation(self, monkeypatch, solve):
         built = []
-        pair_layout = correlators._pair_layout
+        pair_table = correlators._pair_table
 
-        def counting(basis, i, j):
-            built.append((i, j))
-            return pair_layout(basis, i, j)
+        def counting(sector, r):
+            built.append(r)
+            return pair_table(sector, r)
 
-        monkeypatch.setattr(correlators, "_pair_layout", counting)
+        monkeypatch.setattr(correlators, "_pair_table", counting)
         deltas = [0.0, 0.5, 1.0, 1.5, 2.0]
         rows = list(pair_state_sweep(10, deltas, [1, 2, 3]))
-        assert built == [(1, 2), (1, 3), (1, 4)]
+        assert built == [1, 2, 3]
         for delta, r, state in rows:
             assert state == two_site_rdm(solve(10, delta), 1, 1 + r)
         built.clear()

@@ -6,6 +6,7 @@ import math
 import os
 import shutil
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,11 @@ class TestDenseOracle:
             dense_sector_hamiltonian(18, 1.0)
 
 
+def expanded(gs):
+    """The S^z = 0 amplitudes ψ = Uφ of a ground state, ascending configurations."""
+    return gs.sector.expand(gs.phi)
+
+
 def bloch_columns(sector):
     """U as a dense matrix: the sector amplitudes of each symmetrized state."""
     return np.stack([sector.expand(e) for e in np.eye(sector.dim)], axis=1)
@@ -246,6 +252,85 @@ def act(image, psi):
     return moved
 
 
+def two_pass_reference(n_sites):
+    """(S^z = 0 states, G-representatives, orbit sizes, a(c), χ(g_c)/√O) over the full sector.
+
+    The construction the sector used before it stopped enumerating S^z = 0:
+    rotate every configuration to its translation representative, apply P,
+    Z and PZ to those representatives, keep the smallest image, and gather
+    through the translation orbits.  Its rotations and reflection are its own.
+    """
+    mask = np.uint64((1 << n_sites) - 1)
+
+    def rotate(x):
+        return ((x << np.uint64(1)) | (x >> np.uint64(n_sites - 1))) & mask
+
+    def smallest_rotation(x):
+        rep, shift, rot = x.copy(), np.zeros(x.size, dtype=np.int8), x
+        for s in range(1, n_sites):
+            rot = rotate(rot)
+            smaller = rot < rep
+            rep[smaller] = rot[smaller]
+            shift[smaller] = s
+        return rep, shift
+
+    def reflect(x):
+        out = x & np.uint64(1)
+        for i in range(1, n_sites):
+            out |= ((x >> np.uint64(i)) & np.uint64(1)) << np.uint64(n_sites - i)
+        return out
+
+    every = np.arange(1 << n_sites, dtype=np.uint64)
+    states = every[np.bitwise_count(every) == n_sites // 2]
+    parity = -1 if (n_sites // 2) % 2 else 1
+    rep, shift = smallest_rotation(states)
+    t_reps = states[shift == 0]
+    t_orbit = np.searchsorted(t_reps, rep)
+    g_rep, g_char = t_reps.copy(), np.ones(t_reps.size)
+    flipped = t_reps ^ mask
+    for image, h_char in ((reflect(t_reps), 1.0), (flipped, parity), (reflect(flipped), parity)):
+        image_rep, u = smallest_rotation(image)
+        smaller = image_rep < g_rep
+        g_rep[smaller] = image_rep[smaller]
+        g_char[smaller] = h_char * np.where(u[smaller] & 1, parity, 1.0)
+    reps = t_reps[g_rep == t_reps]
+    t_class = np.searchsorted(reps, g_rep)
+    orbit = t_class[t_orbit]
+    sizes = np.bincount(orbit, minlength=reps.size)
+    coef = (g_char / np.sqrt(sizes)[t_class])[t_orbit]
+    if parity < 0:
+        coef[(shift & 1) == 1] *= -1.0
+    return states, reps, sizes, orbit, coef
+
+
+class TestSectorOracle:
+    """The chunked sector build against the full-sector two-pass construction."""
+
+    @pytest.mark.parametrize("n_sites", range(4, 22, 2))
+    def test_matches_the_two_pass_construction(self, n_sites):
+        states, reps, sizes, orbit, coef = two_pass_reference(n_sites)
+        sector = MomentumSector(n_sites)
+        assert np.array_equal(sector._reps, reps)
+        assert np.array_equal(sector._root_size, np.sqrt(sizes))
+        located_orbit, located_coef = sector._locate(states)
+        assert np.array_equal(located_orbit, orbit)
+        assert np.array_equal(located_coef, coef)
+
+    def test_builds_nothing_as_long_as_the_sector(self):
+        # the 2^22 pattern table alone is 32 MB, the S^z = 0 sector 5.6 MB
+        tracemalloc.start()
+        try:
+            MomentumSector(22)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_flip_table_keeps_intp_indices(self):
+        src, dst, _ = MomentumSector(12)._flip_pairs
+        assert src.dtype == dst.dtype == np.intp
+
+
 class TestMomentumSector:
     def test_sector_sizes(self):
         assert MomentumSector(16).dim == 257
@@ -289,27 +374,30 @@ class TestMomentumSector:
     @pytest.mark.parametrize("n_sites", [8, 10])
     def test_ground_state_has_the_translation_eigenvalue(self, n_sites):
         gs = ground_state(n_sites, 0.7)
+        psi, basis = expanded(gs), build_sector(n_sites, n_sites // 2)
         mask = (1 << n_sites) - 1
         rot = [
-            gs.basis.index_of(((int(s) << 1) | (int(s) >> (n_sites - 1))) & mask)
-            for s in gs.basis.states
+            basis.index_of(((int(s) << 1) | (int(s) >> (n_sites - 1))) & mask)
+            for s in basis.states
         ]
         parity = (-1) ** (n_sites // 2)
-        assert gs.amplitudes[rot] == approx(parity * gs.amplitudes, abs=1e-15)
+        assert psi[rot] == approx(parity * psi, abs=1e-15)
 
     @pytest.mark.parametrize("n_sites", [8, 10])
     def test_ground_state_has_the_reflection_and_inversion_eigenvalues(self, n_sites):
-        gs = ground_state(n_sites, 0.7)
+        psi = expanded(ground_state(n_sites, 0.7))
         elements = group_images(n_sites)
         for char, image in (elements[n_sites], elements[2 * n_sites]):  # P and Z
-            assert act(image, gs.amplitudes) == approx(char * gs.amplitudes, abs=1e-15)
+            assert act(image, psi) == approx(char * psi, abs=1e-15)
 
     def test_expanded_vector_solves_the_full_sector(self):
+        basis = build_sector(16, 8)
         for delta in (0.5, 1.0):
             gs = ground_state(16, delta)
-            full = apply_hamiltonian(gs.basis, delta, gs.amplitudes)
-            assert np.linalg.norm(full - gs.energy * gs.amplitudes) <= 1e-10
-            assert np.linalg.norm(gs.amplitudes) == approx(1.0, abs=1e-12)
+            psi = expanded(gs)
+            full = apply_hamiltonian(basis, delta, psi)
+            assert np.linalg.norm(full - gs.energy * psi) <= 1e-10
+            assert np.linalg.norm(psi) == approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 14])
     def test_marshall_start_has_the_ground_state_signs(self, n_sites):
@@ -335,7 +423,7 @@ class TestGroundState:
         gs = ground_state(4, 1.0)
         assert gs.energy == approx(-2.0, abs=1e-10)
         assert gs.residual <= 1e-8
-        assert np.linalg.norm(gs.amplitudes) == approx(1.0, abs=1e-10)
+        assert np.linalg.norm(expanded(gs)) == approx(1.0, abs=1e-10)
 
     def test_twelve_site_xx_energy(self):
         gs = ground_state(12, 0.0)
@@ -355,7 +443,7 @@ class TestGroundState:
         gs = ground_state(8, 0.5)
         h = dense_sector_hamiltonian(8, 0.5)
         _, vecs = np.linalg.eigh(h)
-        overlap = abs(float(gs.amplitudes @ vecs[:, 0]))
+        overlap = abs(float(expanded(gs) @ vecs[:, 0]))
         assert overlap == approx(1.0, abs=1e-8)
 
     def test_ritz_history_monotone_nonincreasing(self):
@@ -369,7 +457,7 @@ class TestGroundState:
         gs = ground_state(n_sites, delta)
         _, vecs = np.linalg.eigh(dense_sector_hamiltonian(n_sites, delta))
         assert gs.energy == approx(dense_spectrum_oracle(n_sites, delta)[0], abs=1e-10)
-        assert abs(float(gs.amplitudes @ vecs[:, 0])) >= 1.0 - 1e-8
+        assert abs(float(expanded(gs) @ vecs[:, 0])) >= 1.0 - 1e-8
         assert gs.residual <= 1e-8
         assert gs.iterations > 10  # more than one 10-vector cycle: it restarted
         hist = gs.ritz_history
@@ -378,7 +466,7 @@ class TestGroundState:
     def test_deterministic_for_fixed_seed(self):
         a = ground_state(8, 0.7)
         b = ground_state(8, 0.7)
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(a.phi, b.phi)
         assert a.energy == b.energy
 
     def test_iterations_count_steps_and_ritz_checks_skip_most(self, monkeypatch):
@@ -405,20 +493,20 @@ class TestGroundState:
         assert len(eighs) <= math.ceil(gs.iterations / 4) + cycles + 1
 
     def test_spin_flip_symmetry_of_amplitudes(self):
-        gs = ground_state(8, 0.7)
+        psi, basis = expanded(ground_state(8, 0.7)), build_sector(8, 4)
         mask = (1 << 8) - 1
-        flipped = [gs.basis.index_of(int(s) ^ mask) for s in gs.basis.states]
-        assert np.abs(gs.amplitudes) == approx(np.abs(gs.amplitudes[flipped]), abs=1e-8)
+        flipped = [basis.index_of(int(s) ^ mask) for s in basis.states]
+        assert np.abs(psi) == approx(np.abs(psi[flipped]), abs=1e-8)
 
     def test_translation_invariance_of_weights(self):
         n = 8
-        gs = ground_state(n, 1.0)
+        psi, basis = expanded(ground_state(n, 1.0)), build_sector(n, n // 2)
         mask = (1 << n) - 1
         rot = [
-            gs.basis.index_of(((int(s) << 1) | (int(s) >> (n - 1))) & mask)
-            for s in gs.basis.states
+            basis.index_of(((int(s) << 1) | (int(s) >> (n - 1))) & mask)
+            for s in basis.states
         ]
-        assert np.abs(gs.amplitudes) == approx(np.abs(gs.amplitudes[rot]), abs=1e-8)
+        assert np.abs(psi) == approx(np.abs(psi[rot]), abs=1e-8)
 
     def test_ferromagnetic_regime_raises(self):
         with pytest.raises(FerromagneticRegimeError):
@@ -488,16 +576,16 @@ class TestCache:
         assert path.exists()
         loaded = load_ground_state(path, (8, 4, 0.5, 1e-10))
         assert loaded is not None
-        energy, amplitudes = loaded
+        energy, phi = loaded
         assert energy == gs.energy
-        assert np.array_equal(amplitudes, gs.amplitudes)
+        assert np.array_equal(phi, gs.phi)
 
     def test_hit_reproduces_cold_run_exactly(self, tmp_path):
         cold = ground_state(10, 1.0, tol=1e-10, cache_dir=tmp_path)
         warm = ground_state(10, 1.0, tol=1e-10, cache_dir=tmp_path)
         assert warm.iterations == 0  # served from disk
         assert warm.energy == cold.energy
-        assert np.array_equal(warm.amplitudes, cold.amplitudes)
+        assert np.array_equal(warm.phi, cold.phi)
 
     def test_key_separates_parameters(self, tmp_path):
         ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
@@ -513,7 +601,7 @@ class TestCache:
         assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is None
         again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
         assert again.iterations > 0  # cache miss forced a fresh solve
-        assert np.array_equal(again.amplitudes, gs.amplitudes)
+        assert np.array_equal(again.phi, gs.phi)
         assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is not None  # rewritten clean
 
     def test_truncated_file_is_rejected(self, tmp_path):
@@ -548,57 +636,32 @@ class TestCache:
             assert again.iterations > 0  # the misplaced entry forced a solve
             assert load_ground_state(moved, key) is not None  # rewritten
 
-    def test_entry_outside_the_momentum_sector_is_rejected_and_resolved(self, tmp_path):
-        # An exact eigenvector of H with another translation eigenvalue passes
-        # the CRC, the header and a full-sector residual check.
+    @pytest.mark.parametrize("scale", [0.0, 0.5], ids=["zero", "half_norm"])
+    def test_unnormalized_entry_is_rejected_and_resolved(self, tmp_path, scale):
+        # CRC-valid, and its residual passes: only the norm check catches it
         gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
-        path = cache_path(tmp_path, 8, 4, 0.5, 1e-10)
         key = (8, 4, 0.5, 1e-10)
-        sector = MomentumSector(8)
-        levels, vecs = np.linalg.eigh(dense_sector_hamiltonian(8, 0.5))
-        outside = [v - sector.expand(sector.project(v)) for v in vecs.T]
-        j = next(j for j, v in enumerate(outside) if np.linalg.norm(v) > 0.5)
-        fake = outside[j] / np.linalg.norm(outside[j])
-        assert np.linalg.norm(apply_hamiltonian(gs.basis, 0.5, fake) - levels[j] * fake) <= 1e-12
-        save_ground_state(path, dataclasses.replace(gs, energy=float(levels[j]), amplitudes=fake))
-        assert load_ground_state(path, key) is not None
+        path = cache_path(tmp_path, *key)
+        save_ground_state(path, dataclasses.replace(gs, phi=scale * gs.phi))
+        assert np.array_equal(load_ground_state(path, key)[1], scale * gs.phi)
 
         again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
-        assert again.iterations > 0  # the off-sector entry forced a solve
+        assert again.iterations > 0  # the unnormalized entry forced a solve
         assert again.energy == gs.energy
-        assert np.array_equal(again.amplitudes, gs.amplitudes)
-        assert np.array_equal(load_ground_state(path, key)[1], gs.amplitudes)  # rewritten
+        assert np.array_equal(again.phi, gs.phi)
+        assert np.array_equal(load_ground_state(path, key)[1], gs.phi)  # rewritten
 
-    @pytest.mark.parametrize("n_sites", [8, 10])
-    def test_entry_with_the_wrong_reflection_or_inversion_is_rejected_and_resolved(
-        self, tmp_path, n_sites
-    ):
-        # An exact eigenvector of H with the ground state's translation
-        # eigenvalue, outside the sector: a translation-sector check passes it.
-        gs = ground_state(n_sites, 0.5, tol=1e-10, cache_dir=tmp_path)
-        key = (n_sites, n_sites // 2, 0.5, 1e-10)
-        path = cache_path(tmp_path, *key)
-        sector = MomentumSector(n_sites)
-        translations = group_images(n_sites)[:n_sites]  # h = 1: T^s with χ = λ^s
-        levels, vecs = np.linalg.eigh(dense_sector_hamiltonian(n_sites, 0.5))
-        outside = []
-        for v in vecs.T:
-            in_momentum = sum(char * act(image, v) for char, image in translations) / n_sites
-            outside.append(in_momentum - sector.expand(sector.project(in_momentum)))
-        j = next(j for j, v in enumerate(outside) if np.linalg.norm(v) > 0.5)
-        fake = outside[j] / np.linalg.norm(outside[j])
-        parity = (-1) ** (n_sites // 2)
-        assert act(translations[1][1], fake) == approx(parity * fake, abs=1e-12)
-        assert np.linalg.norm(sector.project(fake)) <= 1e-12
-        assert np.linalg.norm(apply_hamiltonian(gs.basis, 0.5, fake) - levels[j] * fake) <= 1e-12
-        save_ground_state(path, dataclasses.replace(gs, energy=float(levels[j]), amplitudes=fake))
-        assert load_ground_state(path, key) is not None
-
-        again = ground_state(n_sites, 0.5, tol=1e-10, cache_dir=tmp_path)
-        assert again.iterations > 0  # the off-sector entry forced a solve
-        assert again.energy == gs.energy
-        assert np.array_equal(again.amplitudes, gs.amplitudes)
-        assert np.array_equal(load_ground_state(path, key)[1], gs.amplitudes)  # rewritten
+    def test_version_two_entry_is_never_read(self, tmp_path):
+        # a valid entry under the version-2 name: the version-3 reader never opens it
+        gs = ground_state(8, 0.5, tol=1e-10)
+        key = (8, 4, 0.5, 1e-10)
+        current = cache_path(tmp_path, *key)
+        assert current.name.endswith("_v3.bin")
+        old = current.with_name(current.name.replace("_v3.bin", "_v2.bin"))
+        save_ground_state(old, gs)
+        again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        assert again.iterations > 0  # solved, not read
+        assert current.exists()
 
     def test_saved_file_mode_follows_umask(self, tmp_path):
         gs = ground_state(6, 1.5)
@@ -616,9 +679,9 @@ class TestCache:
         path = cache_path(tmp_path, 6, 3, 1.5, gs.tol)
         path.with_suffix(".tmp").mkdir()
         save_ground_state(path, gs)
-        energy, amplitudes = load_ground_state(path, (6, 3, 1.5, gs.tol))
+        energy, phi = load_ground_state(path, (6, 3, 1.5, gs.tol))
         assert energy == gs.energy
-        assert np.array_equal(amplitudes, gs.amplitudes)
+        assert np.array_equal(phi, gs.phi)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             [path.name, path.with_suffix(".tmp").name]
         )
@@ -639,6 +702,6 @@ class TestCache:
         gs = ground_state(6, 1.5)
         path = tmp_path / "nested" / "dir" / "state.bin"
         save_ground_state(path, gs)
-        energy, amplitudes = load_ground_state(path, (6, 3, 1.5, gs.tol))
+        energy, phi = load_ground_state(path, (6, 3, 1.5, gs.tol))
         assert energy == gs.energy
-        assert np.array_equal(amplitudes, gs.amplitudes)
+        assert np.array_equal(phi, gs.phi)
