@@ -272,7 +272,7 @@ def _solver_kwargs(args) -> dict:
     check_ring_size(args.n)
     if args.n > 22:
         print(f"warning: n={args.n} runs take seconds and hundreds of MB cold (at n=26: "
-              "ground-state 1.0 s and 0.16 GB, fig2 3.4 s and 0.44 GB)", file=sys.stderr)
+              "ground-state 1.0 s and 0.16 GB, fig2 3.4 s and 0.41 GB)", file=sys.stderr)
     return {"tol": args.tol, "cache_dir": _resolve_cache_dir(args)}
 
 

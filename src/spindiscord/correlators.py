@@ -130,23 +130,25 @@ def _ring_distance(n: int, i: int, j: int) -> int:
 
 
 def _pair_table(sector, r: int):
-    """(A_r, src, dst, element) / 2N for separation r, independent of the amplitudes.
+    """(A_r, src, dst, element) / 2M for separation r, independent of the amplitudes.
 
     A_r(a) counts the aligned site pairs at distance r in the representative
     r_a; the rest is the int32 flip table of X̃_r = UᵀX_rU, X_r the sum of the
-    flip-flops of the N pairs (i, i+r).
+    flip-flops of the M distinct pairs (i, i+r).  M = N, except at r = N/2,
+    where (i, i+r) and (i+r, i+2r) = (i+r, i) are one pair and M = N/2.
     """
     n = sector.n_sites
-    pairs = [np.uint64((1 << i) | (1 << ((i + r) % n))) for i in range(n)]
+    m = n // 2 if 2 * r == n else n
+    pairs = [np.uint64((1 << i) | (1 << ((i + r) % n))) for i in range(m)]
     src, dst, element = sector.flip_table(pairs)
-    aligned = n - np.bincount(src, minlength=sector.dim)
-    return aligned / (2 * n), src.astype(np.int32), dst.astype(np.int32), element / (2 * n)
+    aligned = m - np.bincount(src, minlength=sector.dim)
+    return aligned / (2 * m), src.astype(np.int32), dst.astype(np.int32), element / (2 * m)
 
 
 def _pair_state(phi: np.ndarray, table) -> XState:
     """Pair state of sites (i, i+r), the mean over the N translates, from φ.
 
-    u = v = Σ φ²·A_r / 2N, w1 = w2 = ½ − u and x = φᵀX̃_rφ / 2N, one dot product.
+    u = v = Σ φ²·A_r / 2M, w1 = w2 = ½ − u and x = φᵀX̃_rφ / 2M, one dot product.
     """
     aligned, src, dst, element = table
     u = (phi * phi) @ aligned

@@ -14,10 +14,14 @@ qubit A in a conditional state whose eigenvalues are
     z      = cos(θ/2) sin(θ/2) (x e^{iφ} + y e^{-iφ}),
 
 with outcome probabilities p_0̃, p_1̃ and diagonal splittings b_0̃, b_1̃ given
-below.  Every entropy here is a sum of p·log2 p terms from one helper,
-evaluated with `math` for a float and with numpy for an array, so a scalar
-caller pays no array overhead and an array caller no Python loop.
-`discord` evaluates the measurement-conditioned entropy
+below.  Every entropy here is a sum of p·log2 p terms: `_xlog2x` with `math`
+for a float and `_xlog2x_array` with numpy for an array.  The scalar closed
+forms read the validated float entries of an `XState` and do no type
+dispatch, so a call costs its arithmetic.  The array kernel has no
+per-point Python loop; it evaluates large inputs in cache-sized blocks, and
+for mirror-image outcomes (every ring pair state) it evaluates one outcome
+and doubles it.  `XState` rejects non-finite entries, so no NaN reaches
+either path.  `discord` evaluates the measurement-conditioned entropy
 C_{θ,φ} = Σ_k̃ p_k̃ S(ρ_{A|B_k̃}) at the two candidate angles θ = 0 and
 θ = π/2 (with the optimal azimuth φ*) and returns the two-angle closed form
 
@@ -36,6 +40,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from math import hypot, isfinite, log2
 from typing import NamedTuple
 
 import numpy as np
@@ -63,16 +68,28 @@ _CLAMP = 1e-12
 # C_00 and C_90 closer than this are a tie: at the isotropic point they are
 # equal, and which one rounds lower depends on the last digits of the state.
 _TIE = 1e-12
+# Points per block of `conditional_entropy_values`: a block's temporaries,
+# a few arrays of this length, stay in the CPU cache.
+_BLOCK = 1 << 13
+# Dirichlet concentrations of `random_xstate`: uniform on the probability simplex.
+_FLAT = np.ones(4)
 
 
-def _xlog2x(p):
-    """p·log2 p, and 0 for p ≤ 0: a float from `math`, an array from numpy.
+def _xlog2x(p: float) -> float:
+    """p·log2 p of a float, and 0 for p ≤ 0.
 
-    Every entropy in this package is a sum of these terms.
+    Every entropy in this package is a sum of these terms: of this one for
+    floats, and of `_xlog2x_array`, the same term elementwise, for arrays.
     """
-    if isinstance(p, float):
-        return p * math.log2(p) if p > 0.0 else 0.0
+    return p * log2(p) if p > 0.0 else 0.0
+
+
+def _xlog2x_array(p) -> np.ndarray:
+    """`_xlog2x` elementwise, into a new array; masked only where some p ≤ 0."""
     p = np.asarray(p, dtype=float)
+    if p.size and p.min() > 0.0:
+        out = np.log2(p)
+        return np.multiply(out, p, out=out)
     positive = p > 0.0
     out = np.log2(p, out=np.zeros(p.shape), where=positive)
     return np.multiply(out, p, out=out, where=positive)
@@ -83,9 +100,10 @@ def _entropy_of(eigs):
 
     The entries are floats, or arrays of one shape for an elementwise entropy.
     """
+    term = _xlog2x if isinstance(eigs[0], float) else _xlog2x_array
     total = 0.0
     for lam in eigs:
-        total -= _xlog2x(lam)
+        total -= term(lam)
     return total
 
 
@@ -95,15 +113,21 @@ def _clamped_binary_entropy(p):
     return _entropy_of((p, 1.0 - p))
 
 
+def _binary_entropy(p: float) -> float:
+    """`binary_entropy` of a float: one range check, then two `_xlog2x` terms."""
+    if not -_CLAMP <= p <= 1.0 + _CLAMP:
+        raise ValueError(f"binary_entropy argument {p!r} outside [0, 1]")
+    if 0.0 < p < 1.0:
+        return 0.0 - _xlog2x(p) - _xlog2x(1.0 - p)
+    return 0.0  # p clamped onto 0 or 1
+
+
 def binary_entropy(p: float) -> float:
     """H(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0.
 
     Accepts p within 1e-12 outside [0, 1] (clamped); otherwise raises ValueError.
     """
-    p = float(p)
-    if not -_CLAMP <= p <= 1.0 + _CLAMP:
-        raise ValueError(f"binary_entropy argument {p!r} outside [0, 1]")
-    return _clamped_binary_entropy(p)
+    return _binary_entropy(float(p))
 
 
 @dataclass(frozen=True)
@@ -122,19 +146,31 @@ class XState:
     y: complex = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
-        object.__setattr__(self, "w1", float(self.w1))
-        object.__setattr__(self, "w2", float(self.w2))
-        object.__setattr__(self, "x", complex(self.x))
-        object.__setattr__(self, "y", complex(self.y))
-        trace = self.u + self.v + self.w1 + self.w2
+        u, v, w1, w2 = float(self.u), float(self.v), float(self.w1), float(self.w2)
+        x, y = complex(self.x), complex(self.y)
+        setattr_ = object.__setattr__
+        setattr_(self, "u", u)
+        setattr_(self, "v", v)
+        setattr_(self, "w1", w1)
+        setattr_(self, "w2", w2)
+        setattr_(self, "x", x)
+        setattr_(self, "y", y)
+        # a sum of finite entries is finite unless it overflows, which the trace check rejects
+        if not isfinite(u + v + w1 + w2 + x.real + x.imag + y.real + y.imag):
+            for name in ("u", "v", "w1", "w2", "x", "y"):
+                if not cmath.isfinite(getattr(self, name)):
+                    raise ValueError(f"X-state entry {name}={getattr(self, name)!r} is not finite")
+        trace = u + v + w1 + w2
         if abs(trace - 1.0) > 1e-12:
             raise ValueError(f"X-state trace {trace!r} is not 1")
-        for name in ("u", "v", "w1", "w2"):
-            if getattr(self, name) < -_CLAMP:
-                raise ValueError(f"negative occupation {name}={getattr(self, name)!r}")
-        if min(_joint_eigs(self)) < -1e-9:
+        if min(u, v, w1, w2) < -_CLAMP:
+            for name in ("u", "v", "w1", "w2"):
+                if getattr(self, name) < -_CLAMP:
+                    raise ValueError(f"negative occupation {name}={getattr(self, name)!r}")
+        # twice the smaller eigenvalue of each 2x2 block, as `_joint_eigs` gives them
+        low_outer = u + v - hypot(u - v, 2.0 * abs(y))
+        low_inner = w1 + w2 - hypot(w1 - w2, 2.0 * abs(x))
+        if min(low_outer, low_inner) / 2.0 < -1e-9:
             raise ValueError("X-state matrix is not positive semidefinite")
 
     def matrix(self) -> np.ndarray:
@@ -193,19 +229,47 @@ class GridVerifyReport:
 
 def _joint_eigs(state: XState) -> tuple:
     """Eigenvalues of ρ_AB as floats: the X structure splits into two 2x2 blocks."""
-    outer = math.hypot(state.u - state.v, 2.0 * abs(state.y))
-    inner = math.hypot(state.w1 - state.w2, 2.0 * abs(state.x))
+    u, v, w1, w2 = state.u, state.v, state.w1, state.w2
+    outer = hypot(u - v, 2.0 * abs(state.y))
+    inner = hypot(w1 - w2, 2.0 * abs(state.x))
     return (
-        (state.u + state.v + outer) / 2.0,
-        (state.u + state.v - outer) / 2.0,
-        (state.w1 + state.w2 + inner) / 2.0,
-        (state.w1 + state.w2 - inner) / 2.0,
+        (u + v + outer) / 2.0,
+        (u + v - outer) / 2.0,
+        (w1 + w2 + inner) / 2.0,
+        (w1 + w2 - inner) / 2.0,
     )
 
 
 def joint_eigenvalues(state: XState) -> np.ndarray:
     """Eigenvalues of ρ_AB: the X structure splits into two 2x2 blocks."""
     return np.array(_joint_eigs(state))
+
+
+def _outcome_entropy(a2, b2, p_weights, b_weights, z4, lam) -> np.ndarray:
+    """−p_k̃·H(λ_k̃) of one measurement outcome, in a new array of z4's shape.
+
+    p_k̃ = a2·p_weights[0] + b2·p_weights[1], and b_k̃ likewise from b_weights.
+    The splitting root and λ are written into `lam`, which may be z4 itself.
+    Where p_k̃ ≤ _CLAMP the outcome is dead: it gets weight 0, and λ is
+    computed with p = 1 so that it stays finite.
+    """
+    pk = a2 * p_weights[0] + b2 * p_weights[1]
+    bk = a2 * b_weights[0] + b2 * b_weights[1]
+    bk *= bk
+    np.sqrt(np.add(bk, z4, out=lam), out=lam)
+    del bk
+    weight = pk
+    # cos² + sin² = 1 up to rounding, so p_k̃ > _CLAMP at every θ when both weights exceed 2·_CLAMP
+    if min(p_weights) <= 2.0 * _CLAMP:
+        live = pk > _CLAMP
+        weight, pk = np.where(live, pk, 0.0), np.where(live, pk, 1.0)
+    # λ = (p + root) / 2p ≥ ½, so clipping into [0, 1] only caps it at 1
+    np.divide(np.add(pk, lam, out=lam), 2.0 * pk, out=lam)
+    np.minimum(lam, 1.0, out=lam)
+    h = _xlog2x_array(lam)
+    h += _xlog2x_array(np.subtract(1.0, lam, out=lam))
+    h *= weight
+    return h
 
 
 def conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
@@ -216,11 +280,40 @@ def conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
     A branch with probability at most 1e-12 contributes zero.  cos(θ/2) and
     sin(θ/2) are evaluated once per θ; the outcome probabilities depend on θ
     alone, so only the splitting root and the entropies take the full
-    broadcast shape, and they are updated in place.
+    broadcast shape.  When the two outcomes are mirror images,
+    u + w2 = w1 + v and u − w2 = −(w1 − v) as in every ring pair state, they
+    have equal entropies, and one outcome is evaluated and counted twice.
+    Inputs of more than _BLOCK points are evaluated in blocks of whole
+    leading-axis rows, so that the temporaries stay in cache; every point
+    gets the same operations, so the values do not depend on the blocking.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     shape = np.broadcast_shapes(theta.shape, phi.shape)
+    # |x e^{iφ} + y e^{-iφ}|² over the whole φ array, never in blocks: numpy
+    # rounds a complex product differently when it reuses a large temporary
+    turn = np.exp(1j * phi)
+    coherence = np.abs(state.x * turn + state.y * turn.conjugate()) ** 2
+    del turn
+    rows = max(_BLOCK // max(math.prod(shape[1:]), 1), 1)  # whole leading-axis rows per block
+    if not shape or shape[0] <= rows:
+        return _block_values(state, theta, coherence).reshape(shape)
+    # both at the broadcast rank; an array of one leading row is shared by every block
+    theta = theta.reshape((1,) * (len(shape) - theta.ndim) + theta.shape)
+    coherence = coherence.reshape((1,) * (len(shape) - coherence.ndim) + coherence.shape)
+    out = np.empty(shape)
+    for start in range(0, shape[0], rows):
+        block = slice(start, start + rows)
+        out[block] = _block_values(
+            state,
+            theta[block] if len(theta) > 1 else theta,
+            coherence[block] if len(coherence) > 1 else coherence,
+        )
+    return out
+
+
+def _block_values(state: XState, theta: np.ndarray, coherence: np.ndarray) -> np.ndarray:
+    """C over one block, shaped like atleast_1d(θ) broadcast with the coherence |…|²."""
     # at least 1-D, so that every intermediate is an array that can be written in place
     half = np.atleast_1d(theta) / 2.0
     ab = np.cos(half)
@@ -229,33 +322,24 @@ def conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
     b2 = sin_half * sin_half
     ab *= sin_half
     # 4|z|², with z = cos(θ/2) sin(θ/2) (x e^{iφ} + y e^{-iφ})
-    turn = np.exp(1j * phi)
-    z4 = ab * ab * np.abs(state.x * turn + state.y * turn.conjugate()) ** 2
+    z4 = ab * ab * coherence
     z4 *= 4.0
-    del half, ab, sin_half, turn  # freed before the full-shape buffers below
+    del half, ab, sin_half  # freed before the full-shape buffers below
 
     d0 = state.u + state.w2   # P(B=0) weight entering outcome probabilities
     d1 = state.w1 + state.v
     e0 = state.u - state.w2
     e1 = state.w1 - state.v
-
-    out = np.zeros(z4.shape)
-    lam = np.empty(z4.shape)
-    for da, db, ea, eb in ((d0, d1, e0, e1), (d1, d0, e1, e0)):
-        pk = a2 * da + b2 * db
-        bk = a2 * ea + b2 * eb
-        bk *= bk
-        np.sqrt(np.add(bk, z4, out=lam), out=lam)
-        del bk
-        live = pk > _CLAMP
-        # λ = (p + root) / 2p; entries of a dead branch are never read
-        np.divide(np.add(pk, lam, out=lam), 2.0 * pk, out=lam, where=live)
-        np.clip(lam, 0.0, 1.0, out=lam)
-        h = _xlog2x(lam)
-        h += _xlog2x(np.subtract(1.0, lam, out=lam))
-        h *= pk
-        np.subtract(out, h, out=out, where=live)  # p·H(λ), with H = −Σ λ log2 λ
-    return out.reshape(shape)
+    if d0 == d1 and e0 == -e1:
+        # the second outcome repeats the first bit for bit, and
+        # (0 − h) − h == 0 − (h + h) exactly
+        h = _outcome_entropy(a2, b2, (d0, d1), (e0, e1), z4, z4)
+        h += h
+        return np.subtract(0.0, h, out=h)
+    out = _outcome_entropy(a2, b2, (d0, d1), (e0, e1), z4, np.empty(z4.shape))
+    np.subtract(0.0, out, out=out)
+    out -= _outcome_entropy(a2, b2, (d1, d0), (e1, e0), z4, z4)
+    return out
 
 
 def c00(state: XState) -> float:
@@ -263,11 +347,14 @@ def c00(state: XState) -> float:
 
     Equals (u+w2) H(u/(u+w2)) + (v+w1) H(v/(v+w1)); empty branches contribute 0.
     """
+    u, v = state.u, state.v
     out = 0.0
-    if state.u + state.w2 > _CLAMP:
-        out += (state.u + state.w2) * binary_entropy(state.u / (state.u + state.w2))
-    if state.v + state.w1 > _CLAMP:
-        out += (state.v + state.w1) * binary_entropy(state.v / (state.v + state.w1))
+    p0 = u + state.w2
+    if p0 > _CLAMP:
+        out += p0 * _binary_entropy(u / p0)
+    p1 = v + state.w1
+    if p1 > _CLAMP:
+        out += p1 * _binary_entropy(v / p1)
     return out
 
 
@@ -279,15 +366,20 @@ def c90(state: XState) -> C90Result:
     turn later it is ||x| − |y||).  With either amplitude zero the value is
     φ-independent and φ* = 0.
     """
+    return C90Result(*_c90(state))
+
+
+def _c90(state: XState) -> tuple:
+    """(value, φ*) of `c90` as a plain tuple, for `discord`."""
     x, y = state.x, state.y
-    amp = abs(x) + abs(y)
-    if abs(x) < _CLAMP or abs(y) < _CLAMP:
+    abs_x, abs_y = abs(x), abs(y)
+    if abs_x < _CLAMP or abs_y < _CLAMP:
         phi_star = 0.0
     else:
         phi_star = (-cmath.phase(x * y.conjugate()) / 2.0) % math.pi
     gap = state.u - state.v + state.w1 - state.w2
-    lam = (1.0 + math.hypot(gap, 2.0 * amp)) / 2.0
-    return C90Result(binary_entropy(min(lam, 1.0)), phi_star)
+    lam = (1.0 + hypot(gap, 2.0 * (abs_x + abs_y))) / 2.0
+    return _binary_entropy(lam if lam < 1.0 else 1.0), phi_star
 
 
 def discord(state: XState) -> DiscordResult:
@@ -296,22 +388,15 @@ def discord(state: XState) -> DiscordResult:
     Ties between the two candidate angles (within `_TIE`) resolve to θ = 0.
     """
     c_zero = c00(state)
-    c_ninety, phi_star = c90(state)
-    s_joint = _entropy_of(_joint_eigs(state))
-    s_b = binary_entropy(state.u + state.w2)
+    c_ninety, phi_star = _c90(state)
+    e0, e1, e2, e3 = _joint_eigs(state)
+    s_joint = 0.0 - _xlog2x(e0) - _xlog2x(e1) - _xlog2x(e2) - _xlog2x(e3)
+    s_b = _binary_entropy(state.u + state.w2)
     if c_zero <= c_ninety + _TIE:
         chosen, c_min = OptimalTheta.ZERO, c_zero
     else:
         chosen, c_min = OptimalTheta.NINETY, c_ninety
-    return DiscordResult(
-        discord=c_min - s_joint + s_b,
-        c00=c_zero,
-        c90=c_ninety,
-        phi_star=phi_star,
-        chosen_theta=chosen,
-        s_joint=s_joint,
-        s_b=s_b,
-    )
+    return DiscordResult(c_min - s_joint + s_b, c_zero, c_ninety, phi_star, chosen, s_joint, s_b)
 
 
 def discord_grid_verify(state: XState, n_theta: int = 181, n_phi: int = 360) -> GridVerifyReport:
@@ -356,7 +441,9 @@ def pure_state_discord(a: complex, b: complex, c: complex, d: complex):
 def random_xstate(rng: np.random.Generator) -> XState:
     """Random valid X state: flat-simplex diagonal, coherences inside the
     positivity disks |x| ≤ sqrt(w1 w2), |y| ≤ sqrt(u v), uniform phases."""
-    u, v, w1, w2 = rng.dirichlet(np.ones(4))
-    x = math.sqrt(w1 * w2) * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform())
-    y = math.sqrt(u * v) * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform())
+    u, v, w1, w2 = rng.dirichlet(_FLAT).tolist()
+    # the four uniforms on [0, 1) that four rng.uniform() calls would draw, in order
+    x_radius, x_turn, y_radius, y_turn = rng.random(4).tolist()
+    x = math.sqrt(w1 * w2) * x_radius * cmath.exp(2j * math.pi * x_turn)
+    y = math.sqrt(u * v) * y_radius * cmath.exp(2j * math.pi * y_turn)
     return XState(u, v, w1, w2, x, y)

@@ -190,6 +190,14 @@ class TestPairStateOracle:
                 got = two_site_rdm(gs, 1, 1 + r).matrix()
                 assert np.max(np.abs(got - want)) <= 1e-15, (delta, r)
 
+    def test_opposite_pairs_are_listed_once(self):
+        # at r = N/2 the N pairs (i, i + N/2) are N/2 distinct ones, each met from both ends
+        sector = MomentumSector(12)
+        _, src, _, _ = correlators._pair_table(sector, 6)
+        doubled, _, _ = sector.flip_table([np.uint64((1 << i) | (1 << ((i + 6) % 12))) for i in range(12)])
+        assert src.size == 112
+        assert doubled.size == 224
+
 
 class TestPairCorrelations:
     def test_four_site_frozen_values(self, solve):

@@ -1,10 +1,15 @@
 """Tests for the X-state discord closed forms."""
 
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from spindiscord.cli import _range_arg
+from spindiscord import xstate
+from spindiscord.correlators import pair_state_sweep
 from spindiscord.xstate import (
     C90Result,
     MeasurementBasis,
@@ -71,6 +76,17 @@ class TestXStateValidation:
     def test_negative_occupation_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             XState(-0.1, 0.5, 0.3, 0.3)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("u", math.nan), ("v", math.inf), ("w1", -math.inf), ("w2", math.nan),
+         ("x", complex(math.nan, 0.0)), ("y", complex(0.0, math.inf))],
+    )
+    def test_non_finite_entry_rejected(self, field, value):
+        entries = dict(u=0.25, v=0.25, w1=0.25, w2=0.25, x=0.0, y=0.0)
+        entries[field] = value
+        with pytest.raises(ValueError, match=rf"entry {field}=.* is not finite"):
+            XState(**entries)
 
     def test_positivity_rejected(self):
         # |x| far above sqrt(w1 w2) makes the inner block indefinite.
@@ -406,3 +422,277 @@ class TestRandomXState:
         for _ in range(500):
             s = random_xstate(rng)  # constructor validates
             assert min(joint_eigenvalues(s)) > -1e-12
+
+
+# ── the closed forms, kernel and generator as they were before the scalar path ──
+# Kept verbatim, with names prefixed by `oracle_`, as the bit-for-bit reference.
+
+_CLAMP = 1e-12
+_TIE = 1e-12
+
+
+def oracle_xlog2x(p):
+    """p·log2 p, and 0 for p ≤ 0: a float from `math`, an array from numpy.
+
+    Every entropy in this package is a sum of these terms.
+    """
+    if isinstance(p, float):
+        return p * math.log2(p) if p > 0.0 else 0.0
+    p = np.asarray(p, dtype=float)
+    positive = p > 0.0
+    out = np.log2(p, out=np.zeros(p.shape), where=positive)
+    return np.multiply(out, p, out=out, where=positive)
+
+
+def oracle_entropy_of(eigs):
+    """Shannon entropy (base 2) of a probability vector; zeros contribute 0.
+
+    The entries are floats, or arrays of one shape for an elementwise entropy.
+    """
+    total = 0.0
+    for lam in eigs:
+        total -= oracle_xlog2x(lam)
+    return total
+
+
+def oracle_clamped_binary_entropy(p):
+    """Binary entropy of p clamped into [0, 1]; a float or an array."""
+    p = min(max(p, 0.0), 1.0) if isinstance(p, float) else np.clip(p, 0.0, 1.0)
+    return oracle_entropy_of((p, 1.0 - p))
+
+
+def oracle_binary_entropy(p: float) -> float:
+    """H(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0.
+
+    Accepts p within 1e-12 outside [0, 1] (clamped); otherwise raises ValueError.
+    """
+    p = float(p)
+    if not -_CLAMP <= p <= 1.0 + _CLAMP:
+        raise ValueError(f"binary_entropy argument {p!r} outside [0, 1]")
+    return oracle_clamped_binary_entropy(p)
+
+
+@dataclass(frozen=True)
+class OracleDiscordResult:
+    discord: float
+    c00: float
+    c90: float
+    phi_star: float
+    chosen_theta: OptimalTheta
+    s_joint: float
+    s_b: float
+
+
+def oracle_joint_eigs(state: XState) -> tuple:
+    """Eigenvalues of ρ_AB as floats: the X structure splits into two 2x2 blocks."""
+    outer = math.hypot(state.u - state.v, 2.0 * abs(state.y))
+    inner = math.hypot(state.w1 - state.w2, 2.0 * abs(state.x))
+    return (
+        (state.u + state.v + outer) / 2.0,
+        (state.u + state.v - outer) / 2.0,
+        (state.w1 + state.w2 + inner) / 2.0,
+        (state.w1 + state.w2 - inner) / 2.0,
+    )
+
+
+def oracle_conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
+    """C_{θ,φ} evaluated elementwise over broadcast angle arrays (radians).
+
+    Angles are unrestricted; the expression is 2π-periodic and symmetric
+    under θ → θ + π (the measurement pair {|0̃⟩, |1̃⟩} is unchanged).
+    A branch with probability at most 1e-12 contributes zero.  cos(θ/2) and
+    sin(θ/2) are evaluated once per θ; the outcome probabilities depend on θ
+    alone, so only the splitting root and the entropies take the full
+    broadcast shape, and they are updated in place.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    shape = np.broadcast_shapes(theta.shape, phi.shape)
+    # at least 1-D, so that every intermediate is an array that can be written in place
+    half = np.atleast_1d(theta) / 2.0
+    ab = np.cos(half)
+    sin_half = np.sin(half, out=half)
+    a2 = ab * ab  # cos²(θ/2)
+    b2 = sin_half * sin_half
+    ab *= sin_half
+    # 4|z|², with z = cos(θ/2) sin(θ/2) (x e^{iφ} + y e^{-iφ})
+    turn = np.exp(1j * phi)
+    z4 = ab * ab * np.abs(state.x * turn + state.y * turn.conjugate()) ** 2
+    z4 *= 4.0
+    del half, ab, sin_half, turn  # freed before the full-shape buffers below
+
+    d0 = state.u + state.w2   # P(B=0) weight entering outcome probabilities
+    d1 = state.w1 + state.v
+    e0 = state.u - state.w2
+    e1 = state.w1 - state.v
+
+    out = np.zeros(z4.shape)
+    lam = np.empty(z4.shape)
+    for da, db, ea, eb in ((d0, d1, e0, e1), (d1, d0, e1, e0)):
+        pk = a2 * da + b2 * db
+        bk = a2 * ea + b2 * eb
+        bk *= bk
+        np.sqrt(np.add(bk, z4, out=lam), out=lam)
+        del bk
+        live = pk > _CLAMP
+        # λ = (p + root) / 2p; entries of a dead branch are never read
+        np.divide(np.add(pk, lam, out=lam), 2.0 * pk, out=lam, where=live)
+        np.clip(lam, 0.0, 1.0, out=lam)
+        h = oracle_xlog2x(lam)
+        h += oracle_xlog2x(np.subtract(1.0, lam, out=lam))
+        h *= pk
+        np.subtract(out, h, out=out, where=live)  # p·H(λ), with H = −Σ λ log2 λ
+    return out.reshape(shape)
+
+
+def oracle_c00(state: XState) -> float:
+    """C_{θ=0}: measuring B along the computational axis.
+
+    Equals (u+w2) H(u/(u+w2)) + (v+w1) H(v/(v+w1)); empty branches contribute 0.
+    """
+    out = 0.0
+    if state.u + state.w2 > _CLAMP:
+        out += (state.u + state.w2) * oracle_binary_entropy(state.u / (state.u + state.w2))
+    if state.v + state.w1 > _CLAMP:
+        out += (state.v + state.w1) * oracle_binary_entropy(state.v / (state.v + state.w1))
+    return out
+
+
+def oracle_c90(state: XState) -> C90Result:
+    """C_{θ=π/2, φ*}: equatorial measurement at the optimal azimuth.
+
+    C falls as |x e^{iφ} + y e^{-iφ}| grows.  At φ* = −arg(x y̅)/2 the two
+    terms are parallel, so the modulus takes its maximum |x| + |y| (a quarter
+    turn later it is ||x| − |y||).  With either amplitude zero the value is
+    φ-independent and φ* = 0.
+    """
+    x, y = state.x, state.y
+    amp = abs(x) + abs(y)
+    if abs(x) < _CLAMP or abs(y) < _CLAMP:
+        phi_star = 0.0
+    else:
+        phi_star = (-cmath.phase(x * y.conjugate()) / 2.0) % math.pi
+    gap = state.u - state.v + state.w1 - state.w2
+    lam = (1.0 + math.hypot(gap, 2.0 * amp)) / 2.0
+    return C90Result(oracle_binary_entropy(min(lam, 1.0)), phi_star)
+
+
+def oracle_discord(state: XState) -> OracleDiscordResult:
+    """Quantum discord D(A:B) = min(C_00, C_90) − S(ρ_AB) + S(ρ_B).
+
+    Ties between the two candidate angles (within `_TIE`) resolve to θ = 0.
+    """
+    c_zero = oracle_c00(state)
+    c_ninety, phi_star = oracle_c90(state)
+    s_joint = oracle_entropy_of(oracle_joint_eigs(state))
+    s_b = oracle_binary_entropy(state.u + state.w2)
+    if c_zero <= c_ninety + _TIE:
+        chosen, c_min = OptimalTheta.ZERO, c_zero
+    else:
+        chosen, c_min = OptimalTheta.NINETY, c_ninety
+    return OracleDiscordResult(
+        discord=c_min - s_joint + s_b,
+        c00=c_zero,
+        c90=c_ninety,
+        phi_star=phi_star,
+        chosen_theta=chosen,
+        s_joint=s_joint,
+        s_b=s_b,
+    )
+
+
+def oracle_random_xstate(rng: np.random.Generator) -> XState:
+    """Random valid X state: flat-simplex diagonal, coherences inside the
+    positivity disks |x| ≤ sqrt(w1 w2), |y| ≤ sqrt(u v), uniform phases."""
+    u, v, w1, w2 = rng.dirichlet(np.ones(4))
+    x = math.sqrt(w1 * w2) * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform())
+    y = math.sqrt(u * v) * rng.uniform() * cmath.exp(2j * math.pi * rng.uniform())
+    return XState(u, v, w1, w2, x, y)
+
+
+DISCORD_FIELDS = ("discord", "c00", "c90", "phi_star", "s_joint", "s_b")
+
+
+def assert_same_bits(got, want, label):
+    """Exact equality of two float arrays, signed zeros included."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, label
+    differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert differ.size == 0, f"{label}: {differ.size} entries differ, first at flat index {differ[0]}"
+
+
+def assert_discord_matches_oracle(states, label):
+    got = [discord(s) for s in states]
+    want = [oracle_discord(s) for s in states]
+    for name in DISCORD_FIELDS:
+        assert_same_bits([getattr(r, name) for r in got], [getattr(r, name) for r in want], f"{label} {name}")
+    assert [r.chosen_theta for r in got] == [r.chosen_theta for r in want], label
+
+
+def fig3_pair_states(n_sites=12):
+    """Pair states of the default `fig3` sweep: Δ over -1.5:2.5:0.05, r = 1, 2, 4, and r = N/2."""
+    rs = sorted({1, 2, 4, n_sites // 2})
+    return [state for _, _, state in pair_state_sweep(n_sites, _range_arg("-1.5:2.5:0.05"), rs)]
+
+
+class TestBitIdentityWithOracle:
+    """The scalar path, the kernel and the generator against the verbatim copies above."""
+
+    def test_discord_on_seeded_random_states(self):
+        rng = np.random.default_rng(73)
+        states = [random_xstate(rng) for _ in range(100_000)]
+        assert_discord_matches_oracle(states, "random")
+
+    def test_discord_on_ring_pair_states(self):
+        assert_discord_matches_oracle(fig3_pair_states(), "fig3 N=12")
+
+    @pytest.mark.parametrize("kind", ["bell", "empty_branch", "polarized", "beyond_pure"])
+    def test_discord_on_special_states(self, kind):
+        # beyond_pure: |y| past sqrt(u v) by less than the positivity slack, so the
+        # equatorial eigenvalue exceeds 1 and must be capped before its entropy
+        states = {"bell": [BELL], "empty_branch": reference_states("empty_branch"),
+                  "polarized": reference_states("polarized"),
+                  "beyond_pure": [XState(0.5, 0.5, 0.0, 0.0, y=0.5 + 4e-10)]}[kind]
+        assert_discord_matches_oracle(states, kind)
+
+    def test_binary_entropy(self):
+        ps = [0.0, -0.0, -1e-13, 1.0, 1.0 + 1e-13, 0.5, 1e-300, 5e-324, 1.0 - 2**-53, 0.11]
+        ps += list(np.random.default_rng(79).uniform(0.0, 1.0, 1000))
+        assert_same_bits([binary_entropy(p) for p in ps], [oracle_binary_entropy(p) for p in ps], "H")
+        for p in (1.2, -0.1, math.nan):
+            with pytest.raises(ValueError, match="outside"):
+                binary_entropy(p)
+
+    @pytest.mark.parametrize("kind", ["ring", "fig3", "random", "empty_branch", "polarized"])
+    def test_kernel(self, kind):
+        states = fig3_pair_states(8) if kind == "fig3" else reference_states(kind)
+        theta_grid = TestConditionalEntropyMatchesReference.THETA
+        phi_grid = TestConditionalEntropyMatchesReference.PHI
+        rng = np.random.default_rng(83)
+        theta = np.concatenate([theta_grid, np.arccos(rng.uniform(-1.0, 1.0, 500))])
+        phi = rng.uniform(0.0, 2 * math.pi, theta.size)
+        shapes = [(0.3, 0.2), (0.0, 0.0), (math.pi, 1.0), (theta, phi), (theta, 0.0), (1.1, phi_grid),
+                  (theta_grid[:, None], phi_grid[None, :]), (theta_grid[:, None], 0.0)]
+        # inputs of several kernel blocks, with a partial last block
+        many = 3 * xstate._BLOCK + 5
+        theta_many, phi_many = np.arccos(rng.uniform(-1.0, 1.0, many)), rng.uniform(0.0, 2 * math.pi, many)
+        blocked = [(theta_many, phi_many), (theta_many, 0.0), (0.7, phi_many),
+                   (theta_many[:300, None], phi_many[None, :97]), (theta_many[None, :], phi_many[:2, None])]
+        for i, state in enumerate(states):
+            for th, ph in shapes + (blocked if i < 3 else []):
+                got = conditional_entropy_values(state, th, ph)
+                want = oracle_conditional_entropy_values(state, th, ph)
+                assert isinstance(got, np.ndarray)
+                assert_same_bits(got, want, f"{kind} {state}")
+
+    @pytest.mark.parametrize("seed", [0, 7, 53])
+    def test_random_xstate_draws(self, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [random_xstate(rng) for _ in range(1000)]
+        want = [oracle_random_xstate(oracle_rng) for _ in range(1000)]
+        for name in ("u", "v", "w1", "w2"):
+            assert_same_bits([getattr(s, name) for s in got], [getattr(s, name) for s in want], name)
+        for name in ("x", "y"):
+            assert_same_bits([[getattr(s, name).real, getattr(s, name).imag] for s in got],
+                             [[getattr(s, name).real, getattr(s, name).imag] for s in want], name)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
