@@ -61,6 +61,8 @@ def _range_arg(text: str) -> list:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"range {text!r} is not of the form a:b:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"range {text!r} is not finite")
     if step <= 0.0:
         raise argparse.ArgumentTypeError(f"range step {step!r} must be positive")
     if stop < start:
@@ -334,7 +336,7 @@ def _cmd_fig1(args) -> int:
     params = ScalingParams(r=args.r)
     nn = normalized_discord_curve(params, ts, PairKind.NN)
     far = normalized_discord_curve(params, ts, PairKind.FAR)
-    rows = [(t, a.value, b.value) for t, a, b in zip(ts, nn, far)]
+    rows = list(zip(ts, nn, far))
     config = {"r": args.r, "t_grid": [ts[0], ts[-1], len(ts)]}
     return _emit_table(args, config, ("t", "nn", "far"), rows, None)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "KRatio",
     "DiscordByDistance",
     "DiscordByAnisotropy",
-    "AsymptoticCheck",
     "UndefinedRatioError",
     "CorrelatorDomainError",
     "two_site_rdm",
@@ -48,10 +47,8 @@ __all__ = [
     "discord_profile_vs_delta",
     "discord_symmetric",
     "discord_isotropic",
-    "asymptotic_discord_check",
 ]
 
-_LN2 = math.log(2.0)
 # Pair state of the Delta <= -1 ground state, the equal mixture of the two
 # fully polarized states: classical, so its discord and k are 0.
 _POLARIZED = XState(u=0.5, v=0.5, w1=0.0, w2=0.0)
@@ -109,11 +106,6 @@ class DiscordByAnisotropy:
     discord: float
     k: float
     chosen_theta: OptimalTheta
-
-
-class AsymptoticCheck(NamedTuple):
-    exact: float
-    leading: float
 
 
 def _check_pair(gs: GroundState, i: int, j: int) -> None:
@@ -189,16 +181,20 @@ def pair_state_sweep(
     Anisotropies at or below −1 yield the pair state of the polarized
     mixture without a solve: there the ground state leaves the S^z = 0
     sector for the two fully polarized states.  Every other anisotropy is
-    solved once.  The ring size and separations are checked before anything
-    is yielded.  One `_pair_table` per separation is built after the first
-    solve and reused for every Δ: 16 B per entry, 22 MB at N = 26.
+    solved once.  The ring size, the separations and the finiteness of every
+    anisotropy are checked before anything is yielded.  One `_pair_table`
+    per separation is built after the first solve and reused for every Δ:
+    16 B per entry, 22 MB at N = 26.
     """
     rs = tuple(rs)
     check_ring_size(n_sites)
     _check_separations(n_sites, rs)
+    deltas = [float(delta) for delta in deltas]
+    for delta in deltas:
+        if not math.isfinite(delta):
+            raise ValueError(f"delta={delta!r} is not finite")
     tables = None
     for delta in deltas:
-        delta = float(delta)
         if delta <= -1.0:
             for r in rs:
                 yield delta, r, _POLARIZED
@@ -293,17 +289,6 @@ def _negative_eigenvalues(eigs, gamma_d, gamma_o) -> CorrelatorDomainError:
 def discord_isotropic(gamma_d: float) -> float:
     """Closed-form discord at the isotropic point, where k = 2."""
     return discord_symmetric(gamma_d, 2.0)
-
-
-def asymptotic_discord_check(gamma_d: float, k: float) -> AsymptoticCheck:
-    """Exact closed-form discord next to its small-gamma_d quadratic law.
-
-    The leading term is 2(k^2+4) gamma_d^2 / ln 2 (natural logarithm in the
-    denominator; the binary entropies supply the 1/ln 2 when expanded).
-    """
-    exact = discord_symmetric(gamma_d, k)
-    leading = 2.0 * (k * k + 4.0) * gamma_d * gamma_d / _LN2
-    return AsymptoticCheck(exact=exact, leading=leading)
 
 
 def discord_profile_vs_r(pairs):

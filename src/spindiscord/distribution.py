@@ -51,7 +51,6 @@ __all__ = [
     "EntropyHistogram",
     "MomentsByAnisotropy",
     "sample_distribution",
-    "find_peaks",
     "moments_vs_delta",
 ]
 
@@ -161,7 +160,6 @@ class EntropyHistogram:
     variance: float
     min_c: float
     max_c: float
-    scheme: object
     n_samples: int
 
     def __post_init__(self):
@@ -227,33 +225,8 @@ def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> Entr
         variance=max(s2 - s1 * s1, 0.0),
         min_c=lo,
         max_c=hi,
-        scheme=scheme,
         n_samples=total,
     )
-
-
-def find_peaks(histogram: EntropyHistogram, min_separation: int = 5) -> list:
-    """Bin indices that strictly dominate every bin closer than min_separation.
-
-    Missing bins count as zero mass, so two reported peaks are always at
-    least min_separation bins apart.
-    """
-    if min_separation < 1:
-        raise ValueError(f"min_separation {min_separation} must be >= 1")
-    bins = histogram.bins
-    if not bins:
-        return []
-    window = min_separation - 1
-    peaks = []
-    for i, mass in bins.items():
-        neighbors = (
-            bins.get(j, 0.0)
-            for j in range(i - window, i + window + 1)
-            if j != i
-        )
-        if all(mass > other for other in neighbors):
-            peaks.append(i)
-    return sorted(peaks)
 
 
 def moments_vs_delta(pairs, scheme=None, *, bin_width: float = 0.005):

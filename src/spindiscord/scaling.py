@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "PairKind",
     "ScalingParams",
     "ScalingDomainError",
-    "NormalizedDiscordPoint",
     "correlation_length",
     "gamma_far",
     "gamma_nn",
@@ -116,19 +114,14 @@ def gamma_nn(params: ScalingParams, t):
     )
 
 
-class NormalizedDiscordPoint(NamedTuple):
-    t: float
-    value: float
-
-
 def normalized_discord_curve(params: ScalingParams, ts, pair: PairKind) -> list:
     """Discord along the model correlator, normalized to its t = 1 value.
 
-    The far pair feeds -gamma_far into the isotropic closed form (the
-    reference correlator is antiferromagnetic, hence negative); normalization
-    uses the t = 1 limits gamma_c and -1/r.  The reference goes through the
-    same array kernel as the points, so the curve equals 1.0 exactly at the
-    critical point.
+    Returns one float per entry of `ts`, in order.  The far pair feeds
+    -gamma_far into the isotropic closed form (the reference correlator is
+    antiferromagnetic, hence negative); normalization uses the t = 1 limits
+    gamma_c and -1/r.  The reference goes through the same array kernel as
+    the points, so the curve equals 1.0 exactly at the critical point.
     """
     if pair is PairKind.FAR:
         gamma_at = lambda t: -gamma_far(params, t)
@@ -143,4 +136,4 @@ def normalized_discord_curve(params: ScalingParams, ts, pair: PairKind) -> list:
     t = np.asarray(ts, dtype=float)
     gamma = gamma_at(t)
     values = _symmetric_discord(gamma, 2.0 * gamma) / scale
-    return list(map(NormalizedDiscordPoint._make, zip(t.tolist(), values.tolist())))
+    return values.tolist()

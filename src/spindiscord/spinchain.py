@@ -436,13 +436,15 @@ def ground_state(
 ) -> GroundState:
     """Lowest eigenpair of the XXZ ring in the S^z = 0 sector.
 
-    Requires Δ > −1 so that sector actually hosts the global ground state.
-    Lanczos runs on H_χ in the `MomentumSector`, and the state keeps its
-    amplitudes φ there.  With `cache_dir` set, solved states are persisted
-    and read back exactly; an entry is used only if its φ has unit norm and
-    passes the residual check.
+    Requires a finite Δ > −1, so that the sector hosts the global ground
+    state.  Lanczos runs on H_χ in the `MomentumSector`, and the state keeps
+    its amplitudes φ there.  With `cache_dir` set, solved states are
+    persisted and read back exactly; an entry is used only if its φ has unit
+    norm and passes the residual check.
     """
-    if not delta > -1.0:
+    if not math.isfinite(delta):
+        raise ValueError(f"delta={delta!r} is not finite")
+    if delta <= -1.0:
         raise FerromagneticRegimeError(
             f"delta={delta!r} <= -1: ground state is fully polarized and leaves "
             "the S^z = 0 sector; pair discord vanishes there"

@@ -30,8 +30,8 @@ C_{θ,φ} = Σ_k̃ p_k̃ S(ρ_{A|B_k̃}) at the two candidate angles θ = 0 and
 This is exact for the symmetric pair states of the ring (u = v, w1 = w2,
 y = 0).  For general X states the minimizing θ can lie strictly inside
 (0, π/2) (Lu et al., PRA 83, 012327 (2011)), and the closed form then
-overshoots the true minimum; `discord_grid_verify` measures that gap against
-a brute-force grid over the full measurement sphere.
+overshoots the true minimum; the tests measure that gap against a
+brute-force grid of `conditional_entropy_values` over the whole sphere.
 """
 
 from __future__ import annotations
@@ -41,25 +41,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from math import hypot, isfinite, log2
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "XState",
-    "MeasurementBasis",
     "OptimalTheta",
     "DiscordResult",
-    "C90Result",
-    "GridVerifyReport",
     "binary_entropy",
-    "joint_eigenvalues",
     "conditional_entropy_values",
     "c00",
     "c90",
     "discord",
-    "discord_grid_verify",
-    "pure_state_discord",
     "random_xstate",
 ]
 
@@ -182,30 +175,11 @@ class XState:
         return m
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """Projective qubit basis |0̃⟩ = cos(θ/2)|0⟩ + e^{iφ} sin(θ/2)|1⟩."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi + _CLAMP:
-            raise ValueError(f"theta {self.theta!r} outside [0, pi]")
-        if not 0.0 <= self.phi < 2.0 * math.pi + _CLAMP:
-            raise ValueError(f"phi {self.phi!r} outside [0, 2*pi)")
-
-
 class OptimalTheta(Enum):
     """Which of the two candidate measurement angles attains the minimum."""
 
     ZERO = "zero"
     NINETY = "ninety"
-
-
-class C90Result(NamedTuple):
-    value: float
-    phi_star: float
 
 
 @dataclass(frozen=True)
@@ -219,14 +193,6 @@ class DiscordResult:
     s_b: float
 
 
-@dataclass(frozen=True)
-class GridVerifyReport:
-    grid_min: float
-    closed_form_min: float
-    argmin: MeasurementBasis
-    discrepancy: float
-
-
 def _joint_eigs(state: XState) -> tuple:
     """Eigenvalues of ρ_AB as floats: the X structure splits into two 2x2 blocks."""
     u, v, w1, w2 = state.u, state.v, state.w1, state.w2
@@ -238,11 +204,6 @@ def _joint_eigs(state: XState) -> tuple:
         (w1 + w2 + inner) / 2.0,
         (w1 + w2 - inner) / 2.0,
     )
-
-
-def joint_eigenvalues(state: XState) -> np.ndarray:
-    """Eigenvalues of ρ_AB: the X structure splits into two 2x2 blocks."""
-    return np.array(_joint_eigs(state))
 
 
 def _outcome_entropy(a2, b2, p_weights, b_weights, z4, lam) -> np.ndarray:
@@ -358,19 +319,14 @@ def c00(state: XState) -> float:
     return out
 
 
-def c90(state: XState) -> C90Result:
-    """C_{θ=π/2, φ*}: equatorial measurement at the optimal azimuth.
+def c90(state: XState) -> tuple:
+    """(C_{θ=π/2, φ*}, φ*): equatorial measurement at the optimal azimuth.
 
     C falls as |x e^{iφ} + y e^{-iφ}| grows.  At φ* = −arg(x y̅)/2 the two
     terms are parallel, so the modulus takes its maximum |x| + |y| (a quarter
     turn later it is ||x| − |y||).  With either amplitude zero the value is
     φ-independent and φ* = 0.
     """
-    return C90Result(*_c90(state))
-
-
-def _c90(state: XState) -> tuple:
-    """(value, φ*) of `c90` as a plain tuple, for `discord`."""
     x, y = state.x, state.y
     abs_x, abs_y = abs(x), abs(y)
     if abs_x < _CLAMP or abs_y < _CLAMP:
@@ -388,7 +344,7 @@ def discord(state: XState) -> DiscordResult:
     Ties between the two candidate angles (within `_TIE`) resolve to θ = 0.
     """
     c_zero = c00(state)
-    c_ninety, phi_star = _c90(state)
+    c_ninety, phi_star = c90(state)
     e0, e1, e2, e3 = _joint_eigs(state)
     s_joint = 0.0 - _xlog2x(e0) - _xlog2x(e1) - _xlog2x(e2) - _xlog2x(e3)
     s_b = _binary_entropy(state.u + state.w2)
@@ -397,45 +353,6 @@ def discord(state: XState) -> DiscordResult:
     else:
         chosen, c_min = OptimalTheta.NINETY, c_ninety
     return DiscordResult(c_min - s_joint + s_b, c_zero, c_ninety, phi_star, chosen, s_joint, s_b)
-
-
-def discord_grid_verify(state: XState, n_theta: int = 181, n_phi: int = 360) -> GridVerifyReport:
-    """Brute-force check of the two-angle minimum over a full (θ, φ) grid.
-
-    discrepancy = closed_form_min − grid_min.  A value above the grid
-    resolution means the two-angle closed form missed the true optimum.
-    Ties in the grid argmin resolve to the lexicographically first (θ, φ).
-    """
-    if n_theta < 2 or n_phi < 1:
-        raise ValueError("grid needs n_theta >= 2 and n_phi >= 1")
-    thetas = np.linspace(0.0, math.pi, n_theta)
-    phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    grid = conditional_entropy_values(state, thetas[:, None], phis[None, :])
-    flat = int(np.argmin(grid))
-    it, ip = np.unravel_index(flat, grid.shape)
-    grid_min = float(grid[it, ip])
-    closed = min(c00(state), c90(state).value)
-    return GridVerifyReport(
-        grid_min=grid_min,
-        closed_form_min=closed,
-        argmin=MeasurementBasis(float(thetas[it]), float(phis[ip])),
-        discrepancy=closed - grid_min,
-    )
-
-
-def pure_state_discord(a: complex, b: complex, c: complex, d: complex):
-    """Discord of the pure state a|00⟩ + b|01⟩ + c|10⟩ + d|11⟩.
-
-    The Schmidt weight is p = (1 + sqrt(1 − |2(bc − ad)|²))/2 and the discord
-    equals the entanglement entropy H(p).  Returns (p, discord).
-    """
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    norm = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"ket norm² {norm!r} is not 1")
-    conc = 2.0 * abs(b * c - a * d)
-    p = (1.0 + math.sqrt(max(0.0, 1.0 - conc * conc))) / 2.0
-    return p, binary_entropy(p)
 
 
 def random_xstate(rng: np.random.Generator) -> XState:

@@ -15,25 +15,20 @@ from pytest import approx
 
 from spindiscord import cli
 from spindiscord.correlators import (
-    asymptotic_discord_check,
     discord_isotropic,
     discord_profile_vs_delta,
+    discord_symmetric,
     k_ratio,
     pair_correlations,
     pair_state_sweep,
     two_site_rdm,
 )
-from spindiscord.distribution import AngleGrid, GaussGrid, find_peaks, sample_distribution
+from spindiscord.distribution import AngleGrid, GaussGrid, sample_distribution
 from spindiscord.scaling import PairKind, ScalingParams, normalized_discord_curve
 from spindiscord.spinchain import dense_spectrum_oracle, ground_state
-from spindiscord.xstate import (
-    OptimalTheta,
-    XState,
-    discord,
-    discord_grid_verify,
-    pure_state_discord,
-    random_xstate,
-)
+from spindiscord.xstate import OptimalTheta, XState, discord, random_xstate
+
+from oracles import discord_grid_verify, find_peaks, pure_state_discord
 
 
 def criterion(number, label):
@@ -62,8 +57,8 @@ def test_criterion_1_closed_form():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260816)
     for _ in range(1000):
-        report = discord_grid_verify(random_xstate(rng), 181, 360)
-        assert report.discrepancy <= 5e-3
+        *_, discrepancy = discord_grid_verify(random_xstate(rng), 181, 360)
+        assert discrepancy <= 5e-3
 
     for _ in range(50):
         chi = rng.uniform(0.05, math.pi / 2 - 0.05)
@@ -186,9 +181,10 @@ def _moments_table(grid, rs, scheme, solve):
 
 @criterion(7, "quadratic small-correlator law at one part in a hundred")
 def test_criterion_7_asymptotics():
+    gamma_d = 1e-3
     for k in (2.0, 4.0):
-        check = asymptotic_discord_check(1e-3, k)
-        assert check.exact == approx(check.leading, rel=0.01)
+        leading = 2.0 * (k * k + 4.0) * gamma_d * gamma_d / math.log(2.0)
+        assert discord_symmetric(gamma_d, k) == approx(leading, rel=0.01)
 
 
 @criterion(8, "critical-scaling curves peak at t = 1 with a kink")
@@ -198,16 +194,16 @@ def test_criterion_8_scaling():
     ts = delta_grid(0.5, 1.5, 0.01)
     steps = (1e-2, 1e-3, 1e-4, 1e-5)
     for pair in (PairKind.NN, PairKind.FAR):
-        for pt in normalized_discord_curve(params, ts, pair):
-            if pt.t == 1.0:
-                assert pt.value == 1.0
+        for t, value in zip(ts, normalized_discord_curve(params, ts, pair)):
+            if t == 1.0:
+                assert value == 1.0
             else:
-                assert pt.value < 1.0
+                assert value < 1.0
         for side in (+1.0, -1.0):
             pts = normalized_discord_curve(
                 params, [1.0 + side * h for h in steps], pair
             )
-            slopes = [(1.0 - pt.value) / h for pt, h in zip(pts, steps)]
+            slopes = [(1.0 - value) / h for value, h in zip(pts, steps)]
             assert all(b > a for a, b in zip(slopes, slopes[1:]))
     assert time.perf_counter() - t0 < 1.0
 

@@ -95,6 +95,28 @@ class TestUsage:
         assert run(["fig1", "--delta-range", "0.5-1.5"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("text", ["-inf:0:0.5", "0:inf:0.5", "0:1:inf"])
+    def test_non_finite_range_rejected(self, tmp_path, capsys, text):
+        assert run(["fig3", "--n", "4", "--delta-range", text] + cache_args(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --delta-range: range {text!r} is not finite" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["ground-state", "--delta", "inf"], "delta=inf is not finite"),
+         (["fig2", "--delta", "nan"], "delta=nan is not finite")],
+    )
+    def test_non_finite_delta_rejected(self, tmp_path, capsys, argv, message):
+        out_file = tmp_path / "out.csv"
+        code = run(argv + ["--n", "8", "--out", str(out_file)] + cache_args(tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err
+        assert "polarized" not in err
+        assert not out_file.exists()
+
     def test_bad_separation_list(self, tmp_path, capsys):
         code = run(["fig3", "--n", "4", "--rs", "a,b"] + cache_args(tmp_path))
         assert code == 1

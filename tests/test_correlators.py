@@ -13,7 +13,6 @@ from spindiscord.correlators import (
     CorrelatorDomainError,
     PairCorrelations,
     UndefinedRatioError,
-    asymptotic_discord_check,
     discord_isotropic,
     discord_profile_vs_delta,
     discord_profile_vs_r,
@@ -338,7 +337,7 @@ class TestClosedForms:
                 "gamma_d=-0.2, gamma_o=-0.8",
             ),
             (lambda: discord_isotropic(0.1), "[0.35, 0.35, 0.35, -0.05000000000000002]", "gamma_d=0.1, gamma_o=0.2"),
-            (lambda: asymptotic_discord_check(0.3, 2.0), "[0.55, 0.55, 0.55, -0.6499999999999999]", "gamma_d=0.3, gamma_o=0.6"),
+            (lambda: discord_symmetric(0.3, 2.0), "[0.55, 0.55, 0.55, -0.6499999999999999]", "gamma_d=0.3, gamma_o=0.6"),
         ],
     )
     def test_domain_error_message(self, call, eigs, gamma):
@@ -350,24 +349,28 @@ class TestClosedForms:
         )
 
 
+def leading_discord(gamma_d, k):
+    """Small-gamma_d law 2(k^2+4) gamma_d^2 / ln 2 of the symmetric closed form."""
+    return 2.0 * (k * k + 4.0) * gamma_d * gamma_d / math.log(2.0)
+
+
 class TestAsymptotics:
     def test_isotropic_small_gamma_within_one_percent(self):
-        exact, leading = asymptotic_discord_check(1e-3, 2.0)
+        exact, leading = discord_symmetric(1e-3, 2.0), leading_discord(1e-3, 2.0)
         assert leading == approx(16 * 1e-6 / math.log(2), rel=1e-12)
         assert exact / leading == approx(1.0, abs=0.01)
 
     def test_k_four_small_gamma(self):
-        exact, leading = asymptotic_discord_check(1e-3, 4.0)
+        exact, leading = discord_symmetric(1e-3, 4.0), leading_discord(1e-3, 4.0)
         assert leading == approx(2 * 20 * 1e-6 / math.log(2), rel=1e-12)
         assert exact / leading == approx(1.0, abs=0.01)
 
     def test_singlet_exact_value(self):
-        exact, _ = asymptotic_discord_check(-0.25, 2.0)
-        assert exact == approx(1.0, abs=1e-12)
+        assert discord_symmetric(-0.25, 2.0) == approx(1.0, abs=1e-12)
 
     def test_domain_error_propagates(self):
         with pytest.raises(CorrelatorDomainError):
-            asymptotic_discord_check(0.3, 2.0)
+            discord_symmetric(0.3, 2.0)
 
 
 class TestDiscordProfileVsR:
@@ -434,6 +437,13 @@ class TestDiscordProfileVsDelta:
 
 
 class TestPairStateSweep:
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_delta_before_any_row(self, monkeypatch, delta):
+        monkeypatch.setattr(correlators, "ground_state", None)  # a solve would raise TypeError
+        rows = pair_state_sweep(8, [-2.0, 0.5, delta], [1])
+        with pytest.raises(ValueError, match=rf"^delta={delta!r} is not finite$"):
+            next(rows)
+
     def test_accepts_one_shot_separations(self):
         rows = list(pair_state_sweep(8, [0.5], iter([1, 2])))
         assert [(delta, r) for delta, r, _ in rows] == [(0.5, 1), (0.5, 2)]
@@ -468,10 +478,10 @@ class TestMeasurementConsistency:
             corr = pair_correlations(gs, 1, 2)
             k = corr.gamma_o.real / corr.gamma_d
             assert c00(state) == approx(binary_entropy(0.5 + 2 * corr.gamma_d), abs=1e-10)
-            assert c90(state).value == approx(
+            assert c90(state)[0] == approx(
                 binary_entropy(0.5 + k * corr.gamma_d), abs=1e-10
             )
 
     def test_isotropic_point_needs_no_minimization(self, solve):
         state = two_site_rdm(solve(12, 1.0), 1, 2)
-        assert c00(state) == approx(c90(state).value, abs=1e-9)
+        assert c00(state) == approx(c90(state)[0], abs=1e-9)

@@ -9,7 +9,6 @@ from pytest import approx
 from spindiscord import correlators, scaling
 from spindiscord.correlators import CorrelatorDomainError, discord_isotropic
 from spindiscord.scaling import (
-    NormalizedDiscordPoint,
     PairKind,
     ScalingDomainError,
     ScalingForm,
@@ -121,8 +120,8 @@ class TestCorrelationLength:
         p = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)
         assert correlation_length(p, 1.0 + 1e-6) == math.inf
         assert gamma_far(p, 1.0 + 1e-6) == 1.0 / p.r
-        (pt,) = normalized_discord_curve(p, [1.0 + 1e-6], PairKind.FAR)
-        assert pt.value == 1.0
+        (value,) = normalized_discord_curve(p, [1.0 + 1e-6], PairKind.FAR)
+        assert value == 1.0
 
     def test_kt_rejects_low_side(self):
         p = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)
@@ -197,23 +196,21 @@ class TestNormalizedCurve:
     def test_exactly_one_at_critical_point(self):
         p = ScalingParams()
         for pair in (PairKind.NN, PairKind.FAR):
-            (pt,) = normalized_discord_curve(p, [1.0], pair)
-            assert isinstance(pt, NormalizedDiscordPoint)
-            assert pt.t == 1.0
-            assert pt.value == 1.0
+            (value,) = normalized_discord_curve(p, [1.0], pair)
+            assert value == 1.0
 
     def test_strictly_below_one_off_critical(self):
         p = ScalingParams()
         ts = power_grid()
         for pair in (PairKind.NN, PairKind.FAR):
-            for pt in normalized_discord_curve(p, ts, pair):
-                if pt.t != 1.0:
-                    assert 0.0 < pt.value < 1.0
+            for t, value in zip(ts, normalized_discord_curve(p, ts, pair)):
+                if t != 1.0:
+                    assert 0.0 < value < 1.0
 
     def test_frozen_spot_values(self):
         p = ScalingParams()
-        nn = {pt.t: pt.value for pt in normalized_discord_curve(p, [0.5, 0.9], PairKind.NN)}
-        far = {pt.t: pt.value for pt in normalized_discord_curve(p, [0.5, 0.9], PairKind.FAR)}
+        nn = dict(zip([0.5, 0.9], normalized_discord_curve(p, [0.5, 0.9], PairKind.NN)))
+        far = dict(zip([0.5, 0.9], normalized_discord_curve(p, [0.5, 0.9], PairKind.FAR)))
         assert nn[0.5] == approx(0.6536065250949649, abs=1e-12)
         assert nn[0.9] == approx(0.895309416707947, abs=1e-12)
         assert far[0.5] == approx(0.0015936165548300126, abs=1e-14)
@@ -226,16 +223,14 @@ class TestNormalizedCurve:
             lo = normalized_discord_curve(p, [0.6, 0.8, 0.95], pair)
             hi = normalized_discord_curve(p, [1.4, 1.2, 1.05], pair)
             for a, b in zip(lo, hi):
-                assert a.value == approx(b.value, abs=1e-12)
+                assert a == approx(b, abs=1e-12)
 
     def test_nn_curve_is_discord_of_nn_correlator(self):
         # the critical correlator -1/4 is the fully entangled reference point
         p = ScalingParams()
         assert discord_isotropic(p.gamma_c) == approx(1.0, abs=1e-12)
-        for pt in normalized_discord_curve(p, [0.7, 1.3], PairKind.NN):
-            assert pt.value == approx(
-                discord_isotropic(gamma_nn(p, pt.t)), abs=1e-12
-            )
+        for t, value in zip([0.7, 1.3], normalized_discord_curve(p, [0.7, 1.3], PairKind.NN)):
+            assert value == approx(discord_isotropic(gamma_nn(p, t)), abs=1e-12)
 
     def test_kink_slopes_diverge(self):
         p = ScalingParams()
@@ -244,17 +239,17 @@ class TestNormalizedCurve:
             for side in (+1.0, -1.0):
                 ts = [1.0 + side * h for h in steps]
                 vals = normalized_discord_curve(p, ts, pair)
-                slopes = [(1.0 - pt.value) / h for pt, h in zip(vals, steps)]
+                slopes = [(1.0 - value) / h for value, h in zip(vals, steps)]
                 assert all(b > a for a, b in zip(slopes, slopes[1:]))
                 assert slopes[-1] > growth * slopes[0]
 
     def test_kt_curve_values(self):
         p = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)
         pts = normalized_discord_curve(p, [1.05, 1.2, 1.5], PairKind.FAR)
-        assert pts[0].value == approx(0.9999704613508681, abs=1e-12)
-        assert pts[1].value == approx(0.9673249309568761, abs=1e-12)
-        assert pts[2].value == approx(0.6431349737551343, abs=1e-12)
-        assert pts[0].value > pts[1].value > pts[2].value
+        assert pts[0] == approx(0.9999704613508681, abs=1e-12)
+        assert pts[1] == approx(0.9673249309568761, abs=1e-12)
+        assert pts[2] == approx(0.6431349737551343, abs=1e-12)
+        assert pts[0] > pts[1] > pts[2]
 
     def test_kt_rejects_low_side(self):
         p = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)
@@ -275,8 +270,8 @@ class TestNormalizedCurve:
                 r=int(rng.integers(5, 60)),
             )
             for pair in (PairKind.NN, PairKind.FAR):
-                (pt,) = normalized_discord_curve(p, [1.0], pair)
-                assert pt.value == 1.0
+                (value,) = normalized_discord_curve(p, [1.0], pair)
+                assert value == 1.0
 
 
 class TestCurveMatchesReference:
@@ -285,31 +280,27 @@ class TestCurveMatchesReference:
         p = ScalingParams()
         points = normalized_discord_curve(p, FINE_GRID, pair)
         assert len(points) == len(FINE_GRID)
-        assert [pt.t for pt in points] == FINE_GRID
         want = reference_curve(p, FINE_GRID, pair)
-        assert max(abs(pt.value - w) for pt, w in zip(points, want)) <= 1e-13
-        assert points[10000].t == 1.0 and points[10000].value == 1.0
+        assert max(abs(value - w) for value, w in zip(points, want)) <= 1e-13
+        assert FINE_GRID[10000] == 1.0 and points[10000] == 1.0
 
     def test_kosterlitz_thouless_side(self):
         p = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)
         ts = FINE_GRID[10001:]
         points = normalized_discord_curve(p, ts, PairKind.FAR)
         want = reference_curve(p, ts, PairKind.FAR)
-        assert max(abs(pt.value - w) for pt, w in zip(points, want)) <= 1e-13
+        assert max(abs(value - w) for value, w in zip(points, want)) <= 1e-13
 
     def test_accepts_arrays_and_ranges(self):
         p = ScalingParams()
-        want = [pt.value for pt in normalized_discord_curve(p, [0.0, 1.0, 2.0], PairKind.NN)]
+        want = normalized_discord_curve(p, [0.0, 1.0, 2.0], PairKind.NN)
         for ts in (np.array([0.0, 1.0, 2.0]), range(3)):
-            points = normalized_discord_curve(p, ts, PairKind.NN)
-            assert [pt.t for pt in points] == [0.0, 1.0, 2.0]
-            assert [pt.value for pt in points] == want
+            assert normalized_discord_curve(p, ts, PairKind.NN) == want
 
-    def test_points_unpack_as_pairs(self):
-        (pt,) = normalized_discord_curve(ScalingParams(), [0.5], PairKind.NN)
-        t, value = pt
-        assert (t, value) == (pt.t, pt.value)
-        assert value == approx(0.6536065250949649, abs=1e-12)
+    def test_points_are_plain_floats(self):
+        points = normalized_discord_curve(ScalingParams(), [0.5], PairKind.NN)
+        assert type(points) is list and type(points[0]) is float
+        assert points[0] == approx(0.6536065250949649, abs=1e-12)
 
     @pytest.mark.parametrize("pair", [PairKind.NN, PairKind.FAR])
     def test_one_kernel_call_for_the_points_and_one_for_the_reference(self, monkeypatch, pair):
@@ -399,17 +390,18 @@ class TestQuadraticLaw:
         offsets = (0.001, 0.002, 0.004, 0.006, 0.008)
         ts = [1.0 + s * d for d in offsets for s in (+1.0, -1.0)]
         g1 = 1.0 / r
-        for pt in normalized_discord_curve(p, ts, PairKind.FAR):
-            law = (gamma_far(p, pt.t) / g1) ** 2
-            assert pt.value == approx(law, rel=0.01)
+        for t, value in zip(ts, normalized_discord_curve(p, ts, PairKind.FAR)):
+            law = (gamma_far(p, t) / g1) ** 2
+            assert value == approx(law, rel=0.01)
 
     def test_default_separation_absolute_envelope(self):
         p = ScalingParams()
         g1 = gamma_far(p, 1.0)
         worst = 0.0
-        for pt in normalized_discord_curve(p, power_grid(), PairKind.FAR):
-            law = (gamma_far(p, pt.t) / g1) ** 2
-            worst = max(worst, abs(pt.value - law))
+        ts = power_grid()
+        for t, value in zip(ts, normalized_discord_curve(p, ts, PairKind.FAR)):
+            law = (gamma_far(p, t) / g1) ** 2
+            worst = max(worst, abs(value - law))
         # measured 0.0215 at the kink shoulders with the default separation
         assert worst < 0.025
         assert worst > 0.01

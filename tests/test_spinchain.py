@@ -514,6 +514,12 @@ class TestGroundState:
         with pytest.raises(FerromagneticRegimeError):
             ground_state(6, -1.5)
 
+    @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_delta_before_building_a_sector(self, monkeypatch, delta):
+        monkeypatch.setattr(spinchain, "_momentum_sector", None)  # a build would raise TypeError
+        with pytest.raises(ValueError, match=rf"^delta={delta!r} is not finite$"):
+            ground_state(8, delta)
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError, match="tol"):
             ground_state(4, 1.0, tol=0.0)
