@@ -9,8 +9,15 @@ error dg into ~ 10 dg k^2, so k is compared to 1e-12 * max(1, k^2), and not
 at all where |k| > 1e3 or k is NaN: there gamma_d vanishes and k is rounding
 noise.
 
+The JSON cases run the same argv with `--format json`.  Their documents
+must keep every key in order, the config echo included, except
+`config.cache_dir`, which names wherever the test's cache lives; row cells
+are compared as in the CSV, and a `fig5` summary as in its sidecar.
+
 To re-record a case after an intended output change, run its argv with
-`--deterministic --out tests/golden/<name>.csv` and review the diff.
+`--deterministic --out tests/golden/<name>.csv` (or `--format json
+--deterministic --out tests/golden/<name>.json`) from a directory with no
+`SPINDISCORD_CACHE` set, and review the diff.
 """
 
 import json
@@ -42,6 +49,8 @@ CASES = {
     "fig6_mc": ["fig6", "--n", "8", "--rs", "1,3", "--delta-range", "-1:1.5:0.5",
                 "--scheme", "mc", "--samples", "3000", "--seed", "5"],
 }
+
+JSON_CASES = ("fig2", "fig3", "fig4", "fig5_gauss", "fig6_gauss")
 
 
 def _number(text):
@@ -98,3 +107,33 @@ def test_matches_golden(name, tmp_path, capsys, monkeypatch):
             json.loads((tmp_path / f"{name}.summary.json").read_text()),
             json.loads(summary.read_text()),
         )
+
+
+def _compare_json(got, want):
+    assert list(got) == list(want)
+    assert list(got["config"].items()) == list(want["config"].items())
+    if "summary" in want:
+        _compare_summary(got["summary"], want["summary"])
+    assert got["columns"] == want["columns"]
+    assert len(got["rows"]) == len(want["rows"])
+    k_cols = {i for i, name in enumerate(want["columns"]) if name == "k"}
+    for n, (g, w) in enumerate(zip(got["rows"], want["rows"])):
+        assert len(g) == len(w), f"row {n}: {g} vs {w}"
+        for i, (a, b) in enumerate(zip(g, w)):
+            # JSON text of a cell: a number, null (NaN or no value) or a string
+            a, b = json.dumps(a), json.dumps(b)
+            assert _cells_match(a, b, i in k_cols), f"row {n} col {want['columns'][i]}: {a} vs {b}"
+
+
+@pytest.mark.parametrize("name", JSON_CASES)
+def test_json_matches_golden(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SPINDISCORD_CACHE", str(tmp_path / "cache"))
+    out = tmp_path / f"{name}.json"
+    argv = CASES[name] + ["--format", "json", "--deterministic", "--out", str(out)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    got = json.loads(out.read_text())
+    want = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert got["config"]["cache_dir"] == str(tmp_path / "cache")
+    got["config"]["cache_dir"] = want["config"]["cache_dir"] = None
+    _compare_json(got, want)
