@@ -7,10 +7,18 @@ the correlator ratio and optimal basis versus anisotropy, `fig5` the
 conditional-entropy histogram of one pair, and `fig6` conditional-entropy
 moments versus anisotropy.
 
-CSV is the primary format; `--format json` mirrors the same columns and
-adds a config echo.  Identical arguments and seeds reproduce identical
-bytes, apart from one leading timestamp comment that `--deterministic`
-suppresses.  Exit codes: 0 success, 1 bad arguments, 2 numerical failure.
+fig2, fig3, fig4 and fig6 are the rows of one pair-state sweep over
+(Δ, r), served by one handler: each row is a record of `correlators` or
+`distribution` whose fields are the columns, in order (fig4 is fig3 without
+the discord column).  Every table, fig1 and fig5 included, goes through one
+writer.  CSV is the primary format; `--format json` mirrors the same
+columns and adds a config echo, and fig5's summary (a JSON sidecar beside a
+CSV table).  Identical arguments and seeds reproduce identical bytes, apart
+from one leading timestamp comment that `--deterministic` suppresses.
+
+Exit codes: 0 success; 1 bad arguments, among them a `--delta-range` of
+more than 10^6 points, a grid of more than 2^24 points or a `--quadrature`
+of more than 2048 Gauss nodes; 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ __all__ = ["main", "entry"]
 _ENV_CACHE = "SPINDISCORD_CACHE"
 _DEFAULT_CACHE = "cache"
 _SCHEMES = {"gauss": GaussGrid, "angle": AngleGrid, "mc": UniformSphere}
+_MAX_RANGE_POINTS = 1_000_000
 
 
 # ── argument parsing ────────────────────────────────────────────────────────
@@ -67,7 +76,13 @@ def _range_arg(text: str) -> list:
         raise argparse.ArgumentTypeError(f"range step {step!r} must be positive")
     if stop < start:
         raise argparse.ArgumentTypeError(f"range {text!r} is empty")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    # counted before any list is built; a subnormal step makes the quotient inf
+    steps = (stop - start) / step + 1e-9
+    if not steps < _MAX_RANGE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has more than {_MAX_RANGE_POINTS:,} points"
+        )
+    count = int(steps) + 1
     # grid points rounded so sweep values like 1.0 land exactly on the axis;
     # adding 0.0 turns a rounded -0.0 into the 0.0 every other path writes
     return [round(start + i * step, 12) + 0.0 for i in range(count)]
@@ -150,17 +165,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig2", parents=[io, solver], help="discord vs separation")
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--delta-range", type=_range_arg, default=None)
-    p.set_defaults(handler=_cmd_fig2)
+    p.set_defaults(
+        handler=_cmd_sweep,
+        columns=("delta", "r", "discord", "symmetric_form", "isotropic_form"),
+    )
 
     p = sub.add_parser("fig3", parents=[io, solver], help="discord vs anisotropy")
     p.add_argument("--rs", type=_int_list_arg, default=[1, 2, 4])
     p.add_argument("--delta-range", type=_range_arg, default=_range_arg("-1.5:2.5:0.05"))
-    p.set_defaults(handler=_cmd_fig3)
+    p.set_defaults(handler=_cmd_sweep, columns=("delta", "r", "discord", "k", "basis"))
 
     p = sub.add_parser("fig4", parents=[io, solver], help="correlator ratio vs anisotropy")
     p.add_argument("--rs", type=_int_list_arg, default=[1, 3])
     p.add_argument("--delta-range", type=_range_arg, default=_range_arg("0:2:0.05"))
-    p.set_defaults(handler=_cmd_fig4)
+    p.set_defaults(handler=_cmd_sweep, columns=("delta", "r", "k", "basis"))
 
     p = sub.add_parser(
         "fig5", parents=[io, solver, quad], help="conditional-entropy histogram"
@@ -174,7 +192,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rs", type=_int_list_arg, default=[1, 2, 4])
     p.add_argument("--delta-range", type=_range_arg, default=_range_arg("0:2:0.1"))
-    p.set_defaults(handler=_cmd_fig6)
+    p.set_defaults(
+        handler=_cmd_sweep, columns=("delta", "r", "mean_c", "var_c", "min_c", "max_c")
+    )
 
     return parser
 
@@ -204,31 +224,6 @@ def _json_cell(value):
     return value
 
 
-def _csv_text(columns, rows, deterministic: bool, incomplete: bool) -> str:
-    lines = []
-    if not deterministic:
-        lines.append(f"# generated {_utc_stamp()}")
-    lines.append(",".join(columns))
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    if incomplete:
-        lines.append("# INCOMPLETE")
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(args, config, columns, rows, incomplete: bool, extra=None) -> str:
-    doc = {"command": args.command}
-    if not args.deterministic:
-        doc["generated"] = _utc_stamp()
-    doc["config"] = config
-    if extra:
-        doc.update(extra)
-    doc["columns"] = list(columns)
-    doc["rows"] = [[_json_cell(v) for v in row] for row in rows]
-    if incomplete:
-        doc["incomplete"] = True
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _emit(args, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -236,84 +231,98 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_table(args, config, columns, rows, exc) -> int:
-    incomplete = exc is not None
+def _emit_table(args, config, columns, rows, summary=None) -> int:
+    """Write `rows` under `columns` in the chosen format; one writer for every figure.
+
+    Each row is written as the iterable yields it, its cells in column order.
+    If the iterable raises, the rows so far are written and marked incomplete
+    (nothing is written if there are none).  A summary goes under the JSON
+    document's "summary" key, or beside a CSV table to
+    `<out stem>.summary.json` (stderr without --out).
+    """
+    collected, exc = [], None
+    try:
+        for row in rows:
+            collected.append(row)
+    except (ValueError, RuntimeError) as err:
+        exc = err
+    stamp = None if args.deterministic else _utc_stamp()
     if args.format == "json":
-        text = _json_text(args, config, columns, rows, incomplete)
+        doc = {"command": args.command}
+        if stamp is not None:
+            doc["generated"] = stamp
+        doc["config"] = config
+        if summary is not None:
+            doc["summary"] = summary
+        doc["columns"] = list(columns)
+        doc["rows"] = [[_json_cell(v) for v in row] for row in collected]
+        if exc is not None:
+            doc["incomplete"] = True
+        text = json.dumps(doc, indent=2) + "\n"
     else:
-        text = _csv_text(columns, rows, args.deterministic, incomplete)
-    if rows or not incomplete:
+        lines = [] if stamp is None else [f"# generated {stamp}"]
+        lines.append(",".join(columns))
+        lines.extend(",".join(_cell(v) for v in row) for row in collected)
+        if exc is not None:
+            lines.append("# INCOMPLETE")
+        text = "\n".join(lines) + "\n"
+    if collected or exc is None:
         _emit(args, text)
-    if incomplete:
+    if summary is not None and args.format == "csv":
+        summary_text = json.dumps(summary, indent=2) + "\n"
+        if args.out:
+            out = Path(args.out)
+            out.with_name(out.stem + ".summary.json").write_text(summary_text, encoding="utf-8")
+        else:
+            sys.stderr.write(summary_text)
+    if exc is not None:
         print(f"error: sweep aborted: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, RuntimeError) else 1
     return 0
 
 
-def _sweep(rows):
-    """Collect rows until the iterable fails; a failure returns the partial table."""
-    collected = []
-    try:
-        for row in rows:
-            collected.append(row)
-    except (ValueError, RuntimeError) as exc:
-        return collected, exc
-    return collected, None
-
-
 # ── shared argument resolution ──────────────────────────────────────────────
 
 
-def _resolve_cache_dir(args) -> str:
-    if args.cache_dir is not None:
-        return args.cache_dir
-    return os.environ.get(_ENV_CACHE, _DEFAULT_CACHE)
+def _solver_config(args) -> dict:
+    """The solver flags as every config echoes them: n, tol and the cache directory.
 
-
-def _solver_kwargs(args) -> dict:
+    The ring size is checked first, so a bad --n is refused before any
+    scheme or row is built.
+    """
     check_ring_size(args.n)
     if args.n > 22:
         print(f"warning: n={args.n} runs take seconds and hundreds of MB cold (at n=26: "
               "ground-state 1.0 s and 0.16 GB, fig2 3.4 s and 0.41 GB)", file=sys.stderr)
-    return {"tol": args.tol, "cache_dir": _resolve_cache_dir(args)}
+    cache_dir = args.cache_dir
+    if cache_dir is None:
+        cache_dir = os.environ.get(_ENV_CACHE, _DEFAULT_CACHE)
+    return {"n": args.n, "tol": args.tol, "cache_dir": cache_dir}
 
 
-def _pair_states(args, deltas, rs):
-    return pair_state_sweep(args.n, deltas, rs, **_solver_kwargs(args))
-
-
-def _solver_config(args) -> dict:
-    return {
-        "n": args.n,
-        "tol": args.tol,
-        "cache_dir": str(_resolve_cache_dir(args)),
-    }
-
-
-def _build_scheme(args):
+def _sampling(args, where: dict):
+    """fig5/fig6: the sampling scheme, and its config echo around `where`."""
     if args.scheme == "mc":
-        return UniformSphere(n_samples=args.samples, seed=args.seed)
-    return _SCHEMES[args.scheme](*(args.quadrature or ()))
-
-
-def _scheme_descriptor(scheme) -> dict:
-    """{"kind", then the scheme's dataclass fields in declaration order}."""
-    kind = next(k for k, cls in _SCHEMES.items() if type(scheme) is cls)
-    return {"kind": kind, **vars(scheme)}
+        scheme = UniformSphere(n_samples=args.samples, seed=args.seed)
+    else:
+        scheme = _SCHEMES[args.scheme](*(args.quadrature or ()))
+    # the scheme echo: its kind, then its dataclass fields in declaration order
+    descriptor = {"kind": args.scheme, **vars(scheme)}
+    return scheme, {"seed": args.seed, **where, "scheme": descriptor, "bin_width": args.bin_width}
 
 
 # ── subcommands ─────────────────────────────────────────────────────────────
 
 
 def _cmd_ground_state(args) -> int:
-    kwargs = _solver_kwargs(args)
-    state = ground_state(args.n, args.delta, **kwargs)
-    path = cache_path(kwargs["cache_dir"], args.n, args.n // 2, args.delta, args.tol)
+    config = _solver_config(args)
+    state = ground_state(args.n, args.delta, tol=args.tol, cache_dir=config["cache_dir"])
+    path = cache_path(config["cache_dir"], args.n, args.n // 2, args.delta, args.tol)
     print(f"iterations {state.iterations}", file=sys.stderr)
     if args.format == "json":
         doc = {
             "command": "ground-state",
-            "config": {**_solver_config(args), "delta": args.delta},
+            "config": {**config, "delta": args.delta},
             "energy": state.energy,
             "residual": state.residual,
             "cache": str(path),
@@ -336,46 +345,38 @@ def _cmd_fig1(args) -> int:
     params = ScalingParams(r=args.r)
     nn = normalized_discord_curve(params, ts, PairKind.NN)
     far = normalized_discord_curve(params, ts, PairKind.FAR)
-    rows = list(zip(ts, nn, far))
     config = {"r": args.r, "t_grid": [ts[0], ts[-1], len(ts)]}
-    return _emit_table(args, config, ("t", "nn", "far"), rows, None)
+    return _emit_table(args, config, ("t", "nn", "far"), zip(ts, nn, far))
 
 
-def _cmd_fig2(args) -> int:
-    deltas = args.delta_range if args.delta_range is not None else [args.delta]
-    pairs = _pair_states(args, deltas, range(1, args.n // 2 + 1))
-    rows, exc = _sweep(
-        (row.delta, row.r, row.discord, row.symmetric_closed_form, row.isotropic_closed_form)
-        for row in discord_profile_vs_r(pairs)
-    )
-    config = {**_solver_config(args), "deltas": deltas}
-    columns = ("delta", "r", "discord", "symmetric_form", "isotropic_form")
-    return _emit_table(args, config, columns, rows, exc)
-
-
-def _cmd_fig3(args) -> int:
-    rows, exc = _sweep(
-        (row.delta, row.r, row.discord, row.k, row.chosen_theta)
-        for row in discord_profile_vs_delta(_pair_states(args, args.delta_range, args.rs))
-    )
-    config = {**_solver_config(args), "rs": args.rs, "deltas": args.delta_range}
-    columns = ("delta", "r", "discord", "k", "basis")
-    return _emit_table(args, config, columns, rows, exc)
-
-
-def _cmd_fig4(args) -> int:
-    rows, exc = _sweep(
-        (row.delta, row.r, row.k, row.chosen_theta)
-        for row in discord_profile_vs_delta(_pair_states(args, args.delta_range, args.rs))
-    )
-    config = {**_solver_config(args), "rs": args.rs, "deltas": args.delta_range}
-    return _emit_table(args, config, ("delta", "r", "k", "basis"), rows, exc)
+def _cmd_sweep(args) -> int:
+    """fig2, fig3, fig4 and fig6: the rows of one pair-state sweep over (Δ, r)."""
+    config = _solver_config(args)
+    if args.command == "fig2":
+        deltas = args.delta_range if args.delta_range is not None else [args.delta]
+        rs, where = range(1, args.n // 2 + 1), {"deltas": deltas}
+    else:
+        deltas, rs = args.delta_range, args.rs
+        where = {"rs": rs, "deltas": deltas}
+    pairs = pair_state_sweep(args.n, deltas, rs, tol=args.tol, cache_dir=config["cache_dir"])
+    if args.command == "fig2":
+        rows = discord_profile_vs_r(pairs)
+    elif args.command == "fig6":
+        scheme, where = _sampling(args, where)
+        rows = moments_vs_delta(pairs, scheme, bin_width=args.bin_width)
+    else:
+        rows = discord_profile_vs_delta(pairs)
+        if args.command == "fig4":  # fig3's rows without the discord column
+            rows = (row[:2] + row[3:] for row in rows)
+    return _emit_table(args, {**config, **where}, args.columns, rows)
 
 
 def _cmd_fig5(args) -> int:
-    pairs = _pair_states(args, [args.delta], [args.r])
-    scheme = _build_scheme(args)
-    [(_, _, state)] = pairs
+    config = _solver_config(args)
+    scheme, sampling = _sampling(args, {"delta": args.delta, "r": args.r})
+    [(_, _, state)] = pair_state_sweep(
+        args.n, [args.delta], [args.r], tol=args.tol, cache_dir=config["cache_dir"]
+    )
     hist = sample_distribution(state, scheme, bin_width=args.bin_width)
     rows = [
         (idx * hist.bin_width, (idx + 1) * hist.bin_width, mass)
@@ -386,52 +387,13 @@ def _cmd_fig5(args) -> int:
         "variance": hist.variance,
         "min_c": hist.min_c,
         "max_c": hist.max_c,
-        "scheme": _scheme_descriptor(scheme),
+        "scheme": sampling["scheme"],
         "seed": args.seed,
         "n_samples": hist.n_samples,
         "bin_width": hist.bin_width,
     }
-    config = {
-        **_solver_config(args),
-        "seed": args.seed,
-        "delta": args.delta,
-        "r": args.r,
-        "scheme": _scheme_descriptor(scheme),
-        "bin_width": args.bin_width,
-    }
     columns = ("bin_left", "bin_right", "mass")
-    if args.format == "json":
-        _emit(args, _json_text(args, config, columns, rows, False, {"summary": summary}))
-        return 0
-    _emit(args, _csv_text(columns, rows, args.deterministic, False))
-    summary_text = json.dumps(summary, indent=2) + "\n"
-    if args.out:
-        out = Path(args.out)
-        out.with_name(out.stem + ".summary.json").write_text(
-            summary_text, encoding="utf-8"
-        )
-    else:
-        sys.stderr.write(summary_text)
-    return 0
-
-
-def _cmd_fig6(args) -> int:
-    pairs = _pair_states(args, args.delta_range, args.rs)
-    scheme = _build_scheme(args)
-    rows, exc = _sweep(
-        (row.delta, row.r, row.mean_c, row.var_c, row.min_c, row.max_c)
-        for row in moments_vs_delta(pairs, scheme, bin_width=args.bin_width)
-    )
-    config = {
-        **_solver_config(args),
-        "seed": args.seed,
-        "rs": args.rs,
-        "deltas": args.delta_range,
-        "scheme": _scheme_descriptor(scheme),
-        "bin_width": args.bin_width,
-    }
-    columns = ("delta", "r", "mean_c", "var_c", "min_c", "max_c")
-    return _emit_table(args, config, columns, rows, exc)
+    return _emit_table(args, {**config, **sampling}, columns, rows, summary)
 
 
 # ── entry points ────────────────────────────────────────────────────────────

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -86,9 +86,11 @@ class KRatio:
     k: float
 
 
-@dataclass(frozen=True)
-class DiscordByDistance:
-    """Pipeline discord at (delta, r) plus applicable closed forms."""
+class DiscordByDistance(NamedTuple):
+    """Pipeline discord at (delta, r) plus applicable closed forms.
+
+    The fields are the `fig2` columns, in order.
+    """
 
     delta: float
     r: int
@@ -97,9 +99,11 @@ class DiscordByDistance:
     isotropic_closed_form: Optional[float]
 
 
-@dataclass(frozen=True)
-class DiscordByAnisotropy:
-    """One (delta, r) row of a discord sweep over the anisotropy."""
+class DiscordByAnisotropy(NamedTuple):
+    """One (delta, r) row of a discord sweep over the anisotropy.
+
+    The fields are the `fig3` columns, in order; `fig4` drops `discord`.
+    """
 
     delta: float
     r: int
@@ -309,13 +313,7 @@ def discord_profile_vs_r(pairs):
         isotropic = None
         if not math.isnan(k) and abs(k - 2.0) < 1e-6:
             isotropic = discord_isotropic(gamma_d)
-        yield DiscordByDistance(
-            delta=delta,
-            r=r,
-            discord=discord(state).discord,
-            symmetric_closed_form=symmetric,
-            isotropic_closed_form=isotropic,
-        )
+        yield DiscordByDistance(delta, r, discord(state).discord, symmetric, isotropic)
 
 
 def discord_profile_vs_delta(pairs):

@@ -2,11 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 from pytest import approx
 
-from spindiscord import cli, correlators
+from spindiscord import cli, correlators, distribution
 from spindiscord.spinchain import ConvergenceError
 
 
@@ -103,6 +104,25 @@ class TestUsage:
         assert f"argument --delta-range: range {text!r} is not finite" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("text", ["0:1:1e-320", "0:1:1e-12", "0:1:1e-6"])
+    def test_oversized_range_refused_before_any_list(self, tmp_path, capsys, text):
+        tracemalloc.start()
+        try:
+            code = run(["fig3", "--n", "4", "--delta-range", text] + cache_args(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"range {text!r} has more than 1,000,000 points" in captured.err
+        assert "Traceback" not in captured.err
+        assert peak < 1 << 20  # a 10^6-point list alone would take ~ 32 MB
+
+    def test_range_point_limit_is_inclusive(self):
+        # 0:1:1e-6 (refused above) has 1,000,001 points; one step less is allowed
+        assert len(cli._range_arg("0:0.999999:1e-6")) == 1_000_000
+
     @pytest.mark.parametrize(
         "argv, message",
         [(["ground-state", "--delta", "inf"], "delta=inf is not finite"),
@@ -166,6 +186,15 @@ class TestUsage:
         code = run(["fig5", "--n", "4", "--quadrature", "256"] + cache_args(tmp_path))
         assert code == 1
         capsys.readouterr()
+
+    def test_oversized_quadrature_refused_at_once(self, tmp_path, capsys):
+        code = run(["fig5", "--n", "4", "--quadrature", "100000x256"] + cache_args(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "n_theta 100000 is above the 2048-node Gauss maximum" in captured.err
+        assert 100000 not in distribution._GAUSS_NODES
+        assert not (tmp_path / "cache").exists()  # refused before any solve
 
     def test_undersized_scheme_rejected(self, tmp_path, capsys):
         code = run(

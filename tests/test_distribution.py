@@ -53,6 +53,21 @@ class TestSchemeValidation:
         with pytest.raises(ValueError, match="nodes"):
             GaussGrid(1, 4096)
 
+    def test_grid_maximum_point_count(self):
+        for grid in (GaussGrid, AngleGrid):
+            grid(2048, 8192)  # 2^24 points: the largest grid allowed
+            with pytest.raises(ValueError, match="above the 2\\^24-point maximum"):
+                grid(2048, 8193)
+
+    def test_gauss_node_maximum_refused_before_any_node(self):
+        GaussGrid(2048, 2)
+        with pytest.raises(ValueError, match="2048-node Gauss maximum"):
+            GaussGrid(2049, 2)
+        with pytest.raises(ValueError, match="2048-node Gauss maximum"):
+            GaussGrid(100_000, 256)
+        assert not any(n > 2048 for n in distribution._GAUSS_NODES)
+        AngleGrid(2049, 2)  # the node cap is Gauss-Legendre's alone
+
     def test_monte_carlo_is_seed_deterministic(self):
         a = sample_distribution(BELL, UniformSphere(5000, seed=7))
         b = sample_distribution(BELL, UniformSphere(5000, seed=7))
