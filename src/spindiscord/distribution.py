@@ -138,8 +138,8 @@ class GaussGrid:
     def __post_init__(self):
         if self.n_theta > _MAX_GAUSS_NODES:
             raise ValueError(
-                f"n_theta {self.n_theta} is above the {_MAX_GAUSS_NODES}-node Gauss "
-                "maximum (2048 nodes take 0.6 s and 32 MB to build)"
+                f"n_theta {self.n_theta} is above the 2048-node Gauss maximum "
+                "(2048 nodes take 0.6 s and 32 MB to build)"
             )
         _check_grid(self.n_theta, self.n_phi)
 
