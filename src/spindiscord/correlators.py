@@ -187,8 +187,9 @@ def pair_state_sweep(
     sector for the two fully polarized states.  Every other anisotropy is
     solved once.  The ring size, the separations and the finiteness of every
     anisotropy are checked before anything is yielded.  One `_pair_table`
-    per separation is built after the first solve and reused for every Δ:
-    16 B per entry, 22 MB at N = 26.
+    per separation is built at the first solve, 16 B per entry, 22 MB at
+    N = 26.  With two or more solves it is kept and reused for every Δ;
+    with one, it is dropped once its pair state is read.
     """
     rs = tuple(rs)
     check_ring_size(n_sites)
@@ -197,17 +198,19 @@ def pair_state_sweep(
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"delta={delta!r} is not finite")
-    tables = None
+    reuse = sum(delta > -1.0 for delta in deltas) > 1
+    tables = {}
     for delta in deltas:
         if delta <= -1.0:
             for r in rs:
                 yield delta, r, _POLARIZED
             continue
         gs = ground_state(n_sites, delta, tol=tol, cache_dir=cache_dir)
-        if tables is None:
-            tables = {r: _pair_table(gs.sector, r) for r in rs}
         for r in rs:
-            yield delta, r, _pair_state(gs.phi, tables[r])
+            if r not in tables:
+                tables[r] = _pair_table(gs.sector, r)
+            state = _pair_state(gs.phi, tables[r] if reuse else tables.pop(r))
+            yield delta, r, state
 
 
 def _gamma_d(state: XState) -> float:

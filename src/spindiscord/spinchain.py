@@ -26,16 +26,19 @@ reflection eigenvalue +1 and spin-inversion eigenvalue (−1)^(N/2).  The
 of the 4N-element group (about dim/4N of them); it is built, and the ground
 state's amplitudes φ in it kept, without any array as long as the sector.
 
-The lowest eigenpair comes from one Lanczos path: cycles of at most 80
-vectors, fully reorthogonalized within the cycle, each restarting from its
-Ritz vector.  The first cycle starts from the uniform Marshall-signed vector
-(−1)^(up spins on odd sites) projected into the `MomentumSector`: by
-Perron–Frobenius it overlaps the ground state for every Δ > −1.  It has the
-ground state's eigenvalues of T, P and Z, as every vector of its Krylov space
-does, so the sector loses none of the states a Marshall-started Lanczos
-reaches.  `dense_spectrum_oracle` provides an independently constructed dense
-cross-check for small sectors.  Solved ground states can be persisted in a
-binary cache keyed by (N, n_up, Δ, tol).
+The lowest eigenpair comes from one thick-restart Lanczos path: cycles of
+at most 24 vectors, fully reorthogonalized within the cycle, each restart
+keeping the 8 lowest Ritz vectors.  At 24 rows LAPACK's symmetric
+eigensolver for the small matrix T stays on its serial QR path; from 26
+rows on it switches to divide and conquer, whose threaded BLAS-3 calls keep
+a second core spinning.  The first cycle starts from the uniform
+Marshall-signed vector (−1)^(up spins on odd sites) projected into the
+`MomentumSector`: by Perron–Frobenius it overlaps the ground state for every
+Δ > −1.  It has the ground state's eigenvalues of T, P and Z, as every
+vector of its Krylov space does, so the sector loses none of the states a
+Marshall-started Lanczos reaches.  `dense_spectrum_oracle` provides an
+independently constructed dense cross-check for small sectors.  Solved
+ground states can be persisted in a binary cache keyed by (N, n_up, Δ, tol).
 """
 
 from __future__ import annotations
@@ -71,10 +74,14 @@ __all__ = [
 ]
 
 MAX_SITES = 26
-# Lanczos vectors per restart cycle (a block of 80 * dim * 8 B in the reduced
-# sector: 1.6 MB at N = 20, 65 MB at N = 26), and cycles before ConvergenceError.
-_KRYLOV_VECTORS = 80
-_MAX_CYCLES = 60
+# Lanczos vectors per restart cycle: at most 25 rows keep LAPACK's eigh of T
+# off divide-and-conquer and its threaded BLAS-3 calls.  The block is
+# 24 * dim * 8 B in the reduced sector: 0.5 MB at N = 20, 19.5 MB at N = 26.
+_KRYLOV_VECTORS = 24
+# Ritz vectors a thick restart keeps, and cycles before ConvergenceError: the
+# first cycle takes 24 steps and each later one 16, 4,808 steps in all.
+_KEPT_RITZ = 8
+_MAX_CYCLES = 300
 
 _CACHE_MAGIC = b"SDKGS1"
 _CACHE_HEADER = struct.Struct("<6sIIdddQ")
@@ -360,30 +367,35 @@ class GroundState:
 
 
 def _lanczos_lowest(matvec, start: np.ndarray, *, tol: float):
-    """Restarted Lanczos for the lowest eigenpair from the unit vector `start`.
+    """Thick-restart Lanczos for the lowest eigenpair from the unit vector `start`.
 
     Cycles of at most `_KRYLOV_VECTORS` vectors, reorthogonalized in two
-    passes, each restart from the lowest Ritz vector.  T is diagonalized only
-    on every fourth step of a cycle, on its last step, and on a step whose β
-    is negligible against T.  Converged when the Ritz value moves less than
-    tol between two such checks with a residual estimate below 10*tol, or
-    when the Krylov space is invariant.  Returns (energy, vector, explicit
-    residual, Ritz history, last cycle's Ritz gap, inf when T is 1×1,
-    Lanczos steps).
+    passes.  A cycle that ends unconverged keeps its `_KEPT_RITZ` lowest
+    Ritz vectors as the first rows of the next (Wu & Simon, SIAM J. Matrix
+    Anal. Appl. 22, 602 (2000)): T starts as diag(θ) bordered by the arrow
+    row β·s_last, and Lanczos goes on from the residual direction.  T is
+    diagonalized only on every fourth new vector of a cycle, on its last
+    step, and on a step whose β is negligible against T.  Converged when the
+    Ritz value moves less than tol between two such checks with a residual
+    estimate below 10*tol, or when the Krylov space is invariant; a Ritz
+    vector that then fails the explicit residual check restarts alone.
+    Returns (energy, vector, explicit residual, Ritz history, last Ritz gap,
+    inf when T is 1×1, Lanczos steps).
     """
     dim = start.size
     m = min(dim, _KRYLOV_VECTORS)
+    kept = min(_KEPT_RITZ, m - 1)
     v = np.empty((m, dim))
-    t = np.zeros((m, m))  # entries of T are rewritten before each use
+    t = np.zeros((m, m))
     history = []
     theta_prev = None
     steps = 0
-    q = start
+    v[0] = start
+    first = 0  # the cycle's first new vector
+    t_norm = beta = 0.0  # Gershgorin bound on ‖T‖, and the previous β
 
     for _ in range(_MAX_CYCLES):
-        v[0] = q
-        t_norm = beta = 0.0  # Gershgorin bound on ‖T‖, and the previous β
-        for j in range(m):
+        for j in range(first, m):
             w = matvec(v[j])
             steps += 1
             t[j, j] = alpha = v[j] @ w
@@ -394,7 +406,7 @@ def _lanczos_lowest(matvec, start: np.ndarray, *, tol: float):
             t_norm = max(t_norm, abs(alpha) + beta_prev + beta)
             invariant = beta < 1e-13 * max(1.0, t_norm)  # the Ritz pair is exact
 
-            if invariant or j % 4 == 3 or j == m - 1:
+            if invariant or (j - first) % 4 == 3 or j == m - 1:
                 t_eigs, t_vecs = np.linalg.eigh(t[: j + 1, : j + 1])
                 theta = float(t_eigs[0])
                 history.append(theta)
@@ -406,20 +418,30 @@ def _lanczos_lowest(matvec, start: np.ndarray, *, tol: float):
                 )
                 theta_prev = theta
                 if converged or j == m - 1:
-                    q = v[: j + 1].T @ t_vecs[:, 0]
-                    q /= np.linalg.norm(q)
                     break
             t[j, j + 1] = t[j + 1, j] = beta
             v[j + 1] = w / beta
 
-        if converged:
-            hq = matvec(q)
-            energy = float(q @ hq)
-            residual = float(np.linalg.norm(hq - energy * q))
-            if residual <= max(10.0 * tol, 1e-12):
-                gap = float(t_eigs[1] - t_eigs[0]) if j else math.inf
-                return energy, q, residual, tuple(history), gap, steps
-            theta_prev = None  # restart with a sharper target
+        if not converged:  # thick restart: keep the lowest Ritz pairs
+            v[:kept] = t_vecs[:, :kept].T @ v
+            t[:] = 0.0
+            t[:kept, :kept] = np.diag(t_eigs[:kept])
+            t[kept, :kept] = t[:kept, kept] = beta * t_vecs[-1, :kept]
+            v[kept] = w / beta
+            first = kept
+            continue
+        q = v[: j + 1].T @ t_vecs[:, 0]
+        q /= np.linalg.norm(q)
+        hq = matvec(q)
+        energy = float(q @ hq)
+        residual = float(np.linalg.norm(hq - energy * q))
+        if residual <= max(10.0 * tol, 1e-12):
+            gap = float(t_eigs[1] - t_eigs[0]) if j else math.inf
+            return energy, q, residual, tuple(history), gap, steps
+        # restart from q alone, with a sharper target
+        v[0] = q
+        t[:] = 0.0
+        first, theta_prev, t_norm, beta = 0, None, 0.0, 0.0
 
     raise ConvergenceError(
         f"Lanczos did not converge in {_MAX_CYCLES} cycles (last Ritz value "

@@ -119,6 +119,29 @@ class TestUsage:
         assert "Traceback" not in captured.err
         assert peak < 1 << 20  # a 10^6-point list alone would take ~ 32 MB
 
+    def test_range_repeating_rounded_points_refused(self, tmp_path, capsys):
+        text = "0:1e-10:1e-13"  # 1,001 points, 101 of them distinct at 12 decimals
+        assert run(["fig3", "--n", "4", "--delta-range", text] + cache_args(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"range {text!r} repeats points once rounded to 12 decimals" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_range_at_the_rounding_step_keeps_every_point(self):
+        points = cli._range_arg("0:1e-10:1e-12")
+        assert len(points) == len(set(points)) == 101
+        assert points == sorted(points)
+
+    @pytest.mark.parametrize(
+        "command, count, first, last",
+        [("fig3", 81, -1.5, 2.5), ("fig4", 41, 0.0, 2.0), ("fig6", 21, 0.0, 2.0)],
+    )
+    def test_default_grids_unchanged(self, command, count, first, last):
+        grid = cli._build_parser().parse_args([command]).delta_range
+        assert (len(grid), grid[0], grid[-1]) == (count, first, last)
+        assert len(set(grid)) == count
+        assert 1.0 in grid and 0.0 in grid
+
     def test_range_point_limit_is_inclusive(self):
         # 0:1:1e-6 (refused above) has 1,000,001 points; one step less is allowed
         assert len(cli._range_arg("0:0.999999:1e-6")) == 1_000_000

@@ -1,7 +1,9 @@
 """Pair correlators, reduced density matrices, closed forms, and profiles."""
 
+import gc
 import itertools
 import math
+import weakref
 from math import comb
 
 import numpy as np
@@ -466,6 +468,27 @@ class TestPairStateSweep:
         rows = list(pair_state_sweep(10, [-2.0, -1.5, -1.0], [1, 2, 3]))
         assert len(rows) == 9
         assert built == []
+
+    @pytest.mark.parametrize("deltas, held", [([-2.0, 1.0], False), ([0.5, 1.0], True)])
+    def test_single_solve_drops_each_table(self, monkeypatch, deltas, held):
+        """One solve frees a separation's table before the next is built; two keep them."""
+        tables, alive = [], []
+        pair_table = correlators._pair_table
+
+        def recording(sector, r):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in tables))
+            table = pair_table(sector, r)
+            tables.append(weakref.ref(table[0]))
+            return table
+
+        monkeypatch.setattr(correlators, "_pair_table", recording)
+        sweep = pair_state_sweep(10, deltas, [1, 2, 3])
+        rows = list(itertools.islice(sweep, 6))  # the sweep stays open on its last row
+        assert [(delta, r) for delta, r, _ in rows[3:]] == [(1.0, 1), (1.0, 2), (1.0, 3)]
+        assert alive == ([0, 1, 2] if held else [0, 0, 0])  # one build per separation
+        gc.collect()
+        assert [ref() is not None for ref in tables] == [held] * 3
 
 
 class TestMeasurementConsistency:

@@ -470,7 +470,7 @@ class TestGroundState:
         assert a.energy == b.energy
 
     def test_iterations_count_steps_and_ritz_checks_skip_most(self, monkeypatch):
-        """T is diagonalized on every fourth step, a cycle's last and a tiny-β one."""
+        """T is diagonalized on every fourth new step, a cycle's last and a tiny-β one."""
         eighs, matvecs = [], []
         real_eigh, real_matvec = np.linalg.eigh, spinchain.apply_hamiltonian
 
@@ -485,12 +485,57 @@ class TestGroundState:
         monkeypatch.setattr(spinchain, "apply_hamiltonian", counting_matvec)
         monkeypatch.setattr(spinchain.np.linalg, "eigh", counting_eigh)
         gs = ground_state(16, 1.0)
-        # unrestarted: one matvec per Lanczos step plus the explicit residual
-        cycles = 1
-        assert gs.iterations < spinchain._KRYLOV_VECTORS
+        m, kept = spinchain._KRYLOV_VECTORS, spinchain._KEPT_RITZ
+        # a first cycle of m steps, then m - kept new steps per restarted cycle
+        cycles = 1 + math.ceil(max(0, gs.iterations - m) / (m - kept))
+        assert cycles == 2
+        # each unconverged cycle ends on a check of the full T
+        assert sum(shape == (m, m) for shape in eighs[:-1]) == cycles - 1
+        # one matvec per Lanczos step plus the explicit residual
         assert gs.iterations == len(matvecs) - 1
         assert len(eighs) == len(gs.ritz_history)
         assert len(eighs) <= math.ceil(gs.iterations / 4) + cycles + 1
+
+    @pytest.mark.parametrize("n_sites", [16, 20])
+    def test_ritz_steps_stay_below_the_divide_and_conquer_size(self, monkeypatch, n_sites):
+        """No T reaches 26 rows, where LAPACK's eigh turns to threaded divide-and-conquer."""
+        shapes = []
+        real_eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            shapes.append(a.shape)
+            return real_eigh(a)
+
+        monkeypatch.setattr(spinchain.np.linalg, "eigh", recording_eigh)
+        gs = ground_state(n_sites, 1.0)
+        assert gs.iterations > spinchain._KRYLOV_VECTORS  # it restarted
+        assert spinchain._KRYLOV_VECTORS <= 25
+        assert all(rows == cols <= spinchain._KRYLOV_VECTORS for rows, cols in shapes)
+
+    @pytest.mark.parametrize("n_sites", [16, 20])
+    def test_thick_restart_keeps_the_lowest_ritz_values(self, monkeypatch, n_sites):
+        """A restarted T leads with the last cycle's lowest Ritz values, bordered by an arrow."""
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            calls.append((a.copy(), real_eigh(a)[0]))
+            return real_eigh(a)
+
+        monkeypatch.setattr(spinchain.np.linalg, "eigh", recording_eigh)
+        gs = ground_state(n_sites, 1.0)
+        m, kept = spinchain._KRYLOV_VECTORS, spinchain._KEPT_RITZ
+        restarts = [i for i, (a, _) in enumerate(calls[:-1]) if a.shape == (m, m)]
+        assert restarts
+        for i in restarts:
+            previous, (t, _) = calls[i][1], calls[i + 1]
+            assert np.array_equal(t[:kept, :kept], np.diag(previous[:kept]))
+            assert np.all(t[kept, :kept] != 0.0)
+            assert np.array_equal(t[kept + 1 :, :kept], np.zeros((t.shape[0] - kept - 1, kept)))
+        # interlacing: the first check after a restart cannot lose ground, to rounding
+        hist = gs.ritz_history
+        assert all(hist[i + 1] <= hist[i] + 1e-14 * abs(hist[i]) for i in restarts)
+        assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     def test_spin_flip_symmetry_of_amplitudes(self):
         psi, basis = expanded(ground_state(8, 0.7)), build_sector(8, 4)
