@@ -17,8 +17,9 @@ CSV table).  Identical arguments and seeds reproduce identical bytes, apart
 from one leading timestamp comment that `--deterministic` suppresses.
 
 Exit codes: 0 success; 1 bad arguments, among them a `--delta-range` of
-more than 10^6 points, a grid of more than 2^24 points or a `--quadrature`
-of more than 2048 Gauss nodes; 2 numerical failure.
+more than 10^6 points, an `--rs` that repeats a separation, a fig1 `--r`
+below 4, a grid of more than 2^24 points or a `--quadrature` of more than
+2048 Gauss nodes; 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def _int_list_arg(text: str) -> list:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated int list")
     if not values:
         raise argparse.ArgumentTypeError("empty separation list")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"separation list {text!r} repeats a value")
     return values
 
 
@@ -164,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="reduced-temperature grid t (default 0.5:1.5:0.005)",
     )
-    p.add_argument("--r", type=int, default=20, help="far-pair separation")
+    p.add_argument("--r", type=int, default=20, help="far-pair separation (>= 4)")
     p.set_defaults(handler=_cmd_fig1)
 
     p = sub.add_parser("fig2", parents=[io, solver], help="discord vs separation")

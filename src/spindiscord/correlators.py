@@ -251,13 +251,14 @@ def k_ratio(gs: GroundState, r: int) -> KRatio:
     return KRatio(r=_ring_distance(n, 1, 1 + r), k=k)
 
 
-def discord_symmetric(gamma_d: float, k: float) -> float:
+def discord_symmetric(gamma_d, k: float):
     """Closed-form discord of the symmetric pair state (u = v, w1 = w2).
 
     The state has x = k*gamma_d, zero local magnetization, and maximally mixed
-    marginals, so D = 1 − S_joint + min over the two candidate bases.
+    marginals, so D = 1 − S_joint + min over the two candidate bases.  A
+    float gamma_d gives a float, an array of them an array.
     """
-    gamma_d = float(gamma_d)
+    gamma_d = float(gamma_d) if np.ndim(gamma_d) == 0 else np.asarray(gamma_d, dtype=float)
     return _symmetric_discord(gamma_d, k * gamma_d)
 
 
@@ -293,8 +294,8 @@ def _negative_eigenvalues(eigs, gamma_d, gamma_o) -> CorrelatorDomainError:
     )
 
 
-def discord_isotropic(gamma_d: float) -> float:
-    """Closed-form discord at the isotropic point, where k = 2."""
+def discord_isotropic(gamma_d):
+    """Closed-form discord at the isotropic point, where k = 2; floats or arrays."""
     return discord_symmetric(gamma_d, 2.0)
 
 

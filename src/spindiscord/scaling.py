@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .correlators import _symmetric_discord
+from .correlators import discord_isotropic
 
 __all__ = [
     "ScalingForm",
@@ -120,10 +120,16 @@ def normalized_discord_curve(params: ScalingParams, ts, pair: PairKind) -> list:
     Returns one float per entry of `ts`, in order.  The far pair feeds
     -gamma_far into the isotropic closed form (the reference correlator is
     antiferromagnetic, hence negative); normalization uses the t = 1 limits
-    gamma_c and -1/r.  The reference goes through the same array kernel as
-    the points, so the curve equals 1.0 exactly at the critical point.
+    gamma_c and -1/r, so the far pair needs r >= 4.  The reference goes
+    through the same array kernel as the points, so the curve equals 1.0
+    exactly at the critical point.
     """
     if pair is PairKind.FAR:
+        if params.r < 4:
+            raise ScalingDomainError(
+                f"far-pair separation r={params.r} needs r >= 4: its t = 1 correlator "
+                "-1/r is below -1/4, which no pair state has"
+            )
         gamma_at = lambda t: -gamma_far(params, t)
         reference = -1.0 / params.r
     elif pair is PairKind.NN:
@@ -131,9 +137,6 @@ def normalized_discord_curve(params: ScalingParams, ts, pair: PairKind) -> list:
         reference = params.gamma_c
     else:
         raise ValueError(f"unknown pair kind {pair!r}")
-    reference = np.array([reference])
-    scale = _symmetric_discord(reference, 2.0 * reference)
-    t = np.asarray(ts, dtype=float)
-    gamma = gamma_at(t)
-    values = _symmetric_discord(gamma, 2.0 * gamma) / scale
+    scale = discord_isotropic(np.array([reference]))
+    values = discord_isotropic(gamma_at(np.asarray(ts, dtype=float))) / scale
     return values.tolist()

@@ -3,9 +3,9 @@
     H = Σ_{i=1}^{N} [ s^x_i s^x_{i+1} + s^y_i s^y_{i+1} + Δ s^z_i s^z_{i+1} ],
 
 with s = σ/2, J = 1 and periodic boundary (site N+1 ≡ 1).  H conserves total
-S^z, so the ground state for Δ > −1 is searched in the S^z = 0 sector whose
-basis is enumerated by bit patterns with exactly N/2 set bits (bit i−1 holds
-site i; a set bit is spin up).  The two Hamiltonian pieces in that basis:
+S^z, so the ground state for Δ > −1 is searched in the S^z = 0 sector: the
+bit patterns with exactly N/2 set bits (bit i−1 holds site i; a set bit is
+spin up).  The two Hamiltonian pieces on those configurations:
 
   * diagonal: Δ/4 times (aligned bonds − anti-aligned bonds),
   * flip-flop: matrix element 1/2 between configurations that differ by
@@ -22,9 +22,10 @@ sites, and Z turns the n up spins on odd sites into N/2 − n; both multiply
 that sign by (−1)^(N/2).  P maps odd sites to odd sites and keeps it.  So for
 every Δ the ground state has translation eigenvalue λ = (−1)^(N/2),
 reflection eigenvalue +1 and spin-inversion eigenvalue (−1)^(N/2).  The
-`MomentumSector` of these characters holds one symmetrized state per orbit
-of the 4N-element group (about dim/4N of them); it is built, and the ground
-state's amplitudes φ in it kept, without any array as long as the sector.
+`MomentumSector` of these characters, the one basis the solver uses, holds
+one symmetrized state per orbit of the 4N-element group (about dim/4N of
+them); `build_sector` builds it, and the ground state's amplitudes φ in it
+are kept, without any array as long as the S^z = 0 sector.
 
 The lowest eigenpair comes from one thick-restart Lanczos path: cycles of
 at most 24 vectors, fully reorthogonalized within the cycle, each restart
@@ -36,27 +37,23 @@ Marshall-signed vector (−1)^(up spins on odd sites) projected into the
 `MomentumSector`: by Perron–Frobenius it overlaps the ground state for every
 Δ > −1.  It has the ground state's eigenvalues of T, P and Z, as every
 vector of its Krylov space does, so the sector loses none of the states a
-Marshall-started Lanczos reaches.  `dense_spectrum_oracle` provides an
-independently constructed dense cross-check for small sectors.  Solved
-ground states can be persisted in a binary cache keyed by (N, n_up, Δ, tol).
+Marshall-started Lanczos reaches.  Solved ground states can be persisted in
+a binary cache keyed by (N, n_up, Δ, tol).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "SectorBasis",
     "MomentumSector",
     "GroundState",
     "FerromagneticRegimeError",
@@ -66,8 +63,6 @@ __all__ = [
     "build_sector",
     "apply_hamiltonian",
     "ground_state",
-    "dense_sector_hamiltonian",
-    "dense_spectrum_oracle",
     "cache_path",
     "save_ground_state",
     "load_ground_state",
@@ -114,42 +109,6 @@ def check_ring_size(n_sites: int) -> None:
                          " (a 2-site ring double-counts its only bond)")
     if n_sites > MAX_SITES:
         raise ValueError(f"n_sites {n_sites} above the supported cap {MAX_SITES}")
-
-
-class SectorBasis:
-    """All N-site configurations with a fixed number of up spins, ascending.
-
-    A reference for tests: picking them from all 2^N bit patterns briefly
-    holds about 2^N * 10 B, 10 MB at N = 20 and 640 MB at N = 26.
-    """
-
-    def __init__(self, n_sites: int, n_up: int):
-        check_ring_size(n_sites)
-        if not 0 <= n_up <= n_sites:
-            raise ValueError(f"n_up {n_up} outside [0, {n_sites}]")
-        self.n_sites = n_sites
-        self.n_up = n_up
-        every = np.arange(1 << n_sites, dtype=np.uint64)
-        self.states = every[np.bitwise_count(every) == n_up]
-        self.states.flags.writeable = False
-        self.dim = len(self.states)
-
-    def index_of(self, config: int) -> int:
-        """Position of a configuration in the basis; KeyError if absent."""
-        pos = int(np.searchsorted(self.states, np.uint64(config)))
-        if pos == self.dim or int(self.states[pos]) != config:
-            raise KeyError(f"configuration {config:#x} not in sector")
-        return pos
-
-    @cached_property
-    def _diag_zz(self) -> np.ndarray:
-        return _bond_zz(self.states, self.n_sites)
-
-    @cached_property
-    def _flip_pairs(self):
-        """(src, dst, 1/2): index pairs connected by one neighbor flip-flop."""
-        src, targets = _flips(self.states, _bonds(self.n_sites))
-        return src, np.searchsorted(self.states, targets), 0.5
 
 
 def _flips(states: np.ndarray, masks):
@@ -228,11 +187,6 @@ def _reflect(states: np.ndarray, n_sites: int) -> np.ndarray:
     return out
 
 
-def build_sector(n_sites: int, n_up: int) -> SectorBasis:
-    """Basis of the fixed-S^z sector with n_up up spins."""
-    return SectorBasis(n_sites, n_up)
-
-
 class MomentumSector:
     """S^z = 0 states in the ground state's sector of the ring's symmetry group.
 
@@ -245,8 +199,8 @@ class MomentumSector:
     Every configuration c is g_c r for the representative r of its G-orbit,
     the smallest configuration in it, and the orbit has O elements.  The
     `dim` symmetrized states |a⟩ = O^(−1/2) Σ_c χ(g_c)|c⟩, one per orbit,
-    are the orthonormal columns of U: `expand` maps their amplitudes φ to
-    sector amplitudes ψ(c) = φ[a(c)]·χ(g_c)/√O(c).  In this basis H_χ =
+    are the orthonormal columns of U, which maps their amplitudes φ to the
+    S^z = 0 amplitudes ψ(c) = φ[a(c)]·χ(g_c)/√O(c).  In this basis H_χ =
     UᵀHU has the diagonal Δ·zz(r_a) and, for each flip-flop taking r_a to
     c = g r_b, the element ½·χ(g)·√(O_a/O_b) at (b, a) (see `flip_table`).
 
@@ -325,20 +279,24 @@ class MomentumSector:
         dst, coef = self._locate(targets)
         return src, dst, self._root_size[src] * coef
 
-    def expand(self, phi: np.ndarray) -> np.ndarray:
-        """U·φ over the ascending S^z = 0 configurations; builds that basis, for tests."""
-        orbit, coef = self._locate(build_sector(self.n_sites, self.n_up).states)
-        return phi[orbit] * coef
+
+def build_sector(n_sites: int) -> MomentumSector:
+    """The solver's sector of the N-site ring: its `MomentumSector`."""
+    return MomentumSector(n_sites)
 
 
-# One reduced sector per ring size serves every Δ; two sizes stay resident.
-_momentum_sector = functools.lru_cache(maxsize=2)(MomentumSector)
+# One reduced sector per ring size serves every Δ; two sizes stay resident.  A
+# miss builds through the module-level name `build_sector`.
+@functools.lru_cache(maxsize=2)
+def _momentum_sector(n_sites: int) -> MomentumSector:
+    return build_sector(n_sites)
 
 
-def apply_hamiltonian(
-    basis: SectorBasis | MomentumSector, delta: float, psi: np.ndarray
-) -> np.ndarray:
-    """Matrix-free H·psi in a `SectorBasis`, or H_χ·psi in a `MomentumSector`."""
+def apply_hamiltonian(basis: MomentumSector, delta: float, psi: np.ndarray) -> np.ndarray:
+    """Matrix-free H_χ·psi in a `MomentumSector`.
+
+    Any basis with `dim`, `_diag_zz` and `_flip_pairs` serves the same way.
+    """
     psi = np.asarray(psi, dtype=np.float64)
     if psi.shape != (basis.dim,):
         raise ValueError(f"psi has shape {psi.shape}, expected ({basis.dim},)")
@@ -570,39 +528,3 @@ def load_ground_state(path, key):
     if zlib.crc32(payload) != crc:
         return None
     return energy, np.frombuffer(payload, dtype="<f8").astype(np.float64)
-
-
-# ── independent dense oracle ────────────────────────────────────────────────
-
-
-def dense_sector_hamiltonian(n_sites: int, delta: float, n_up=None) -> np.ndarray:
-    """Dense sector Hamiltonian built from scratch with plain integer bit ops.
-
-    Deliberately shares no construction code with `apply_hamiltonian`; the
-    configuration order (ascending) matches `build_sector`.
-    """
-    if n_up is None:
-        n_up = n_sites // 2
-    dim = math.comb(n_sites, n_up)
-    if dim > 4096:
-        raise ValueError(f"sector dimension {dim} too large for the dense oracle")
-    configs = sorted(
-        sum(1 << i for i in combo) for combo in itertools.combinations(range(n_sites), n_up)
-    )
-    index = {c: a for a, c in enumerate(configs)}
-    h = np.zeros((dim, dim))
-    for a, c in enumerate(configs):
-        aligned = 0
-        for i in range(n_sites):
-            j = (i + 1) % n_sites
-            if ((c >> i) & 1) == ((c >> j) & 1):
-                aligned += 1
-            else:
-                h[index[c ^ ((1 << i) | (1 << j))], a] += 0.5
-        h[a, a] = delta * (2 * aligned - n_sites) / 4.0
-    return h
-
-
-def dense_spectrum_oracle(n_sites: int, delta: float, n_up=None) -> np.ndarray:
-    """All sector eigenvalues, ascending, via dense diagonalization."""
-    return np.linalg.eigvalsh(dense_sector_hamiltonian(n_sites, delta, n_up))

@@ -25,10 +25,10 @@ from spindiscord.correlators import (
 )
 from spindiscord.distribution import AngleGrid, GaussGrid, sample_distribution
 from spindiscord.scaling import PairKind, ScalingParams, normalized_discord_curve
-from spindiscord.spinchain import dense_spectrum_oracle, ground_state
+from spindiscord.spinchain import ground_state
 from spindiscord.xstate import OptimalTheta, XState, discord, random_xstate
 
-from oracles import discord_grid_verify, find_peaks, pure_state_discord
+from oracles import dense_spectrum_oracle, discord_grid_verify, find_peaks, pure_state_discord
 
 
 def criterion(number, label):

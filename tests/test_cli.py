@@ -165,6 +165,20 @@ class TestUsage:
         assert code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["fig3", "fig4", "fig6"])
+    def test_repeated_separation_refused(self, tmp_path, capsys, command):
+        code = run([command, "--n", "8", "--rs", "1,1"] + cache_args(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "argument --rs: separation list '1,1' repeats a value" in captured.err
+        assert not (tmp_path / "cache").exists()  # refused before any solve
+
+    def test_distinct_separations_keep_their_order(self):
+        args = cli._build_parser().parse_args(["fig3", "--rs", "1,2,4"])
+        assert args.rs == [1, 2, 4]
+        assert cli._build_parser().parse_args(["fig3", "--rs", "4,1"]).rs == [4, 1]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -242,6 +256,25 @@ class TestFig1:
             if t != "1.0":
                 assert nn < 1.0
                 assert far < 1.0
+
+    @pytest.mark.parametrize("r", ["1", "2", "3"])
+    def test_far_pair_below_four_refused(self, capsys, r):
+        code = run(["fig1", "--r", r, "--deterministic"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: far-pair separation r={r} needs r >= 4: its t = 1 correlator -1/r "
+            "is below -1/4, which no pair state has\n"
+        )
+
+    def test_far_pair_at_four_runs(self, capsys):
+        code = run(["fig1", "--r", "4", "--delta-range", "0.5:1.5:0.5", "--deterministic"])
+        header, rows = parse_csv(capsys.readouterr().out)
+        assert code == 0
+        assert [row[0] for row in rows] == ["0.5", "1.0", "1.5"]
+        assert float(rows[1][2]) == 1.0
+        assert all(0.0 < float(row[2]) < 1.0 for row in (rows[0], rows[2]))
 
     def test_timestamp_suppressed(self, capsys):
         run(["fig1", "--delta-range", "0.5:1.5:0.5"])

@@ -24,24 +24,17 @@ from spindiscord.correlators import (
     pair_state_sweep,
     two_site_rdm,
 )
-from spindiscord.spinchain import (
-    GroundState,
-    MomentumSector,
-    build_sector,
-    dense_sector_hamiltonian,
-)
+from spindiscord.spinchain import GroundState, MomentumSector
 from spindiscord.xstate import OptimalTheta, XState, binary_entropy, c00, c90, discord
+
+from oracles import SectorBasis, dense_sector_hamiltonian, expand, sector_configs
 
 
 def dense_rdm(n_sites, delta, i, j):
     """Partial-trace oracle: dense ground vector, embedded and contracted."""
     _, vecs = np.linalg.eigh(dense_sector_hamiltonian(n_sites, delta))
-    configs = sorted(
-        sum(1 << b for b in combo)
-        for combo in itertools.combinations(range(n_sites), n_sites // 2)
-    )
     full = np.zeros(2**n_sites)
-    full[configs] = vecs[:, 0]
+    full[sector_configs(n_sites)] = vecs[:, 0]
     # axis a of the reshaped tensor carries site n_sites - a
     t = np.moveaxis(full.reshape((2,) * n_sites), [n_sites - i, n_sites - j], [0, 1])
     rest = list(range(2, n_sites))
@@ -139,7 +132,7 @@ class TestPairStateOracle:
             dst = np.searchsorted(states, states[src] ^ flip)
             return float(np.sum(amps[dst] * amps[src]))
 
-        basis = build_sector(n_sites, n_sites // 2)
+        basis = SectorBasis(n_sites, n_sites // 2)
         rng = np.random.default_rng(n_sites)
         for _ in range(3):
             amps = rng.standard_normal(basis.dim)  # no translation symmetry
@@ -163,7 +156,7 @@ class TestPairStateOracle:
         half = n_sites // 2
         sizes = [comb(n_sites - 2, half - 2), comb(n_sites - 2, half - 1),
                  comb(n_sites - 2, half - 1), comb(n_sites - 2, half)]
-        basis = build_sector(n_sites, half)
+        basis = SectorBasis(n_sites, half)
         rng = np.random.default_rng(n_sites + 1)
         vectors = []
         for _ in range(3):
@@ -182,10 +175,10 @@ class TestPairStateOracle:
 
     @pytest.mark.parametrize("n_sites", [8, 10, 12, 14, 16])
     def test_every_separation_matches_the_layout_reduction(self, n_sites, solve):
-        basis = build_sector(n_sites, n_sites // 2)
+        basis = SectorBasis(n_sites, n_sites // 2)
         for delta in (-0.5, 0.5, 1.0, 2.0):
             gs = solve(n_sites, delta)
-            psi = gs.sector.expand(gs.phi)
+            psi = expand(gs.sector, gs.phi)
             for r in range(1, n_sites):
                 want = reduce_by_layout(psi, pair_layout(basis, 1, 1 + r)).matrix()
                 got = two_site_rdm(gs, 1, 1 + r).matrix()
@@ -322,6 +315,19 @@ class TestClosedForms:
         base = discord_isotropic(g)
         assert discord_symmetric(g, 2.0 - 1e-9) == approx(base, abs=1e-8)
         assert discord_symmetric(g, 2.0 + 1e-9) == approx(base, abs=1e-8)
+
+    def test_arrays_match_floats_elementwise(self):
+        gammas = [-0.25, -1 / 6, -0.1, 0.0, 1e-3, 0.05]
+        for k in (2.0, 4.0 / 3.0):
+            values = discord_symmetric(np.array(gammas), k)
+            assert values.shape == (len(gammas),)
+            assert values == approx([discord_symmetric(g, k) for g in gammas], abs=1e-15)
+        assert type(discord_isotropic(np.float64(-0.1))) is float
+        with pytest.raises(CorrelatorDomainError) as info:
+            discord_isotropic(np.array([-0.1, 0.1, 0.2]))
+        with pytest.raises(CorrelatorDomainError) as first:
+            discord_isotropic(0.1)
+        assert str(info.value) == str(first.value)  # the first unphysical entry, in a float's words
 
     def test_domain_error_on_negative_eigenvalue(self):
         with pytest.raises(CorrelatorDomainError, match="eigenvalues"):

@@ -11,7 +11,8 @@ MODULES = ("xstate", "spinchain", "correlators", "distribution", "scaling", "cli
 # reference implementations and report types that live in tests/oracles.py or are gone
 REMOVED = ("MeasurementBasis", "GridVerifyReport", "C90Result", "joint_eigenvalues",
            "discord_grid_verify", "pure_state_discord", "AsymptoticCheck",
-           "asymptotic_discord_check", "find_peaks", "NormalizedDiscordPoint")
+           "asymptotic_discord_check", "find_peaks", "NormalizedDiscordPoint",
+           "SectorBasis", "dense_sector_hamiltonian", "dense_spectrum_oracle")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -26,6 +27,12 @@ def test_every_exported_name_resolves(mod):
 def test_removed_name_is_not_importable(name):
     for mod in ("", *(f".{m}" for m in MODULES)):
         assert not hasattr(importlib.import_module(f"spindiscord{mod}"), name), f"spindiscord{mod}.{name}"
+
+
+def test_the_solver_sector_has_no_full_sector_expansion():
+    from spindiscord.spinchain import MomentumSector
+
+    assert not hasattr(MomentumSector, "expand")
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch):

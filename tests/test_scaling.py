@@ -311,12 +311,22 @@ class TestCurveMatchesReference:
             calls.append(1)
             return real(*args)
 
-        # the curve may reach the kernel through either module's binding
         monkeypatch.setattr(correlators, "_symmetric_discord", counting)
-        monkeypatch.setattr(scaling, "_symmetric_discord", counting, raising=False)
         points = normalized_discord_curve(ScalingParams(), FINE_GRID, pair)
         assert len(points) == 20001
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("pair", [PairKind.NN, PairKind.FAR])
+    def test_the_curve_calls_the_public_closed_form(self, monkeypatch, pair):
+        calls = []
+
+        def counting(gamma_d):
+            calls.append(np.shape(gamma_d))
+            return discord_isotropic(gamma_d)
+
+        monkeypatch.setattr(scaling, "discord_isotropic", counting)
+        normalized_discord_curve(ScalingParams(), FINE_GRID, pair)
+        assert calls == [(1,), (20001,)]  # the reference, then the points
 
 
 KT = ScalingParams(form=ScalingForm.KOSTERLITZ_THOULESS)
@@ -344,6 +354,12 @@ class TestDomainMessages:
                 lambda: normalized_discord_curve(ScalingParams(), [0.5, 2.5, -1.0], PairKind.NN),
                 "t 2.5 outside the model window [0, 2]",
             ),
+            (
+                # the reference correlator -1/r is unphysical: refused before the kernel
+                lambda: normalized_discord_curve(ScalingParams(r=2), [0.5], PairKind.FAR),
+                "far-pair separation r=2 needs r >= 4: its t = 1 correlator -1/r is below "
+                "-1/4, which no pair state has",
+            ),
         ],
     )
     def test_scaling_domain(self, call, message):
@@ -354,8 +370,8 @@ class TestDomainMessages:
     @pytest.mark.parametrize(
         "params, ts, pair, gamma",
         [
-            # the reference correlator -1/r is already unphysical
-            (ScalingParams(r=2), [0.5], PairKind.FAR, "gamma_d=-0.5, gamma_o=-1.0"),
+            # the reference correlator gamma_c is already unphysical
+            (ScalingParams(gamma_c=-0.3), [0.5], PairKind.NN, "gamma_d=-0.3, gamma_o=-0.6"),
             (ScalingParams(gamma_c=0.2), [0.5], PairKind.NN, "gamma_d=0.2, gamma_o=0.4"),
             # only the t = 2 point leaves the physical window
             (ScalingParams(gamma_0=0.2), [1.0, 0.5, 2.0, 0.0], PairKind.NN, "gamma_d=0.2, gamma_o=0.4"),
@@ -363,7 +379,8 @@ class TestDomainMessages:
     )
     def test_correlator_domain(self, params, ts, pair, gamma):
         eigs = {
-            "gamma_d=-0.5, gamma_o=-1.0": "[-0.25, -0.25, -0.25, 1.75]",
+            "gamma_d=-0.3, gamma_o=-0.6": "[-0.04999999999999999, -0.04999999999999999, "
+            "-0.04999999999999999, 1.15]",
             "gamma_d=0.2, gamma_o=0.4": "[0.45, 0.45, 0.45, -0.35000000000000003]",
         }[gamma]
         with pytest.raises(CorrelatorDomainError) as info:

@@ -1,7 +1,6 @@
-"""Sector basis, symmetry-reduced sector, matrix-free matvec, Lanczos ground states, and the cache."""
+"""Sector build, matrix-free matvec, Lanczos ground states, and the cache."""
 
 import dataclasses
-import itertools
 import math
 import os
 import shutil
@@ -21,11 +20,17 @@ from spindiscord.spinchain import (
     apply_hamiltonian,
     build_sector,
     cache_path,
-    dense_sector_hamiltonian,
-    dense_spectrum_oracle,
     ground_state,
     load_ground_state,
     save_ground_state,
+)
+
+from oracles import (
+    SectorBasis,
+    dense_sector_hamiltonian,
+    dense_spectrum_oracle,
+    expand,
+    sector_configs,
 )
 
 
@@ -42,59 +47,85 @@ def free_fermion_energy(n_sites):
 
 
 class TestBuildSector:
+    """The solver's sector, and the full S^z = 0 reference basis it is checked against."""
+
     def test_four_site_half_filling_configs(self):
-        basis = build_sector(4, 2)
+        basis = SectorBasis(4, 2)
         assert [int(s) for s in basis.states] == [3, 5, 6, 9, 10, 12]
         assert basis.dim == 6
+        sector = build_sector(4)  # orbits {3, 6, 12, 9} and {5, 10}
+        assert [int(r) for r in sector._reps] == [3, 5]
+        assert sector._root_size**2 == approx([4.0, 2.0], abs=1e-15)
 
     def test_dimension_is_binomial(self):
         for n in (4, 6, 8, 10, 12):
             for n_up in range(n + 1):
-                basis = build_sector(n, n_up)
+                basis = SectorBasis(n, n_up)
                 assert basis.dim == math.comb(n, n_up)
                 assert np.all(np.bitwise_count(basis.states) == n_up)
                 assert np.all(basis.states[1:] > basis.states[:-1])
+            # the orbits of the solver's sector partition S^z = 0
+            sizes = build_sector(n)._root_size ** 2
+            assert round(sizes.sum()) == math.comb(n, n // 2)
 
     def test_large_ring_enumeration(self):
-        assert build_sector(22, 11).dim == 705432
+        sizes = build_sector(22)._root_size ** 2
+        assert np.abs(sizes - np.round(sizes)).max() <= 1e-12
+        assert int(np.round(sizes).sum()) == 705432
 
     def test_states_sorted_and_correct_popcount(self):
-        basis = build_sector(10, 5)
-        states = basis.states
-        assert np.all(states[1:] > states[:-1])
-        assert np.all(np.bitwise_count(states) == 5)
+        for states in (SectorBasis(10, 5).states, build_sector(10)._reps):
+            assert np.all(states[1:] > states[:-1])
+            assert np.all(np.bitwise_count(states) == 5)
 
     def test_states_are_immutable(self):
-        basis = build_sector(6, 3)
+        basis = SectorBasis(6, 3)
         with pytest.raises(ValueError):
             basis.states[0] = 0
+        sector = build_sector(6)
+        with pytest.raises(ValueError):
+            sector.start[0] = 0.0
 
     def test_index_of_roundtrip(self):
-        basis = build_sector(8, 4)
+        basis = SectorBasis(8, 4)
         for k in (0, 17, basis.dim - 1):
             assert basis.index_of(int(basis.states[k])) == k
 
     def test_index_of_missing_config(self):
-        basis = build_sector(6, 3)
+        basis = SectorBasis(6, 3)
         with pytest.raises(KeyError):
             basis.index_of(0b000111 ^ 0b000110)  # popcount 1, not in sector
 
     def test_rejects_odd_or_tiny_rings(self):
         with pytest.raises(ValueError, match="even"):
-            build_sector(5, 2)
+            build_sector(5)
         with pytest.raises(ValueError, match="even"):
-            build_sector(2, 1)
+            build_sector(2)
         with pytest.raises(ValueError, match="cap"):
-            build_sector(28, 14)
+            build_sector(28)
         with pytest.raises(ValueError, match="n_up"):
-            build_sector(6, 7)
+            SectorBasis(6, 7)
+
+    def test_ground_states_of_one_ring_build_one_sector(self, monkeypatch):
+        builds = []
+        real = spinchain.build_sector
+
+        def counting(n_sites):
+            builds.append(n_sites)
+            return real(n_sites)
+
+        monkeypatch.setattr(spinchain, "build_sector", counting)
+        spinchain._momentum_sector.cache_clear()
+        first, second = ground_state(10, 0.3), ground_state(10, 1.7)
+        assert builds == [10]
+        assert first.sector is second.sector
 
 
 class TestApplyHamiltonian:
     def test_neel_column_four_sites(self):
         # H|0101> at delta=1: diagonal -1 (four anti-aligned bonds), and the
         # four one-flip images each at amplitude 1/2.
-        basis = build_sector(4, 2)
+        basis = SectorBasis(4, 2)
         psi = np.zeros(basis.dim)
         psi[basis.index_of(0b0101)] = 1.0
         out = apply_hamiltonian(basis, 1.0, psi)
@@ -103,7 +134,7 @@ class TestApplyHamiltonian:
             assert out[k] == approx(expected.get(int(config), 0.0), abs=1e-15)
 
     def test_diagonal_part_scales_with_delta(self):
-        basis = build_sector(6, 3)
+        basis = SectorBasis(6, 3)
         psi = np.zeros(basis.dim)
         psi[basis.index_of(0b010101)] = 1.0
         out2 = apply_hamiltonian(basis, 2.0, psi)
@@ -115,7 +146,7 @@ class TestApplyHamiltonian:
     def test_matches_dense_oracle_on_random_vectors(self):
         rng = np.random.default_rng(42)
         for n, delta in [(6, 0.0), (6, 1.0), (8, 0.7), (8, 2.0)]:
-            basis = build_sector(n, n // 2)
+            basis = SectorBasis(n, n // 2)
             dense = dense_sector_hamiltonian(n, delta)
             for _ in range(5):
                 psi = rng.standard_normal(basis.dim)
@@ -125,7 +156,7 @@ class TestApplyHamiltonian:
 
     def test_is_symmetric(self):
         rng = np.random.default_rng(3)
-        basis = build_sector(10, 5)
+        basis = SectorBasis(10, 5)
         for delta in (0.0, 0.5, 1.7):
             a = rng.standard_normal(basis.dim)
             b = rng.standard_normal(basis.dim)
@@ -134,7 +165,7 @@ class TestApplyHamiltonian:
             assert lhs == approx(rhs, abs=1e-10)
 
     def test_rejects_wrong_shape(self):
-        basis = build_sector(4, 2)
+        basis = SectorBasis(4, 2)
         with pytest.raises(ValueError, match="shape"):
             apply_hamiltonian(basis, 1.0, np.zeros(5))
 
@@ -159,12 +190,12 @@ class TestDenseOracle:
 
 def expanded(gs):
     """The S^z = 0 amplitudes ψ = Uφ of a ground state, ascending configurations."""
-    return gs.sector.expand(gs.phi)
+    return expand(gs.sector, gs.phi)
 
 
 def bloch_columns(sector):
     """U as a dense matrix: the sector amplitudes of each symmetrized state."""
-    return np.stack([sector.expand(e) for e in np.eye(sector.dim)], axis=1)
+    return np.stack([expand(sector, e) for e in np.eye(sector.dim)], axis=1)
 
 
 def dense_reduced_hamiltonian(sector, delta):
@@ -186,10 +217,7 @@ def translation_block_minimum(n_sites, delta):
     one inverse FFT over m of the representatives' rotated columns.
     """
     h = dense_sector_hamiltonian(n_sites, delta)
-    configs = sorted(
-        sum(1 << i for i in combo)
-        for combo in itertools.combinations(range(n_sites), n_sites // 2)
-    )
+    configs = sector_configs(n_sites)
     index = {c: a for a, c in enumerate(configs)}
     mask = (1 << n_sites) - 1
     reps, lengths, turns, seen = [], [], [], set()
@@ -224,10 +252,7 @@ def group_images(n_sites):
     the spin inversion Z flips every bit.  h runs over 1, P, Z, PZ, and
     χ(T) = χ(Z) = (−1)^(N/2), χ(P) = 1.
     """
-    configs = sorted(
-        sum(1 << i for i in combo)
-        for combo in itertools.combinations(range(n_sites), n_sites // 2)
-    )
+    configs = sector_configs(n_sites)
     index = {c: a for a, c in enumerate(configs)}
     mask = (1 << n_sites) - 1
     parity = (-1) ** (n_sites // 2)
@@ -280,8 +305,7 @@ def two_pass_reference(n_sites):
             out |= ((x >> np.uint64(i)) & np.uint64(1)) << np.uint64(n_sites - i)
         return out
 
-    every = np.arange(1 << n_sites, dtype=np.uint64)
-    states = every[np.bitwise_count(every) == n_sites // 2]
+    states = SectorBasis(n_sites, n_sites // 2).states
     parity = -1 if (n_sites // 2) % 2 else 1
     rep, shift = smallest_rotation(states)
     t_reps = states[shift == 0]
@@ -374,7 +398,7 @@ class TestMomentumSector:
     @pytest.mark.parametrize("n_sites", [8, 10])
     def test_ground_state_has_the_translation_eigenvalue(self, n_sites):
         gs = ground_state(n_sites, 0.7)
-        psi, basis = expanded(gs), build_sector(n_sites, n_sites // 2)
+        psi, basis = expanded(gs), SectorBasis(n_sites, n_sites // 2)
         mask = (1 << n_sites) - 1
         rot = [
             basis.index_of(((int(s) << 1) | (int(s) >> (n_sites - 1))) & mask)
@@ -391,7 +415,7 @@ class TestMomentumSector:
             assert act(image, psi) == approx(char * psi, abs=1e-15)
 
     def test_expanded_vector_solves_the_full_sector(self):
-        basis = build_sector(16, 8)
+        basis = SectorBasis(16, 8)
         for delta in (0.5, 1.0):
             gs = ground_state(16, delta)
             psi = expanded(gs)
@@ -402,7 +426,7 @@ class TestMomentumSector:
     @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 14])
     def test_marshall_start_has_the_ground_state_signs(self, n_sites):
         sector = MomentumSector(n_sites)
-        start = sector.expand(sector.start)
+        start = expand(sector, sector.start)
         u = bloch_columns(sector)
         for delta in (-0.9, 0.0, 1.0, 2.0):
             # the dense ground vector, from the independently built sector matrix
@@ -538,14 +562,14 @@ class TestGroundState:
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     def test_spin_flip_symmetry_of_amplitudes(self):
-        psi, basis = expanded(ground_state(8, 0.7)), build_sector(8, 4)
+        psi, basis = expanded(ground_state(8, 0.7)), SectorBasis(8, 4)
         mask = (1 << 8) - 1
         flipped = [basis.index_of(int(s) ^ mask) for s in basis.states]
         assert np.abs(psi) == approx(np.abs(psi[flipped]), abs=1e-8)
 
     def test_translation_invariance_of_weights(self):
         n = 8
-        psi, basis = expanded(ground_state(n, 1.0)), build_sector(n, n // 2)
+        psi, basis = expanded(ground_state(n, 1.0)), SectorBasis(n, n // 2)
         mask = (1 << n) - 1
         rot = [
             basis.index_of(((int(s) << 1) | (int(s) >> (n - 1))) & mask)
@@ -561,7 +585,8 @@ class TestGroundState:
 
     @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_delta_before_building_a_sector(self, monkeypatch, delta):
-        monkeypatch.setattr(spinchain, "_momentum_sector", None)  # a build would raise TypeError
+        spinchain._momentum_sector.cache_clear()
+        monkeypatch.setattr(spinchain, "build_sector", None)  # a build would raise TypeError
         with pytest.raises(ValueError, match=rf"^delta={delta!r} is not finite$"):
             ground_state(8, delta)
 
