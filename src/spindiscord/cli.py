@@ -19,12 +19,17 @@ from one leading timestamp comment that `--deterministic` suppresses.
 Exit codes: 0 success; 1 bad arguments, among them a `--delta-range` of
 more than 10^6 points, an `--rs` that repeats a separation, a fig1 `--r`
 below 4, a grid of more than 2^24 points or a `--quadrature` of more than
-2048 Gauss nodes; 2 numerical failure.
+2048 Gauss nodes, or an `--out` or `--cache-dir` that cannot be written
+(`error: <message>`, no traceback); 2 numerical failure.
+
+`main` may be called many times in one process: the parser is built on the
+first call and reused, and its defaults are tuples that no call can mutate.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -117,6 +122,7 @@ def _quadrature_arg(text: str) -> tuple:
     return n_theta, n_phi
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spindiscord",
@@ -164,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--delta-range",
         type=_range_arg,
-        default=None,
+        default=tuple(_range_arg("0.5:1.5:0.005")),
         help="reduced-temperature grid t (default 0.5:1.5:0.005)",
     )
     p.add_argument("--r", type=int, default=20, help="far-pair separation (>= 4)")
@@ -179,13 +185,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("fig3", parents=[io, solver], help="discord vs anisotropy")
-    p.add_argument("--rs", type=_int_list_arg, default=[1, 2, 4])
-    p.add_argument("--delta-range", type=_range_arg, default=_range_arg("-1.5:2.5:0.05"))
+    p.add_argument("--rs", type=_int_list_arg, default=(1, 2, 4))
+    p.add_argument(
+        "--delta-range", type=_range_arg, default=tuple(_range_arg("-1.5:2.5:0.05"))
+    )
     p.set_defaults(handler=_cmd_sweep, columns=("delta", "r", "discord", "k", "basis"))
 
     p = sub.add_parser("fig4", parents=[io, solver], help="correlator ratio vs anisotropy")
-    p.add_argument("--rs", type=_int_list_arg, default=[1, 3])
-    p.add_argument("--delta-range", type=_range_arg, default=_range_arg("0:2:0.05"))
+    p.add_argument("--rs", type=_int_list_arg, default=(1, 3))
+    p.add_argument("--delta-range", type=_range_arg, default=tuple(_range_arg("0:2:0.05")))
     p.set_defaults(handler=_cmd_sweep, columns=("delta", "r", "k", "basis"))
 
     p = sub.add_parser(
@@ -198,8 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "fig6", parents=[io, solver, quad], help="conditional-entropy moments"
     )
-    p.add_argument("--rs", type=_int_list_arg, default=[1, 2, 4])
-    p.add_argument("--delta-range", type=_range_arg, default=_range_arg("0:2:0.1"))
+    p.add_argument("--rs", type=_int_list_arg, default=(1, 2, 4))
+    p.add_argument("--delta-range", type=_range_arg, default=tuple(_range_arg("0:2:0.1")))
     p.set_defaults(
         handler=_cmd_sweep, columns=("delta", "r", "mean_c", "var_c", "min_c", "max_c")
     )
@@ -215,13 +223,13 @@ def _utc_stamp() -> str:
 
 
 def _cell(value) -> str:
+    if type(value) is float:  # nearly every cell: tested first
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, OptimalTheta):
         return value.value
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a numpy float's str has the digits of its repr as a float
 
 
 def _json_cell(value):
@@ -270,7 +278,7 @@ def _emit_table(args, config, columns, rows, summary=None) -> int:
     else:
         lines = [] if stamp is None else [f"# generated {stamp}"]
         lines.append(",".join(columns))
-        lines.extend(",".join(_cell(v) for v in row) for row in collected)
+        lines.extend(",".join(map(_cell, row)) for row in collected)
         if exc is not None:
             lines.append("# INCOMPLETE")
         text = "\n".join(lines) + "\n"
@@ -349,7 +357,7 @@ def _cmd_ground_state(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    ts = args.delta_range if args.delta_range is not None else _range_arg("0.5:1.5:0.005")
+    ts = args.delta_range
     params = ScalingParams(r=args.r)
     nn = normalized_discord_curve(params, ts, PairKind.NN)
     far = normalized_discord_curve(params, ts, PairKind.FAR)
@@ -432,7 +440,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --out or --cache-dir
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError) as exc:

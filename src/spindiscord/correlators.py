@@ -251,14 +251,20 @@ def k_ratio(gs: GroundState, r: int) -> KRatio:
     return KRatio(r=_ring_distance(n, 1, 1 + r), k=k)
 
 
-def discord_symmetric(gamma_d, k: float):
+def discord_symmetric(gamma_d, k):
     """Closed-form discord of the symmetric pair state (u = v, w1 = w2).
 
     The state has x = k*gamma_d, zero local magnetization, and maximally mixed
-    marginals, so D = 1 − S_joint + min over the two candidate bases.  A
-    float gamma_d gives a float, an array of them an array.
+    marginals, so D = 1 − S_joint + min over the two candidate bases.  Two
+    floats give a float; if either argument is an array, the two broadcast
+    together and give an array, elementwise.
     """
-    gamma_d = float(gamma_d) if np.ndim(gamma_d) == 0 else np.asarray(gamma_d, dtype=float)
+    if np.ndim(gamma_d) == 0 and np.ndim(k) == 0:
+        gamma_d = float(gamma_d)
+    else:
+        gamma_d, k = np.broadcast_arrays(
+            np.asarray(gamma_d, dtype=float), np.asarray(k, dtype=float)
+        )
     return _symmetric_discord(gamma_d, k * gamma_d)
 
 

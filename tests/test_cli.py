@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from pytest import approx
 
@@ -434,6 +435,10 @@ class TestFig6:
 
 
 class TestDeterminism:
+    def test_numpy_floats_written_like_floats(self):
+        cells = (0.1, np.float64(0.1), 1e-300, float("nan"), None, 3)
+        assert [cli._cell(v) for v in cells] == ["0.1", "0.1", "1e-300", "nan", "", "3"]
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["fig3", "--n", "8", "--rs", "1,2", "--delta-range", "0.5:1.5:0.25",
@@ -453,6 +458,56 @@ class TestDeterminism:
         assert run(argv + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestReusedParser:
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_default_run_after_a_non_default_one(self, tmp_path, capsys):
+        argv = ["fig3", "--n", "8", "--format", "json", "--deterministic"] + cache_args(tmp_path)
+        first, custom, again = (tmp_path / f"{stem}.json" for stem in ("first", "custom", "again"))
+        cli._build_parser.cache_clear()  # the first default run builds the parser
+        assert run(argv + ["--out", str(first)]) == 0
+        assert run(argv + ["--rs", "1", "--delta-range", "0:1:0.5", "--out", str(custom)]) == 0
+        assert run(argv + ["--out", str(again)]) == 0
+        capsys.readouterr()
+        assert json.loads(custom.read_text())["config"]["rs"] == [1]
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("argv, code", [(["fig3", "--rs", "1,1"], 1), (["--help"], 0)])
+    def test_valid_call_after_an_early_exit(self, tmp_path, capsys, argv, code):
+        assert run(argv) == code
+        capsys.readouterr()
+        assert run(["fig1", "--delta-range", "0.5:1.5:0.5", "--deterministic"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("t,nn,far\n")
+        assert captured.err == ""
+
+
+class TestUnwritablePaths:
+    def test_missing_output_directory(self, tmp_path, capsys):
+        out_file = tmp_path / "missing" / "x.csv"
+        code = run(["fig1", "--deterministic", "--out", str(out_file)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(out_file) in captured.err
+        assert "Traceback" not in captured.err
+        assert not out_file.exists()
+
+    def test_cache_dir_is_a_regular_file(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cache.write_text("not a directory")
+        code = run(["ground-state", "--n", "4", "--delta", "1.0", "--cache-dir", str(cache)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("error: ")
+        assert str(cache) in captured.err
+        assert "Traceback" not in captured.err
+        assert cache.read_text() == "not a directory"
 
 
 class TestIncompleteSweep:

@@ -329,6 +329,17 @@ class TestClosedForms:
             discord_isotropic(0.1)
         assert str(info.value) == str(first.value)  # the first unphysical entry, in a float's words
 
+    def test_array_k_broadcasts_with_gamma_d(self):
+        ks = [1.0, 4.0 / 3.0, 2.0, 3.0]
+        values = discord_symmetric(-0.1, np.array(ks))
+        assert values.shape == (len(ks),)
+        assert values == approx([discord_symmetric(-0.1, k) for k in ks], abs=1e-15)
+        gammas = [-0.2, -0.1, 0.0, 0.05]
+        values = discord_symmetric(np.array(gammas), np.array(ks))
+        assert values.shape == (len(ks),)
+        expected = [discord_symmetric(g, k) for g, k in zip(gammas, ks)]
+        assert values == approx(expected, abs=1e-15)
+
     def test_domain_error_on_negative_eigenvalue(self):
         with pytest.raises(CorrelatorDomainError, match="eigenvalues"):
             discord_symmetric(0.2, 2.0)  # 1/4 - 3*0.2 < 0
