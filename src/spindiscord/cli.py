@@ -19,8 +19,9 @@ from one leading timestamp comment that `--deterministic` suppresses.
 Exit codes: 0 success; 1 bad arguments, among them a `--delta-range` of
 more than 10^6 points, an `--rs` that repeats a separation, a fig1 `--r`
 below 4, a grid of more than 2^24 points or a `--quadrature` of more than
-2048 Gauss nodes, or an `--out` or `--cache-dir` that cannot be written
-(`error: <message>`, no traceback); 2 numerical failure.
+2048 Gauss nodes, a `--bin-width` below 1e-6, or an `--out` or
+`--cache-dir` that cannot be written (`error: <message>`, no traceback);
+2 numerical failure.
 
 `main` may be called many times in one process: the parser is built on the
 first call and reused, and its defaults are tuples that no call can mutate.

@@ -23,15 +23,19 @@ values; bins exist only for presentation and peak counting.
 C depends on phi only through |x e^{i phi} + y e^{-i phi}|, so for states
 with x = 0 or y = 0 (every ring pair state, whose fixed S^z forces y = 0) it
 does not depend on phi at all.  Such states are histogrammed over theta
-alone: each grid theta node is evaluated once and carries the weight of its
-whole phi row, and Monte Carlo still draws phi (keeping the seeded stream)
-but evaluates at phi = 0.  `n_samples` stays the nominal point count.  The
-Gauss-Legendre nodes are built once per n_theta and memoized read-only.
+alone: phi is folded away first, so each grid theta node is evaluated once
+and carries the weight of its whole phi row, and Monte Carlo still draws
+phi (keeping the seeded stream) but evaluates at phi = 0.  `n_samples`
+stays the nominal point count.  The Gauss-Legendre nodes are built once per
+n_theta and memoized read-only.
 
-Every scheme hands whole chunks of angles to one array kernel,
-`xstate.conditional_entropy_values`: the outcome probabilities are computed
-once per theta, and the entropies of a chunk in place, from the same
-p log2 p term as every other entropy in the package.
+This module is the only place that blocks the conditional-entropy path.
+Once phi is folded, every scheme hands blocks of at most _BLOCK points to
+one array kernel, `xstate.conditional_entropy_values`, which evaluates each
+block in one pass with its temporaries in cache: grids in whole theta rows
+(theta nodes alone once phi is folded), Monte Carlo in slices of each
+2^18-sample draw.  Each block is binned and summed before the next one is
+evaluated, at a cost in the block's size and not in the bin count.
 """
 
 from __future__ import annotations
@@ -54,7 +58,11 @@ __all__ = [
     "moments_vs_delta",
 ]
 
-_CHUNK = 1 << 18
+# Points per call of `conditional_entropy_values`: a block's temporaries,
+# a few arrays of this length, stay in the CPU cache.
+_BLOCK = 1 << 13
+# Monte Carlo samples per RNG call, which fixes the seeded stream.
+_DRAW = 1 << 18
 
 
 # Caps measured on 2 CPUs: 2^24 points take 1-2.5 s and up to 170 MB peak RSS
@@ -92,13 +100,17 @@ def _gauss_nodes(n_theta: int):
     return nodes
 
 
-def _grid_blocks(theta, weights, phi):
+def _grid_blocks(theta, weights, phi, phi_free):
     """Broadcastable (theta column, phi row, weight column) blocks.
 
     The product grid theta x phi is never materialized: each block holds
-    whole theta rows, at most _CHUNK points, and flattens theta-major.
+    whole theta rows, at most _BLOCK points, and flattens theta-major.  A
+    phi-free state is blocked over theta nodes alone, each weighted by its
+    phi row.
     """
-    rows = max(1, _CHUNK // len(phi))
+    if phi_free:
+        weights, phi = weights * len(phi), np.zeros(1)
+    rows = max(1, _BLOCK // len(phi))
     phi = phi[None, :]
     for start in range(0, len(theta), rows):
         block = slice(start, start + rows)
@@ -116,16 +128,16 @@ class UniformSphere:
         if self.n_samples < 1000:
             raise ValueError(f"n_samples {self.n_samples} below minimum 1000")
 
-    def _chunks(self):
+    def _blocks(self, phi_free):
+        """Blocks of draws that each weigh 1; `sample_distribution` scales by 1/n."""
         rng = np.random.default_rng(self.seed)
-        weight = 1.0 / self.n_samples
-        remaining = self.n_samples
-        while remaining > 0:
-            m = min(remaining, _CHUNK)
-            cos_theta = rng.uniform(-1.0, 1.0, m)
+        for drawn in range(0, self.n_samples, _DRAW):
+            m = min(self.n_samples - drawn, _DRAW)
+            theta = np.arccos(rng.uniform(-1.0, 1.0, m))
             phi = rng.uniform(0.0, 2.0 * math.pi, m)
-            yield np.arccos(cos_theta), phi, weight
-            remaining -= m
+            for start in range(0, m, _BLOCK):
+                block = slice(start, start + _BLOCK)
+                yield theta[block], 0.0 if phi_free else phi[block], 1.0
 
 
 @dataclass(frozen=True)
@@ -143,10 +155,10 @@ class GaussGrid:
             )
         _check_grid(self.n_theta, self.n_phi)
 
-    def _chunks(self):
+    def _blocks(self, phi_free):
         theta, weights = _gauss_nodes(self.n_theta)
         phi = (np.arange(self.n_phi) + 0.5) * (2.0 * math.pi / self.n_phi)
-        return _grid_blocks(theta, weights / (2.0 * self.n_phi), phi)
+        return _grid_blocks(theta, weights / (2.0 * self.n_phi), phi, phi_free)
 
 
 @dataclass(frozen=True)
@@ -159,11 +171,11 @@ class AngleGrid:
     def __post_init__(self):
         _check_grid(self.n_theta, self.n_phi)
 
-    def _chunks(self):
+    def _blocks(self, phi_free):
         theta = np.linspace(0.0, math.pi, self.n_theta)
         phi = np.arange(self.n_phi) * (2.0 * math.pi / self.n_phi)
         weights = np.full(self.n_theta, 1.0 / (self.n_theta * self.n_phi))
-        return _grid_blocks(theta, weights, phi)
+        return _grid_blocks(theta, weights, phi, phi_free)
 
 
 @dataclass(frozen=True)
@@ -205,45 +217,55 @@ class MomentsByAnisotropy(NamedTuple):
 
 
 def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> EntropyHistogram:
-    """Histogram and moments of C(theta, phi) under the given scheme."""
-    if not 0.0 < bin_width <= 1.0:
-        raise ValueError(f"bin_width {bin_width!r} outside (0, 1]")
-    if not hasattr(scheme, "_chunks"):
+    """Histogram and moments of C(theta, phi) under the given scheme.
+
+    bin_width lies in [1e-6, 1]: a narrower bin would need more than
+    10^6 + 1 bins, and is refused before any is allocated.
+    """
+    if not 1e-6 <= bin_width <= 1.0:
+        raise ValueError(
+            f"bin_width {bin_width!r} outside [1e-6, 1] "
+            "(a width below 1e-6 needs more than the 10^6 + 1 bin maximum)"
+        )
+    if not hasattr(scheme, "_blocks"):
         raise ValueError(f"unknown sampling scheme {scheme!r}")
+    if isinstance(scheme, UniformSphere):
+        # bins count draws and are scaled once, so a bin's mass is rounded
+        # once however many draws it holds
+        n_samples, scale = scheme.n_samples, 1.0 / scheme.n_samples
+    else:
+        n_samples, scale = scheme.n_theta * scheme.n_phi, 1.0
     n_bins = int(math.ceil(1.0 / bin_width)) + 1
     dense = np.zeros(n_bins)
     s1 = 0.0
     s2 = 0.0
     lo = math.inf
     hi = -math.inf
-    total = 0
-    phi_free = state.x == 0 or state.y == 0
-    for theta, phi, w in scheme._chunks():
-        n_points = np.broadcast(theta, phi).size
-        if phi_free:
-            # C is constant along phi: one value per theta stands for its phi row
-            w = w * (n_points // theta.size)
-            phi = 0.0
+    # C is constant along phi for these states: the schemes fold phi away
+    for theta, phi, w in scheme._blocks(state.x == 0 or state.y == 0):
         values = np.maximum(conditional_entropy_values(state, theta, phi), 0.0)
         # C-order flattening is theta-major: the order of the flat product grid
         w = np.broadcast_to(w, values.shape).ravel()
         values = values.ravel()
         idx = np.minimum((values / bin_width).astype(np.int64), n_bins - 1)
-        dense += np.bincount(idx, weights=w, minlength=n_bins)
+        np.add.at(dense, idx, w)  # in the block's size, whatever the bin count
         s1 += float(np.sum(w * values))
         s2 += float(np.sum(w * values * values))
         lo = min(lo, float(values.min()))
         hi = max(hi, float(values.max()))
-        total += n_points
+    dense *= scale
+    s1 *= scale
+    s2 *= scale
+    filled = np.flatnonzero(dense > 0.0)
     return EntropyHistogram(
         bin_width=bin_width,
-        bins={int(i): float(m) for i, m in enumerate(dense) if m > 0.0},
+        bins=dict(zip(filled.tolist(), dense[filled].tolist())),
         # a weighted sum of values in [lo, hi] can round just outside them
         mean=min(max(s1, lo), hi),
         variance=max(s2 - s1 * s1, 0.0),
         min_c=lo,
         max_c=hi,
-        n_samples=total,
+        n_samples=n_samples,
     )
 
 

@@ -18,10 +18,11 @@ below.  Every entropy here is a sum of p·log2 p terms: `_xlog2x` with `math`
 for a float and `_xlog2x_array` with numpy for an array.  The scalar closed
 forms read the validated float entries of an `XState` and do no type
 dispatch, so a call costs its arithmetic.  The array kernel has no
-per-point Python loop; it evaluates large inputs in cache-sized blocks, and
-for mirror-image outcomes (every ring pair state) it evaluates one outcome
-and doubles it.  `XState` rejects non-finite entries, so no NaN reaches
-either path.  `discord` evaluates the measurement-conditioned entropy
+per-point Python loop and evaluates its whole input in one pass; it does
+no blocking of its own, and `distribution` hands it cache-sized blocks.
+For mirror-image outcomes (every ring pair state) it evaluates one
+outcome and doubles it.  `XState` rejects non-finite entries, so no NaN
+reaches either path.  `discord` evaluates the measurement-conditioned entropy
 C_{θ,φ} = Σ_k̃ p_k̃ S(ρ_{A|B_k̃}) at the two candidate angles θ = 0 and
 θ = π/2 (with the optimal azimuth φ*) and returns the two-angle closed form
 
@@ -61,9 +62,6 @@ _CLAMP = 1e-12
 # C_00 and C_90 closer than this are a tie: at the isotropic point they are
 # equal, and which one rounds lower depends on the last digits of the state.
 _TIE = 1e-12
-# Points per block of `conditional_entropy_values`: a block's temporaries,
-# a few arrays of this length, stay in the CPU cache.
-_BLOCK = 1 << 13
 # Dirichlet concentrations of `random_xstate`: uniform on the probability simplex.
 _FLAT = np.ones(4)
 
@@ -244,37 +242,12 @@ def conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
     broadcast shape.  When the two outcomes are mirror images,
     u + w2 = w1 + v and u − w2 = −(w1 − v) as in every ring pair state, they
     have equal entropies, and one outcome is evaluated and counted twice.
-    Inputs of more than _BLOCK points are evaluated in blocks of whole
-    leading-axis rows, so that the temporaries stay in cache; every point
-    gets the same operations, so the values do not depend on the blocking.
+    The whole input is evaluated in one pass; callers that want the
+    temporaries to stay in cache, such as `distribution`, pass small blocks.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     shape = np.broadcast_shapes(theta.shape, phi.shape)
-    # |x e^{iφ} + y e^{-iφ}|² over the whole φ array, never in blocks: numpy
-    # rounds a complex product differently when it reuses a large temporary
-    turn = np.exp(1j * phi)
-    coherence = np.abs(state.x * turn + state.y * turn.conjugate()) ** 2
-    del turn
-    rows = max(_BLOCK // max(math.prod(shape[1:]), 1), 1)  # whole leading-axis rows per block
-    if not shape or shape[0] <= rows:
-        return _block_values(state, theta, coherence).reshape(shape)
-    # both at the broadcast rank; an array of one leading row is shared by every block
-    theta = theta.reshape((1,) * (len(shape) - theta.ndim) + theta.shape)
-    coherence = coherence.reshape((1,) * (len(shape) - coherence.ndim) + coherence.shape)
-    out = np.empty(shape)
-    for start in range(0, shape[0], rows):
-        block = slice(start, start + rows)
-        out[block] = _block_values(
-            state,
-            theta[block] if len(theta) > 1 else theta,
-            coherence[block] if len(coherence) > 1 else coherence,
-        )
-    return out
-
-
-def _block_values(state: XState, theta: np.ndarray, coherence: np.ndarray) -> np.ndarray:
-    """C over one block, shaped like atleast_1d(θ) broadcast with the coherence |…|²."""
     # at least 1-D, so that every intermediate is an array that can be written in place
     half = np.atleast_1d(theta) / 2.0
     ab = np.cos(half)
@@ -283,9 +256,10 @@ def _block_values(state: XState, theta: np.ndarray, coherence: np.ndarray) -> np
     b2 = sin_half * sin_half
     ab *= sin_half
     # 4|z|², with z = cos(θ/2) sin(θ/2) (x e^{iφ} + y e^{-iφ})
-    z4 = ab * ab * coherence
+    turn = np.exp(1j * phi)
+    z4 = ab * ab * np.abs(state.x * turn + state.y * turn.conjugate()) ** 2
     z4 *= 4.0
-    del half, ab, sin_half  # freed before the full-shape buffers below
+    del half, ab, sin_half, turn  # freed before the full-shape buffers below
 
     d0 = state.u + state.w2   # P(B=0) weight entering outcome probabilities
     d1 = state.w1 + state.v
@@ -296,11 +270,11 @@ def _block_values(state: XState, theta: np.ndarray, coherence: np.ndarray) -> np
         # (0 − h) − h == 0 − (h + h) exactly
         h = _outcome_entropy(a2, b2, (d0, d1), (e0, e1), z4, z4)
         h += h
-        return np.subtract(0.0, h, out=h)
+        return np.subtract(0.0, h, out=h).reshape(shape)
     out = _outcome_entropy(a2, b2, (d0, d1), (e0, e1), z4, np.empty(z4.shape))
     np.subtract(0.0, out, out=out)
     out -= _outcome_entropy(a2, b2, (d1, d0), (e1, e0), z4, z4)
-    return out
+    return out.reshape(shape)
 
 
 def c00(state: XState) -> float:

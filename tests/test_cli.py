@@ -234,6 +234,15 @@ class TestUsage:
         assert 100000 not in distribution._GAUSS_NODES
         assert not (tmp_path / "cache").exists()  # refused before any solve
 
+    def test_bin_width_below_the_cap_refused(self, tmp_path, capsys):
+        code = run(["fig5", "--n", "8", "--bin-width", "1e-12"] + cache_args(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: bin_width 1e-12 outside [1e-6, 1]")
+        assert "10^6 + 1 bin maximum" in line
+
     def test_undersized_scheme_rejected(self, tmp_path, capsys):
         code = run(
             ["fig5", "--n", "4", "--scheme", "angle", "--quadrature", "16x16"]

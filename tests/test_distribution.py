@@ -9,7 +9,7 @@ from pytest import approx
 from spindiscord import distribution
 from spindiscord.correlators import pair_state_sweep, two_site_rdm
 from spindiscord.distribution import (
-    _CHUNK,
+    _BLOCK,
     AngleGrid,
     EntropyHistogram,
     GaussGrid,
@@ -157,13 +157,22 @@ class TestSampleDistribution:
         with pytest.raises(ValueError, match="scheme"):
             sample_distribution(BELL, "gauss")
 
+    @pytest.mark.parametrize("bin_width", [1e-12, 9.99e-7, 5e-324, math.nan])
+    def test_refuses_bins_beyond_the_cap_before_allocating(self, bin_width, monkeypatch):
+        def no_bins(*args, **kwargs):
+            raise AssertionError("bins allocated")
+
+        monkeypatch.setattr(distribution.np, "zeros", no_bins)
+        with pytest.raises(ValueError, match=r"10\^6 \+ 1 bin maximum"):
+            sample_distribution(BELL, GaussGrid(64, 64), bin_width=bin_width)
+
 
 def flat_product_reference(state, theta, phi, weights, bin_width=0.005):
     """Histogram of C over the materialized theta x phi product (theta-major).
 
     Values are evaluated once over the whole flat grid; bins and sums are
-    accumulated over the same row blocks the library chunks by, so the
-    bins and sums are reproducible to the last bit.
+    accumulated over the same row blocks the library evaluates, in the same
+    order, so the bins and sums are reproducible to the last bit.
     """
     n_phi = len(phi)
     flat_theta = np.repeat(theta, n_phi)
@@ -173,12 +182,12 @@ def flat_product_reference(state, theta, phi, weights, bin_width=0.005):
     n_bins = int(math.ceil(1.0 / bin_width)) + 1
     dense = np.zeros(n_bins)
     s1 = s2 = 0.0
-    step = max(1, _CHUNK // n_phi) * n_phi
+    step = max(1, _BLOCK // n_phi) * n_phi
     for start in range(0, len(values), step):
         v = values[start : start + step]
         w = flat_w[start : start + step]
         idx = np.minimum((v / bin_width).astype(np.int64), n_bins - 1)
-        dense += np.bincount(idx, weights=w, minlength=n_bins)
+        np.add.at(dense, idx, w)
         s1 += float(np.sum(w * v))
         s2 += float(np.sum(w * v * v))
     bins = {int(i): float(m) for i, m in enumerate(dense) if m > 0.0}
@@ -192,7 +201,7 @@ class TestChunkedProductGrids:
 
     def check(self, scheme, theta, phi, weights):
         assert abs(self.STATE.y) > 0.0
-        assert len(theta) % max(1, _CHUNK // len(phi)) != 0
+        assert len(theta) % max(1, _BLOCK // len(phi)) != 0
         hist = sample_distribution(self.STATE, scheme)
         bins, mean, variance, lo, hi, count = flat_product_reference(
             self.STATE, theta, phi, weights
@@ -278,6 +287,51 @@ class TestPhiFreeStates:
         assert abs(hist.variance - (float(np.mean(values**2)) - mean**2)) <= 1e-12
         assert abs(hist.min_c - float(values.min())) <= 1e-12
         assert abs(hist.max_c - float(values.max())) <= 1e-12
+        assert hist.n_samples == n
+
+
+class TestFoldThenBlock:
+    """phi is folded away before blocking, and no kernel call exceeds _BLOCK points."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(state, theta, phi):
+            values = conditional_entropy_values(state, theta, phi)
+            calls.append(values)
+            return values
+
+        monkeypatch.setattr(distribution, "conditional_entropy_values", counting)
+        return calls
+
+    def test_ring_pair_angle_grid_blocks_theta_alone(self, calls, solve):
+        state = two_site_rdm(solve(12, 2.0), 1, 2)
+        assert state.y == 0
+        hist = sample_distribution(state, AngleGrid())
+        assert [v.size for v in calls] == [_BLOCK, 8193 - _BLOCK]
+        assert hist.n_samples == 8193 * 256
+
+    def test_phi_dependent_gauss_grid_blocks_whole_rows(self, calls):
+        state = random_xstate(np.random.default_rng(2024))
+        assert state.x != 0 and state.y != 0
+        sample_distribution(state, GaussGrid(256, 256))
+        assert len(calls) == 8
+        assert all(v.size <= _BLOCK for v in calls)
+
+    def test_monte_carlo_blocks_equal_the_whole_draw(self, calls, solve):
+        state = two_site_rdm(solve(8, 0.5), 1, 2)
+        assert state.y == 0
+        n = 2**18 + 5
+        hist = sample_distribution(state, UniformSphere(n, seed=3))
+        assert max(v.size for v in calls) == _BLOCK
+        rng = np.random.default_rng(3)
+        theta = []
+        for m in (2**18, 5):  # the draws: 2^18 samples per RNG call
+            theta.append(np.arccos(rng.uniform(-1.0, 1.0, m)))
+            rng.uniform(0.0, 2.0 * math.pi, m)
+        whole = conditional_entropy_values(state, np.concatenate(theta), 0.0)
+        assert np.concatenate(calls).tobytes() == whole.tobytes()
         assert hist.n_samples == n
 
 

@@ -670,8 +670,8 @@ class TestBitIdentityWithOracle:
         phi = rng.uniform(0.0, 2 * math.pi, theta.size)
         shapes = [(0.3, 0.2), (0.0, 0.0), (math.pi, 1.0), (theta, phi), (theta, 0.0), (1.1, phi_grid),
                   (theta_grid[:, None], phi_grid[None, :]), (theta_grid[:, None], 0.0)]
-        # inputs of several kernel blocks, with a partial last block
-        many = 3 * xstate._BLOCK + 5
+        # inputs of several 8,192-point distribution blocks, with a partial last block
+        many = 3 * 8192 + 5
         theta_many, phi_many = np.arccos(rng.uniform(-1.0, 1.0, many)), rng.uniform(0.0, 2 * math.pi, many)
         blocked = [(theta_many, phi_many), (theta_many, 0.0), (0.7, phi_many),
                    (theta_many[:300, None], phi_many[None, :97]), (theta_many[None, :], phi_many[:2, None])]
