@@ -47,6 +47,7 @@ from .distribution import (
     AngleGrid,
     GaussGrid,
     UniformSphere,
+    _check_bin_width,
     moments_vs_delta,
     sample_distribution,
 )
@@ -318,11 +319,12 @@ def _solver_config(args) -> dict:
 
 
 def _sampling(args, where: dict):
-    """fig5/fig6: the sampling scheme, and its config echo around `where`."""
+    """fig5/fig6: the scheme and bin width, checked before any solve, and their config echo."""
     if args.scheme == "mc":
         scheme = UniformSphere(n_samples=args.samples, seed=args.seed)
     else:
         scheme = _SCHEMES[args.scheme](*(args.quadrature or ()))
+    _check_bin_width(args.bin_width)
     # the scheme echo: its kind, then its dataclass fields in declaration order
     descriptor = {"kind": args.scheme, **vars(scheme)}
     return scheme, {"seed": args.seed, **where, "scheme": descriptor, "bin_width": args.bin_width}

@@ -20,22 +20,19 @@ P(C) and moments under a choice of sampling scheme:
 Moments, extrema, and the histogram are all computed from the raw weighted
 values; bins exist only for presentation and peak counting.
 
-C depends on phi only through |x e^{i phi} + y e^{-i phi}|, so for states
-with x = 0 or y = 0 (every ring pair state, whose fixed S^z forces y = 0) it
-does not depend on phi at all.  Such states are histogrammed over theta
-alone: phi is folded away first, so each grid theta node is evaluated once
-and carries the weight of its whole phi row, and Monte Carlo still draws
-phi (keeping the seeded stream) but evaluates at phi = 0.  `n_samples`
-stays the nominal point count.  The Gauss-Legendre nodes are built once per
-n_theta and memoized read-only.
+C depends on phi only through |x e^{i phi} + y e^{-i phi}|, which is constant
+when x = 0 or y = 0 (every ring pair state: its fixed S^z forces y = 0).
+Such states are histogrammed over theta alone: a grid theta node carries the
+weight of its phi row, and Monte Carlo skips its phi draws with
+`bit_generator.advance`, which leaves the seeded stream where drawing them
+would.  `n_samples` stays the nominal point count.
 
-This module is the only place that blocks the conditional-entropy path.
-Once phi is folded, every scheme hands blocks of at most _BLOCK points to
-one array kernel, `xstate.conditional_entropy_values`, which evaluates each
-block in one pass with its temporaries in cache: grids in whole theta rows
-(theta nodes alone once phi is folded), Monte Carlo in slices of each
-2^18-sample draw.  Each block is binned and summed before the next one is
-evaluated, at a cost in the block's size and not in the bin count.
+This module alone blocks the conditional-entropy path.  Grids evaluate the
+kernel's theta front end once per theta node and the phi modulus once per
+histogram; Monte Carlo hands its cos(theta) draws to the cos(theta) front
+end.  Blocks of at most _BLOCK points (whole theta rows, or slices of each
+2^18-sample draw) go to the kernel's body, and each is binned and summed
+before the next.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from typing import Dict, NamedTuple
 
 import numpy as np
 
-from .xstate import XState, conditional_entropy_values
+from .xstate import XState, _cos_rows, _entropy_rows, _modulus2, _theta_rows
 
 __all__ = [
     "UniformSphere",
@@ -100,8 +97,8 @@ def _gauss_nodes(n_theta: int):
     return nodes
 
 
-def _grid_blocks(theta, weights, phi, phi_free):
-    """Broadcastable (theta column, phi row, weight column) blocks.
+def _grid_blocks(state, theta, weights, phi, phi_free):
+    """Broadcastable (theta-row columns, phi-modulus row, weight column) blocks.
 
     The product grid theta x phi is never materialized: each block holds
     whole theta rows, at most _BLOCK points, and flattens theta-major.  A
@@ -111,10 +108,10 @@ def _grid_blocks(theta, weights, phi, phi_free):
     if phi_free:
         weights, phi = weights * len(phi), np.zeros(1)
     rows = max(1, _BLOCK // len(phi))
-    phi = phi[None, :]
+    modulus2 = _modulus2(state, phi[None, :])
     for start in range(0, len(theta), rows):
         block = slice(start, start + rows)
-        yield theta[block, None], phi, weights[block, None]
+        yield _theta_rows(theta[block, None]), modulus2, weights[block, None]
 
 
 @dataclass(frozen=True)
@@ -128,16 +125,21 @@ class UniformSphere:
         if self.n_samples < 1000:
             raise ValueError(f"n_samples {self.n_samples} below minimum 1000")
 
-    def _blocks(self, phi_free):
+    def _blocks(self, state, phi_free):
         """Blocks of draws that each weigh 1; `sample_distribution` scales by 1/n."""
         rng = np.random.default_rng(self.seed)
+        modulus2 = _modulus2(state, 0.0)
         for drawn in range(0, self.n_samples, _DRAW):
             m = min(self.n_samples - drawn, _DRAW)
-            theta = np.arccos(rng.uniform(-1.0, 1.0, m))
-            phi = rng.uniform(0.0, 2.0 * math.pi, m)
+            cos_theta = rng.uniform(-1.0, 1.0, m)
+            if phi_free:
+                rng.bit_generator.advance(m)  # past the m phi draws, unused
+            else:
+                phi = rng.uniform(0.0, 2.0 * math.pi, m)
             for start in range(0, m, _BLOCK):
                 block = slice(start, start + _BLOCK)
-                yield theta[block], 0.0 if phi_free else phi[block], 1.0
+                modulus2 = modulus2 if phi_free else _modulus2(state, phi[block])
+                yield _cos_rows(cos_theta[block]), modulus2, 1.0
 
 
 @dataclass(frozen=True)
@@ -155,10 +157,10 @@ class GaussGrid:
             )
         _check_grid(self.n_theta, self.n_phi)
 
-    def _blocks(self, phi_free):
+    def _blocks(self, state, phi_free):
         theta, weights = _gauss_nodes(self.n_theta)
         phi = (np.arange(self.n_phi) + 0.5) * (2.0 * math.pi / self.n_phi)
-        return _grid_blocks(theta, weights / (2.0 * self.n_phi), phi, phi_free)
+        return _grid_blocks(state, theta, weights / (2.0 * self.n_phi), phi, phi_free)
 
 
 @dataclass(frozen=True)
@@ -171,11 +173,11 @@ class AngleGrid:
     def __post_init__(self):
         _check_grid(self.n_theta, self.n_phi)
 
-    def _blocks(self, phi_free):
+    def _blocks(self, state, phi_free):
         theta = np.linspace(0.0, math.pi, self.n_theta)
         phi = np.arange(self.n_phi) * (2.0 * math.pi / self.n_phi)
         weights = np.full(self.n_theta, 1.0 / (self.n_theta * self.n_phi))
-        return _grid_blocks(theta, weights, phi, phi_free)
+        return _grid_blocks(state, theta, weights, phi, phi_free)
 
 
 @dataclass(frozen=True)
@@ -216,17 +218,19 @@ class MomentsByAnisotropy(NamedTuple):
     max_c: float
 
 
+def _check_bin_width(bin_width: float) -> None:
+    if not 1e-6 <= bin_width <= 1.0:
+        raise ValueError(f"bin_width {bin_width!r} outside [1e-6, 1] "
+                         "(a width below 1e-6 needs more than the 10^6 + 1 bin maximum)")
+
+
 def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> EntropyHistogram:
     """Histogram and moments of C(theta, phi) under the given scheme.
 
     bin_width lies in [1e-6, 1]: a narrower bin would need more than
     10^6 + 1 bins, and is refused before any is allocated.
     """
-    if not 1e-6 <= bin_width <= 1.0:
-        raise ValueError(
-            f"bin_width {bin_width!r} outside [1e-6, 1] "
-            "(a width below 1e-6 needs more than the 10^6 + 1 bin maximum)"
-        )
+    _check_bin_width(bin_width)
     if not hasattr(scheme, "_blocks"):
         raise ValueError(f"unknown sampling scheme {scheme!r}")
     if isinstance(scheme, UniformSphere):
@@ -242,8 +246,8 @@ def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> Entr
     lo = math.inf
     hi = -math.inf
     # C is constant along phi for these states: the schemes fold phi away
-    for theta, phi, w in scheme._blocks(state.x == 0 or state.y == 0):
-        values = np.maximum(conditional_entropy_values(state, theta, phi), 0.0)
+    for rows, modulus2, w in scheme._blocks(state, state.x == 0 or state.y == 0):
+        values = np.maximum(_entropy_rows(state, *rows, modulus2), 0.0)
         # C-order flattening is theta-major: the order of the flat product grid
         w = np.broadcast_to(w, values.shape).ravel()
         values = values.ravel()

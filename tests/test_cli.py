@@ -243,6 +243,18 @@ class TestUsage:
         assert line.startswith("error: bin_width 1e-12 outside [1e-6, 1]")
         assert "10^6 + 1 bin maximum" in line
 
+    @pytest.mark.parametrize("command", [["fig5"], ["fig6", "--rs", "1", "--delta-range", "0:1:0.5"]])
+    def test_bin_width_refused_before_any_solve(self, tmp_path, capsys, command):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        code = run(command + ["--n", "8", "--bin-width", "1e-12", "--cache-dir", str(cache)])
+        captured = capsys.readouterr()
+        assert code == 1
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: bin_width 1e-12 outside [1e-6, 1]")
+        assert "sweep aborted" not in line
+        assert list(cache.iterdir()) == []
+
     def test_undersized_scheme_rejected(self, tmp_path, capsys):
         code = run(
             ["fig5", "--n", "4", "--scheme", "angle", "--quadrature", "16x16"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from spindiscord import distribution
+from spindiscord import distribution, xstate
 from spindiscord.correlators import pair_state_sweep, two_site_rdm
 from spindiscord.distribution import (
     _BLOCK,
@@ -297,12 +297,12 @@ class TestFoldThenBlock:
     def calls(self, monkeypatch):
         calls = []
 
-        def counting(state, theta, phi):
-            values = conditional_entropy_values(state, theta, phi)
+        def counting(state, a2, b2, ab2, modulus2):
+            values = xstate._entropy_rows(state, a2, b2, ab2, modulus2)
             calls.append(values)
             return values
 
-        monkeypatch.setattr(distribution, "conditional_entropy_values", counting)
+        monkeypatch.setattr(distribution, "_entropy_rows", counting)
         return calls
 
     def test_ring_pair_angle_grid_blocks_theta_alone(self, calls, solve):
@@ -319,20 +319,51 @@ class TestFoldThenBlock:
         assert len(calls) == 8
         assert all(v.size <= _BLOCK for v in calls)
 
-    def test_monte_carlo_blocks_equal_the_whole_draw(self, calls, solve):
+    def test_monte_carlo_blocks_equal_the_whole_draw(self, calls, solve, monkeypatch):
+        cos_blocks = []
+
+        def recording(cos_theta):
+            cos_blocks.append(cos_theta.copy())
+            return xstate._cos_rows(cos_theta)
+
+        monkeypatch.setattr(distribution, "_cos_rows", recording)
         state = two_site_rdm(solve(8, 0.5), 1, 2)
         assert state.y == 0
         n = 2**18 + 5
         hist = sample_distribution(state, UniformSphere(n, seed=3))
         assert max(v.size for v in calls) == _BLOCK
         rng = np.random.default_rng(3)
-        theta = []
+        cos_theta = []
         for m in (2**18, 5):  # the draws: 2^18 samples per RNG call
-            theta.append(np.arccos(rng.uniform(-1.0, 1.0, m)))
+            cos_theta.append(rng.uniform(-1.0, 1.0, m))
             rng.uniform(0.0, 2.0 * math.pi, m)
-        whole = conditional_entropy_values(state, np.concatenate(theta), 0.0)
+        cos_theta = np.concatenate(cos_theta)
+        assert np.concatenate(cos_blocks).tobytes() == cos_theta.tobytes()
+        whole = xstate._entropy_rows(state, *xstate._cos_rows(cos_theta), xstate._modulus2(state, 0.0))
         assert np.concatenate(calls).tobytes() == whole.tobytes()
         assert hist.n_samples == n
+
+
+class TestMonteCarloStream:
+    """Monte Carlo takes cos(theta) as drawn and skips the phi draws it does not need."""
+
+    def test_phi_free_histogram_leaves_the_generator_where_drawing_phi_does(self, monkeypatch):
+        generators = []
+        default_rng = np.random.default_rng
+
+        def recording(seed):
+            generators.append(default_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(distribution.np.random, "default_rng", recording)
+        n = 2**18 + 5
+        sample_distribution(XState(0.3, 0.2, 0.25, 0.25, x=0.1), UniformSphere(n, seed=3))
+        reference = default_rng(3)
+        for m in (2**18, 5):
+            reference.uniform(-1.0, 1.0, m)
+            reference.uniform(0.0, 2.0 * math.pi, m)
+        [rng] = generators
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestGaussNodeMemo:

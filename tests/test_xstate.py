@@ -2,7 +2,7 @@
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
@@ -89,6 +89,19 @@ class TestXStateValidation:
         # |x| far above sqrt(w1 w2) makes the inner block indefinite.
         with pytest.raises(ValueError, match="positive semidefinite"):
             XState(0.25, 0.25, 0.25, 0.25, x=0.4)
+
+    def test_frozen(self):
+        s = XState(0.3, 0.3, 0.2, 0.2, x=0.1 + 0.05j, y=-0.2j)
+        with pytest.raises(FrozenInstanceError):
+            s.u = 0.5
+        assert XState(**vars(s)) == s
+        assert hash(XState(**vars(s))) == hash(s)
+
+    def test_entries_converted_with_zero_defaults(self):
+        s = XState(1, 0, 0, 0)
+        assert vars(s) == {"u": 1.0, "v": 0.0, "w1": 0.0, "w2": 0.0, "x": 0j, "y": 0j}
+        assert [type(value) for value in vars(s).values()] == [float] * 4 + [complex] * 2
+        assert XState(u=0.25, w2=0.25, v=0.25, w1=0.25, y=0.1) == XState(0.25, 0.25, 0.25, 0.25, 0, 0.1)
 
     def test_matrix_round_trip(self):
         s = XState(0.3, 0.3, 0.2, 0.2, x=0.1 + 0.05j, y=-0.2j)
@@ -256,6 +269,25 @@ class TestConditionalEntropyMatchesReference:
             self.check(state, self.THETA[:, None], 0.0)
 
 
+class TestCosFrontEnd:
+    """Monte Carlo's cos θ front end against the θ kernel at θ = arccos(cos θ)."""
+
+    # Near a pure conditional state (λ → 1) a rounding-level change of λ moves
+    # H(λ) by up to H(2^-52) ≈ 1.2e-14, in either route; one outcome each.
+    TOL = 2.0 * binary_entropy(np.finfo(float).eps)
+
+    @pytest.mark.parametrize("kind", ["ring", "random", "empty_branch"])
+    def test_agrees_with_the_theta_kernel(self, kind):
+        rng = np.random.default_rng(89)
+        cos_theta = np.concatenate([[-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 5000)])
+        phi = rng.uniform(0.0, 2 * math.pi, cos_theta.size)
+        for state in reference_states(kind):
+            rows = xstate._cos_rows(cos_theta)
+            got = xstate._entropy_rows(state, *rows, xstate._modulus2(state, phi))
+            want = conditional_entropy_values(state, np.arccos(cos_theta), phi)
+            assert np.max(np.abs(got - want)) <= self.TOL, state
+
+
 class TestC00:
     def test_spot_value(self):
         s = XState(0.3, 0.3, 0.2, 0.2)
@@ -345,6 +377,15 @@ class TestDiscord:
             assert r.discord == pytest.approx(min(r.c00, r.c90) - r.s_joint + r.s_b, abs=1e-12)
             assert -1e-9 <= r.discord <= 1.0 + 1e-9
 
+
+    def test_result_is_a_frozen_dataclass(self):
+        r = discord(ISO_SIXTH)
+        with pytest.raises(FrozenInstanceError):
+            r.discord = 0.0
+        assert list(vars(r)) == ["discord", "c00", "c90", "phi_star", "chosen_theta", "s_joint", "s_b"]
+        assert type(r)(**vars(r)) == r
+        assert hash(type(r)(**vars(r))) == hash(r)
+        assert repr(r).startswith("DiscordResult(discord=")
 
 class TestGridVerify:
     def test_random_states_within_grid_tolerance(self):
