@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .spinchain import GroundState, check_ring_size, ground_state
+from .spinchain import GroundState, check_ring_size, ground_states
 from .xstate import OptimalTheta, XState, _clamped_binary_entropy, _entropy_of, discord
 
 __all__ = [
@@ -185,11 +185,12 @@ def pair_state_sweep(
     Anisotropies at or below −1 yield the pair state of the polarized
     mixture without a solve: there the ground state leaves the S^z = 0
     sector for the two fully polarized states.  Every other anisotropy is
-    solved once.  The ring size, the separations and the finiteness of every
-    anisotropy are checked before anything is yielded.  One `_pair_table`
-    per separation is built at the first solve, 16 B per entry, 22 MB at
-    N = 26.  With two or more solves it is kept and reused for every Δ;
-    with one, it is dropped once its pair state is read.
+    solved once, all of them by one `ground_states` sweep.  The ring size,
+    the separations and the finiteness of every anisotropy are checked
+    before anything is yielded.  One `_pair_table` per separation is built
+    at the first solve, 16 B per entry, 22 MB at N = 26.  With two or more
+    solves it is kept and reused for every Δ; with one, it is dropped once
+    its pair state is read.
     """
     rs = tuple(rs)
     check_ring_size(n_sites)
@@ -198,14 +199,16 @@ def pair_state_sweep(
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"delta={delta!r} is not finite")
-    reuse = sum(delta > -1.0 for delta in deltas) > 1
+    solved = [delta for delta in deltas if delta > -1.0]
+    states = ground_states(n_sites, solved, tol=tol, cache_dir=cache_dir)
+    reuse = len(solved) > 1
     tables = {}
     for delta in deltas:
         if delta <= -1.0:
             for r in rs:
                 yield delta, r, _POLARIZED
             continue
-        gs = ground_state(n_sites, delta, tol=tol, cache_dir=cache_dir)
+        gs = next(states)
         for r in rs:
             if r not in tables:
                 tables[r] = _pair_table(gs.sector, r)

@@ -37,8 +37,14 @@ Marshall-signed vector (−1)^(up spins on odd sites) projected into the
 `MomentumSector`: by Perron–Frobenius it overlaps the ground state for every
 Δ > −1.  It has the ground state's eigenvalues of T, P and Z, as every
 vector of its Krylov space does, so the sector loses none of the states a
-Marshall-started Lanczos reaches.  Solved ground states can be persisted in
-a binary cache keyed by (N, n_up, Δ, tol).
+Marshall-started Lanczos reaches.  The values of Δ of a sweep run that path
+together (`ground_states`): in lockstep blocks, one column per Δ, each
+numpy and LAPACK call of a step issued once for the block.  A block holds
+as many columns as fit 256 KiB of Krylov vectors: 39 at N = 12, 5 at
+N = 16 and one from N = 18 up, where a lone Δ keeps its memory.  Every call
+acts on each column on its own, so a Δ's state is bit-identical alone, in
+any block and in any order.  Solved ground states can be persisted in a
+binary cache keyed by (N, n_up, Δ, tol).
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import functools
 import math
 import os
 import struct
+import weakref
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +70,7 @@ __all__ = [
     "build_sector",
     "apply_hamiltonian",
     "ground_state",
+    "ground_states",
     "cache_path",
     "save_ground_state",
     "load_ground_state",
@@ -73,6 +81,9 @@ MAX_SITES = 26
 # off divide-and-conquer and its threaded BLAS-3 calls.  The block is
 # 24 * dim * 8 B in the reduced sector: 0.5 MB at N = 20, 19.5 MB at N = 26.
 _KRYLOV_VECTORS = 24
+# Krylov vectors of one lockstep block of Δ values: 24 * dim * 8 B per
+# column, so 39 columns at N = 12, 5 at N = 16 and one from N = 18 up.
+_BLOCK_BYTES = 256 * 1024
 # Ritz vectors a thick restart keeps, and cycles before ConvergenceError: the
 # first cycle takes 24 steps and each later one 16, 4,808 steps in all.
 _KEPT_RITZ = 8
@@ -292,18 +303,41 @@ def _momentum_sector(n_sites: int) -> MomentumSector:
     return build_sector(n_sites)
 
 
-def apply_hamiltonian(basis: MomentumSector, delta: float, psi: np.ndarray) -> np.ndarray:
+def apply_hamiltonian(basis: MomentumSector, delta, psi: np.ndarray) -> np.ndarray:
     """Matrix-free H_χ·psi in a `MomentumSector`.
 
-    Any basis with `dim`, `_diag_zz` and `_flip_pairs` serves the same way.
+    `psi` is one vector, or a (K, dim) block whose rows go with the K values
+    of `delta`; each row is summed in the same order as a lone vector.  Any
+    basis with `dim`, `_diag_zz` and `_flip_pairs` serves the same way.
     """
     psi = np.asarray(psi, dtype=np.float64)
-    if psi.shape != (basis.dim,):
-        raise ValueError(f"psi has shape {psi.shape}, expected ({basis.dim},)")
-    out = (delta * basis._diag_zz) * psi
+    dim = basis.dim
+    if psi.ndim not in (1, 2) or psi.shape[-1] != dim:
+        raise ValueError(f"psi has shape {psi.shape}, expected ({dim},) or (K, {dim})")
+    out = (np.asarray(delta, dtype=np.float64)[..., None] * basis._diag_zz) * psi
     src, dst, amp = basis._flip_pairs
-    out += np.bincount(dst, weights=amp * psi[src], minlength=basis.dim)
+    weights = np.take(psi, src, axis=-1)
+    weights *= amp
+    rows = psi.size // dim
+    if rows > 1:
+        dst = _row_destinations(basis, rows)
+    out += np.bincount(dst, weights=weights.ravel(), minlength=rows * dim).reshape(psi.shape)
     return out
+
+
+# basis -> flip destinations of the widest block it has seen; a narrower
+# block's are a prefix of them
+_DESTINATIONS = weakref.WeakKeyDictionary()
+
+
+def _row_destinations(basis: MomentumSector, rows: int) -> np.ndarray:
+    """Flip destinations of a (rows, dim) block: row k scatters into k·dim + dst, in order."""
+    dst = basis._flip_pairs[1]
+    block = _DESTINATIONS.get(basis)
+    if block is None or block.size < rows * dst.size:
+        block = _DESTINATIONS[basis] = (dst + basis.dim * np.arange(rows)[:, None]).ravel()
+        block.flags.writeable = False
+    return block[: rows * dst.size]
 
 
 @dataclass(frozen=True)
@@ -324,87 +358,275 @@ class GroundState:
     iterations: int = 0
 
 
-def _lanczos_lowest(matvec, start: np.ndarray, *, tol: float):
-    """Thick-restart Lanczos for the lowest eigenpair from the unit vector `start`.
+class _Column:
+    """One Δ's Lanczos run: its start vector, Ritz history, steps and cycles so far."""
 
-    Cycles of at most `_KRYLOV_VECTORS` vectors, reorthogonalized in two
-    passes.  A cycle that ends unconverged keeps its `_KEPT_RITZ` lowest
-    Ritz vectors as the first rows of the next (Wu & Simon, SIAM J. Matrix
-    Anal. Appl. 22, 602 (2000)): T starts as diag(θ) bordered by the arrow
-    row β·s_last, and Lanczos goes on from the residual direction.  T is
-    diagonalized only on every fourth new vector of a cycle, on its last
-    step, and on a step whose β is negligible against T.  Converged when the
-    Ritz value moves less than tol between two such checks with a residual
-    estimate below 10*tol, or when the Krylov space is invariant; a Ritz
-    vector that then fails the explicit residual check restarts alone.
-    Returns (energy, vector, explicit residual, Ritz history, last Ritz gap,
-    inf when T is 1×1, Lanczos steps).
+    __slots__ = ("index", "delta", "start", "history", "steps", "cycles")
+
+    def __init__(self, index: int, delta: float, start: np.ndarray):
+        self.index, self.delta, self.start = index, delta, start
+        self.history, self.steps, self.cycles = [], 0, 0
+
+
+def _lanczos_lowest(matvec, start: np.ndarray, deltas, *, tol: float, width: int = 1):
+    """Thick-restart Lanczos for the lowest eigenpair of H(Δ), each Δ of `deltas` from `start`.
+
+    `matvec(Δs, block)` applies H to the rows of a (K, dim) block, row k at
+    Δs[k].  Up to `width` values of Δ run as one block, in lockstep: the
+    matvec, the reorthogonalization products and the `eigh` of the Ritz
+    checks are each issued once per step for the whole block, and each acts
+    on every row on its own, so a Δ's results do not depend on its block.
+    Every Δ runs the same algorithm.  Cycles of at most `_KRYLOV_VECTORS`
+    vectors are reorthogonalized in two passes.  A cycle that ends
+    unconverged keeps its `_KEPT_RITZ` lowest Ritz vectors as the first rows
+    of the next (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)): T
+    starts as diag(θ) bordered by the arrow row β·s_last, and Lanczos goes
+    on from the residual direction.  T is diagonalized on every fourth new
+    vector of a cycle and on its last step, for the whole block; a Δ whose
+    β turns negligible against T off that schedule is checked alone.  A Δ
+    has converged when its Ritz value moves less than tol between two
+    checks with a residual estimate below 10*tol, or when its Krylov space
+    is invariant, and it then leaves the block.  A Ritz vector that fails
+    the explicit residual check restarts alone from that vector, in a later
+    block, with its history, steps and cycles.  Returns one entry per Δ:
+    (energy, vector, explicit residual, Ritz history, last Ritz gap, inf
+    when T is 1×1, Lanczos steps), or the `ConvergenceError` of a Δ that ran
+    out of cycles.
     """
     dim = start.size
     m = min(dim, _KRYLOV_VECTORS)
     kept = min(_KEPT_RITZ, m - 1)
-    v = np.empty((m, dim))
-    t = np.zeros((m, m))
-    history = []
-    theta_prev = None
-    steps = 0
-    v[0] = start
-    first = 0  # the cycle's first new vector
-    t_norm = beta = 0.0  # Gershgorin bound on ‖T‖, and the previous β
+    outcomes = [None] * len(deltas)
+    queue = [_Column(i, delta, start) for i, delta in enumerate(deltas)]
+    while queue:
+        block, queue = queue[:width], queue[width:]
+        queue += _lockstep(matvec, block, m, kept, tol, outcomes)
+    return outcomes
 
-    for _ in range(_MAX_CYCLES):
+
+def _lockstep(matvec, columns, m: int, kept: int, tol: float, outcomes) -> list:
+    """Run one block of `_lanczos_lowest` until every column has left it.
+
+    Fills `outcomes` and returns the columns that restart from their Ritz
+    vector.  The vectors live in (K, ...) arrays, one row per column; a
+    column's scalars (‖T‖ bound, last Ritz value) live in lists.
+    """
+    restarts = []
+
+    def spent(col):  # out of cycles: record the failure
+        if col.cycles < _MAX_CYCLES:
+            return False
+        outcomes[col.index] = ConvergenceError(
+            f"Lanczos did not converge in {_MAX_CYCLES} cycles (last Ritz value "
+            f"{col.history[-1] if col.history else math.nan!r})"
+        )
+        return True
+
+    columns = [col for col in columns if not spent(col)]
+    if not columns:
+        return restarts
+    v = np.empty((len(columns), m, columns[0].start.size))
+    t = np.zeros((len(columns), m, m))
+    for c, col in enumerate(columns):
+        v[c, 0] = col.start
+    deltas = np.array([col.delta for col in columns])
+    t_norm = [1.0] * len(columns)  # max(1, Gershgorin bound on ‖T‖)
+    theta_prev = [math.inf] * len(columns)
+    beta = np.zeros(len(columns))  # the previous β
+    first, taken = 0, 0  # the cycle's first new vector, and the block's steps
+
+    while True:
         for j in range(first, m):
-            w = matvec(v[j])
-            steps += 1
-            t[j, j] = alpha = v[j] @ w
-            # two-pass reorthogonalization against the stored cycle vectors
-            for _pass in range(2):
-                w -= v[: j + 1].T @ (v[: j + 1] @ w)
-            beta_prev, beta = beta, float(np.linalg.norm(w))
-            t_norm = max(t_norm, abs(alpha) + beta_prev + beta)
-            invariant = beta < 1e-13 * max(1.0, t_norm)  # the Ritz pair is exact
+            w = matvec(deltas, v[:, j])
+            taken += 1
+            # two-pass reorthogonalization against the stored cycle vectors; the
+            # first pass's coefficient on v_j is α
+            cycle = v[:, : j + 1]
+            coef = np.matmul(cycle, w[:, :, None])
+            t[:, j, j] = alpha = coef[:, j, 0]
+            w -= np.matmul(coef.transpose(0, 2, 1), cycle)[:, 0]
+            w -= np.matmul(np.matmul(cycle, w[:, :, None]).transpose(0, 2, 1), cycle)[:, 0]
+            beta_prev, beta = beta, np.sqrt(np.vecdot(w, w))
+            betas = beta.tolist()
+            invariant = []  # columns whose Ritz pair is exact
+            for c, (a, b0, b) in enumerate(zip(alpha.tolist(), beta_prev.tolist(), betas)):
+                t_norm[c] = max(t_norm[c], abs(a) + b0 + b)
+                if b < 1e-13 * t_norm[c]:
+                    invariant.append(c)
 
-            if invariant or (j - first) % 4 == 3 or j == m - 1:
-                t_eigs, t_vecs = np.linalg.eigh(t[: j + 1, : j + 1])
-                theta = float(t_eigs[0])
-                history.append(theta)
-                res_est = beta * abs(float(t_vecs[-1, 0]))
-                converged = invariant or (
-                    theta_prev is not None
-                    and abs(theta_prev - theta) < tol
-                    and res_est < 10.0 * tol
-                )
-                theta_prev = theta
-                if converged or j == m - 1:
-                    break
-            t[j, j + 1] = t[j + 1, j] = beta
-            v[j + 1] = w / beta
+            last = j == m - 1
+            left = []  # block rows whose column leaves at this step
+            on_schedule = last or (j - first) % 4 == 3
+            if on_schedule or invariant:
+                # off the schedule only the invariant columns are checked, each alone
+                rows = range(len(columns)) if on_schedule else invariant
+                checked = t[:, : j + 1, : j + 1] if on_schedule else t[rows, : j + 1, : j + 1]
+                eigs, vecs = np.linalg.eigh(checked)
+                converged = []
+                for i, (c, theta, s_last) in enumerate(
+                    zip(rows, eigs[:, 0].tolist(), vecs[:, -1, 0].tolist())
+                ):
+                    columns[c].history.append(theta)
+                    if c in invariant or (
+                        abs(theta_prev[c] - theta) < tol and betas[c] * abs(s_last) < 10.0 * tol
+                    ):
+                        converged.append(i)
+                        left.append(c)
+                    theta_prev[c] = theta
+                if converged:
+                    krylov = cycle if len(left) == len(columns) else v[left, : j + 1]
+                    failed = _explicit_check(matvec, [columns[c] for c in left], deltas[left],
+                                             krylov, eigs[converged, :2], vecs[converged, :, 0],
+                                             taken, tol, outcomes)
+                    restarts += [col for col in failed if not spent(col)]
+            if last:  # the others restart thick, unless they have spent their cycles
+                for c, col in enumerate(columns):
+                    if c not in left:
+                        col.cycles += 1
+                        if spent(col):
+                            left.append(c)
+            if left:
+                keep = [c for c in range(len(columns)) if c not in left]
+                if not keep:
+                    return restarts
+                for row, c in enumerate(keep):  # in place, without a copy of the block
+                    v[row], t[row] = v[c], t[c]
+                v, t = v[: len(keep)], t[: len(keep)]
+                columns = [columns[c] for c in keep]
+                t_norm = [t_norm[c] for c in keep]
+                theta_prev = [theta_prev[c] for c in keep]
+                deltas, w, beta = deltas[keep], w[keep], beta[keep]
+                if last:
+                    eigs, vecs = eigs[keep], vecs[keep]
+            if last:
+                break
+            t[:, j, j + 1] = t[:, j + 1, j] = beta
+            np.divide(w, beta[:, None], out=v[:, j + 1])
 
-        if not converged:  # thick restart: keep the lowest Ritz pairs
-            v[:kept] = t_vecs[:, :kept].T @ v
-            t[:] = 0.0
-            t[:kept, :kept] = np.diag(t_eigs[:kept])
-            t[kept, :kept] = t[:kept, kept] = beta * t_vecs[-1, :kept]
-            v[kept] = w / beta
-            first = kept
-            continue
-        q = v[: j + 1].T @ t_vecs[:, 0]
-        q /= np.linalg.norm(q)
-        hq = matvec(q)
-        energy = float(q @ hq)
-        residual = float(np.linalg.norm(hq - energy * q))
-        if residual <= max(10.0 * tol, 1e-12):
-            gap = float(t_eigs[1] - t_eigs[0]) if j else math.inf
-            return energy, q, residual, tuple(history), gap, steps
-        # restart from q alone, with a sharper target
-        v[0] = q
+        # thick restart: keep the lowest Ritz pairs
+        v[:, :kept] = np.matmul(vecs[:, :, :kept].transpose(0, 2, 1), v)
         t[:] = 0.0
-        first, theta_prev, t_norm, beta = 0, None, 0.0, 0.0
+        t[:, range(kept), range(kept)] = eigs[:, :kept]
+        t[:, kept, :kept] = t[:, :kept, kept] = beta[:, None] * vecs[:, -1, :kept]
+        np.divide(w, beta[:, None], out=v[:, kept])
+        first = kept
 
-    raise ConvergenceError(
-        f"Lanczos did not converge in {_MAX_CYCLES} cycles (last Ritz value "
-        f"{history[-1] if history else math.nan!r})"
-    )
+
+def _explicit_check(matvec, columns, deltas, krylov, lowest, ritz, taken, tol, outcomes):
+    """Ritz vectors of converged columns through the explicit residual check.
+
+    `krylov` holds each column's cycle vectors, `ritz` the coefficients of
+    its lowest Ritz vector in them and `lowest` its (at most two) lowest
+    Ritz values.  Fills `outcomes` for the columns that pass; the others
+    get their Ritz vector as a new start and are returned.
+    """
+    q = np.matmul(ritz[:, None, :], krylov)[:, 0]
+    q /= np.sqrt(np.vecdot(q, q))[:, None]
+    hq = matvec(deltas, q)
+    energies = np.vecdot(q, hq)
+    hq -= energies[:, None] * q
+    residuals = np.sqrt(np.vecdot(hq, hq))
+    failed = []
+    for i, col in enumerate(columns):
+        col.steps += taken
+        if residuals[i] <= max(10.0 * tol, 1e-12):
+            gap = float(lowest[i, 1] - lowest[i, 0]) if lowest.shape[1] > 1 else math.inf
+            outcomes[col.index] = (float(energies[i]), q[i], float(residuals[i]),
+                                   tuple(col.history), gap, col.steps)
+        else:  # restart from q alone, with a sharper target
+            col.start, col.cycles = q[i], col.cycles + 1
+            failed.append(col)
+    return failed
+
+
+def ground_states(n_sites: int, deltas, *, tol: float = 1e-12, cache_dir=None):
+    """Yield the lowest eigenpair of the XXZ ring in the S^z = 0 sector for each Δ, in order.
+
+    Every Δ must be finite and above −1, so that the sector hosts the global
+    ground state; every Δ and `tol` are checked before anything is solved.
+    Lanczos runs on H_χ in the `MomentumSector`, and each state keeps its
+    amplitudes φ there.  With `cache_dir` set, solved states are persisted
+    and read back exactly; an entry is used only if its φ has unit norm and
+    passes the residual check.  The values of Δ that miss the cache are
+    solved together, up to `_BLOCK_BYTES` of Krylov vectors in one lockstep
+    block, and each state is written to the cache as it is yielded.  A Δ
+    whose solve fails raises when the sweep reaches it: the states before
+    it are yielded and cached as if each were solved alone, none after it.
+    """
+    deltas = [float(delta) for delta in deltas]
+    for delta in deltas:
+        if not math.isfinite(delta):
+            raise ValueError(f"delta={delta!r} is not finite")
+        if delta <= -1.0:
+            raise FerromagneticRegimeError(
+                f"delta={delta!r} <= -1: ground state is fully polarized and leaves "
+                "the S^z = 0 sector; pair discord vanishes there"
+            )
+    if not 0.0 < tol <= 1e-4:
+        raise ValueError(f"tol {tol!r} outside (0, 1e-4]")
+    sector = _momentum_sector(n_sites)
+    width = max(1, _BLOCK_BYTES // (_KRYLOV_VECTORS * sector.dim * 8))
+    window, misses = [], 0  # (Δ, cache path, cached state) since the last yield
+    for delta in deltas:
+        path = cached = None
+        if cache_dir is not None:
+            path = cache_path(cache_dir, n_sites, sector.n_up, delta, tol)
+            cached = _cached_state(sector, delta, tol, path)
+        if cached is not None and not window:
+            yield cached
+            continue
+        window.append((delta, path, cached))
+        misses += cached is None
+        if misses == width:
+            yield from _solve_window(sector, window, tol, width)
+            window, misses = [], 0
+    yield from _solve_window(sector, window, tol, width)
+
+
+def _cached_state(sector: MomentumSector, delta: float, tol: float, path):
+    """The cache entry at `path`, or None if it is missing, corrupt, stale or unnormalized.
+
+    The entry must also pass the residual check at max(1e-8, 10·tol), which
+    is never stricter than a solve's own max(10·tol, 1e-12): an entry a
+    solve wrote at a loose tol is a hit, not solved and written again.
+    """
+    cached = load_ground_state(path, (sector.n_sites, sector.n_up, delta, tol))
+    if cached is None:
+        return None
+    energy, phi = cached
+    if phi.shape != (sector.dim,) or abs(np.linalg.norm(phi) - 1.0) > 1e-8:
+        return None
+    phi.flags.writeable = False
+    residual = float(np.linalg.norm(apply_hamiltonian(sector, delta, phi) - energy * phi))
+    if residual > max(1e-8, 10.0 * tol):
+        return None
+    return GroundState(sector, delta, energy, phi, residual, tol, ())
+
+
+def _solve_window(sector: MomentumSector, window, tol: float, width: int):
+    """Solve the misses of `window` in lockstep blocks, then yield its states in order."""
+    outcomes = iter(_lanczos_lowest(
+        lambda deltas, psi: apply_hamiltonian(sector, deltas, psi), sector.start,
+        [delta for delta, _path, cached in window if cached is None], tol=tol, width=width,
+    ))
+    for delta, path, state in window:
+        if state is None:
+            outcome = next(outcomes)
+            if isinstance(outcome, ConvergenceError):
+                raise outcome
+            energy, phi, residual, history, gap, steps = outcome
+            if gap <= 1e-10:
+                raise DegenerateGroundStateError(
+                    f"Ritz gap {gap!r} <= 1e-10: sector ground state is not unique, pair "
+                    "density matrices are ill-defined"
+                )
+            if phi[np.argmax(np.abs(phi))] < 0.0:
+                phi = -phi
+            phi.flags.writeable = False
+            state = GroundState(sector, delta, energy, phi, residual, tol, history, steps)
+            if path is not None:
+                save_ground_state(path, state)
+        yield state
 
 
 def ground_state(
@@ -414,55 +636,8 @@ def ground_state(
     tol: float = 1e-12,
     cache_dir=None,
 ) -> GroundState:
-    """Lowest eigenpair of the XXZ ring in the S^z = 0 sector.
-
-    Requires a finite Δ > −1, so that the sector hosts the global ground
-    state.  Lanczos runs on H_χ in the `MomentumSector`, and the state keeps
-    its amplitudes φ there.  With `cache_dir` set, solved states are
-    persisted and read back exactly; an entry is used only if its φ has unit
-    norm and passes the residual check.
-    """
-    if not math.isfinite(delta):
-        raise ValueError(f"delta={delta!r} is not finite")
-    if delta <= -1.0:
-        raise FerromagneticRegimeError(
-            f"delta={delta!r} <= -1: ground state is fully polarized and leaves "
-            "the S^z = 0 sector; pair discord vanishes there"
-        )
-    if not 0.0 < tol <= 1e-4:
-        raise ValueError(f"tol {tol!r} outside (0, 1e-4]")
-    sector = _momentum_sector(n_sites)
-
-    path = None
-    if cache_dir is not None:
-        key = (n_sites, sector.n_up, delta, tol)
-        path = cache_path(cache_dir, *key)
-        cached = load_ground_state(path, key)
-        if cached is not None:
-            energy, phi = cached
-            if phi.shape == (sector.dim,) and abs(np.linalg.norm(phi) - 1.0) <= 1e-8:
-                phi.flags.writeable = False
-                residual = np.linalg.norm(apply_hamiltonian(sector, delta, phi) - energy * phi)
-                if residual <= 1e-8:
-                    return GroundState(sector, delta, energy, phi, float(residual), tol, ())
-            # corrupt, stale or unnormalized entry: fall through and re-solve
-
-    energy, phi, residual, history, gap, steps = _lanczos_lowest(
-        lambda p: apply_hamiltonian(sector, delta, p), sector.start, tol=tol
-    )
-    if gap <= 1e-10:
-        raise DegenerateGroundStateError(
-            f"Ritz gap {gap!r} <= 1e-10: sector ground state is not unique, pair "
-            "density matrices are ill-defined"
-        )
-    if phi[np.argmax(np.abs(phi))] < 0.0:
-        phi = -phi
-    phi.flags.writeable = False
-
-    state = GroundState(sector, delta, energy, phi, residual, tol, history, steps)
-    if path is not None:
-        save_ground_state(path, state)
-    return state
+    """Lowest eigenpair of the XXZ ring in the S^z = 0 sector: `ground_states` of one Δ."""
+    return next(ground_states(n_sites, [delta], tol=tol, cache_dir=cache_dir))
 
 
 # ── persistent cache ────────────────────────────────────────────────────────

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from spindiscord import cli, correlators, distribution
+from spindiscord import cli, correlators, distribution, spinchain
 from spindiscord.spinchain import ConvergenceError
 
 
@@ -531,16 +531,23 @@ class TestUnwritablePaths:
         assert cache.read_text() == "not a directory"
 
 
+def stalling_after(limit):
+    """A `ground_states` that yields the states up to `limit`, then stalls."""
+    real = correlators.ground_states
+
+    def stalling(n_sites, deltas, **kwargs):
+        deltas = list(deltas)
+        solved = [delta for delta in deltas if delta <= limit]
+        yield from real(n_sites, solved, **kwargs)
+        if len(solved) < len(deltas):
+            raise ConvergenceError("stalled")
+
+    return stalling
+
+
 class TestIncompleteSweep:
     def test_partial_csv_gets_trailer(self, tmp_path, capsys, monkeypatch):
-        real = correlators.ground_state
-
-        def failing(n_sites, delta, **kwargs):
-            if delta > 1.0:
-                raise ConvergenceError("stalled")
-            return real(n_sites, delta, **kwargs)
-
-        monkeypatch.setattr(correlators, "ground_state", failing)
+        monkeypatch.setattr(correlators, "ground_states", stalling_after(1.0))
         out_file = tmp_path / "partial.csv"
         code = run(
             ["fig3", "--n", "4", "--rs", "1", "--delta-range", "0.5:1.5:0.5",
@@ -555,14 +562,7 @@ class TestIncompleteSweep:
         assert len(lines) == 4
 
     def test_partial_json_flagged(self, tmp_path, capsys, monkeypatch):
-        real = correlators.ground_state
-
-        def failing(n_sites, delta, **kwargs):
-            if delta > 1.0:
-                raise ConvergenceError("stalled")
-            return real(n_sites, delta, **kwargs)
-
-        monkeypatch.setattr(correlators, "ground_state", failing)
+        monkeypatch.setattr(correlators, "ground_states", stalling_after(1.0))
         out_file = tmp_path / "partial.json"
         code = run(
             ["fig3", "--n", "4", "--rs", "1", "--delta-range", "0.5:1.5:0.5",
@@ -576,10 +576,7 @@ class TestIncompleteSweep:
         assert len(doc["rows"]) == 2
 
     def test_failure_with_no_rows_writes_nothing(self, tmp_path, capsys, monkeypatch):
-        def always_failing(n_sites, delta, **kwargs):
-            raise ConvergenceError("stalled")
-
-        monkeypatch.setattr(correlators, "ground_state", always_failing)
+        monkeypatch.setattr(correlators, "ground_states", stalling_after(-math.inf))
         out_file = tmp_path / "never.csv"
         code = run(
             ["fig3", "--n", "4", "--rs", "1", "--delta-range", "0.5:1.5:0.5",
@@ -588,3 +585,24 @@ class TestIncompleteSweep:
         capsys.readouterr()
         assert code == 2
         assert not out_file.exists()
+
+    def test_failure_mid_block_keeps_the_cache_of_the_deltas_before_it(
+        self, tmp_path, capsys, monkeypatch, spoil_first_check
+    ):
+        """All five Δ share one block; Δ = 0.5 fails in it, after 0 and 0.25 are written."""
+        steps = spinchain.ground_state(12, 0.5).iterations
+        spoil_first_check(0.5, steps)
+        monkeypatch.setattr(spinchain, "_MAX_CYCLES", 1)  # no cycle left for the restart
+        out_file = tmp_path / "partial.csv"
+        code = run(
+            ["fig3", "--n", "12", "--rs", "1", "--delta-range", "0:1:0.25",
+             "--deterministic", "--out", str(out_file)] + cache_args(tmp_path)
+        )
+        assert code == 2
+        assert "did not converge" in capsys.readouterr().err
+        lines = out_file.read_text().strip().splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:-1]] == [0.0, 0.25]
+        assert lines[-1] == "# INCOMPLETE"
+        cache = tmp_path / "cache"
+        expected = {spinchain.cache_path(cache, 12, 6, d, 1e-12).name for d in (0.0, 0.25)}
+        assert {path.name for path in cache.iterdir()} == expected

@@ -458,7 +458,7 @@ class TestDiscordProfileVsDelta:
 class TestPairStateSweep:
     @pytest.mark.parametrize("delta", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_delta_before_any_row(self, monkeypatch, delta):
-        monkeypatch.setattr(correlators, "ground_state", None)  # a solve would raise TypeError
+        monkeypatch.setattr(correlators, "ground_states", None)  # a solve would raise TypeError
         rows = pair_state_sweep(8, [-2.0, 0.5, delta], [1])
         with pytest.raises(ValueError, match=rf"^delta={delta!r} is not finite$"):
             next(rows)

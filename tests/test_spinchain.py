@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import random
 import shutil
 import stat
 import tracemalloc
@@ -21,6 +22,7 @@ from spindiscord.spinchain import (
     build_sector,
     cache_path,
     ground_state,
+    ground_states,
     load_ground_state,
     save_ground_state,
 )
@@ -499,10 +501,12 @@ class TestGroundState:
         real_eigh, real_matvec = np.linalg.eigh, spinchain.apply_hamiltonian
 
         def counting_eigh(a):
-            eighs.append(a.shape)
+            assert a.shape[0] == 1  # a lone Δ is a block of one
+            eighs.append(a.shape[1:])
             return real_eigh(a)
 
         def counting_matvec(basis, delta, psi):
+            assert psi.shape == (1, basis.dim)
             matvecs.append(1)
             return real_matvec(basis, delta, psi)
 
@@ -534,7 +538,7 @@ class TestGroundState:
         gs = ground_state(n_sites, 1.0)
         assert gs.iterations > spinchain._KRYLOV_VECTORS  # it restarted
         assert spinchain._KRYLOV_VECTORS <= 25
-        assert all(rows == cols <= spinchain._KRYLOV_VECTORS for rows, cols in shapes)
+        assert all(rows == cols <= spinchain._KRYLOV_VECTORS for _block, rows, cols in shapes)
 
     @pytest.mark.parametrize("n_sites", [16, 20])
     def test_thick_restart_keeps_the_lowest_ritz_values(self, monkeypatch, n_sites):
@@ -542,8 +546,8 @@ class TestGroundState:
         calls = []
         real_eigh = np.linalg.eigh
 
-        def recording_eigh(a):
-            calls.append((a.copy(), real_eigh(a)[0]))
+        def recording_eigh(a):  # a lone Δ: a stack of one T
+            calls.append((a[0].copy(), real_eigh(a)[0][0]))
             return real_eigh(a)
 
         monkeypatch.setattr(spinchain.np.linalg, "eigh", recording_eigh)
@@ -622,13 +626,13 @@ class TestGroundState:
         start = np.array([0.0, 0.6, 0.48, 0.0, 0.64, 0.0])
         calls = []
 
-        def matvec(p):
+        def matvec(deltas, p):
             calls.append(1)
             return levels * p
 
         with np.errstate(all="raise"):
-            energy, vec, residual, history, gap, steps = spinchain._lanczos_lowest(
-                matvec, start, tol=1e-12
+            ((energy, vec, residual, history, gap, steps),) = spinchain._lanczos_lowest(
+                matvec, start, [0.0], tol=1e-12
             )
         assert steps == 3
         assert len(calls) == 4  # three steps and the explicit residual
@@ -643,6 +647,99 @@ class TestGroundState:
         monkeypatch.setattr(spinchain, "_MAX_CYCLES", 0)
         with pytest.raises(ConvergenceError):
             ground_state(12, 1.0)
+
+
+# the benchmark's fig3 grid, -1.5:2.5:0.05, where Δ > −1
+SWEEP = [d for d in (round(-1.5 + 0.05 * i, 12) for i in range(81)) if d > -1.0]
+
+
+def same_state(a, b):
+    return (np.array_equal(a.phi, b.phi) and a.energy == b.energy and a.residual == b.residual
+            and a.ritz_history == b.ritz_history and a.iterations == b.iterations)
+
+
+class TestLockstepBlocks:
+    @pytest.mark.parametrize("n_sites", [8, 12, 16])
+    def test_a_state_does_not_depend_on_its_block(self, monkeypatch, n_sites):
+        """Alone, in one block, shuffled or at two other widths: the same bits for every Δ."""
+        alone = {delta: ground_state(n_sites, delta) for delta in SWEEP}
+        if n_sites == 12:
+            assert alone[0.0].iterations == 13  # its Krylov space turns invariant off the schedule
+        shuffled = SWEEP[:]
+        random.Random(n_sites).shuffle(shuffled)
+        rows, real = [], spinchain.apply_hamiltonian
+
+        def recording(basis, deltas, psi):
+            rows.append(psi.shape[0])
+            return real(basis, deltas, psi)
+
+        monkeypatch.setattr(spinchain, "apply_hamiltonian", recording)
+        dim = spinchain._momentum_sector(n_sites).dim
+        width = spinchain._BLOCK_BYTES // (spinchain._KRYLOV_VECTORS * dim * 8)
+        for deltas in (SWEEP, shuffled):
+            rows.clear()
+            states = list(ground_states(n_sites, deltas))
+            assert max(rows) == min(width, len(SWEEP))
+            assert all(same_state(state, alone[delta]) for delta, state in zip(deltas, states))
+        for width in (3, 7):
+            monkeypatch.setattr(spinchain, "_BLOCK_BYTES", width * spinchain._KRYLOV_VECTORS * dim * 8)
+            rows.clear()
+            states = list(ground_states(n_sites, shuffled))
+            assert max(rows) == width
+            assert all(same_state(state, alone[delta]) for delta, state in zip(shuffled, states))
+
+    def test_a_column_restarted_from_its_ritz_vector_keeps_its_bits(
+        self, monkeypatch, spoil_first_check
+    ):
+        deltas = [0.0, 0.25, 0.5, 0.75, 1.0]
+        steps = ground_state(12, 0.5).iterations
+        blocks, lockstep = [], spinchain._lockstep
+
+        def recording(matvec, columns, *args):
+            blocks.append([col.delta for col in columns])
+            return lockstep(matvec, columns, *args)
+
+        monkeypatch.setattr(spinchain, "_lockstep", recording)
+        spoil_first_check(0.5, steps)
+        alone = ground_state(12, 0.5)
+        assert alone.iterations > steps and alone.residual <= 1e-11
+        assert blocks == [[0.5], [0.5]]  # the restart runs in a block of its own
+        for order in (deltas, deltas[::-1]):
+            blocks.clear()
+            spoil_first_check(0.5, steps)
+            states = dict(zip(order, ground_states(12, order)))
+            assert blocks == [order, [0.5]]
+            assert same_state(states[0.5], alone)
+            assert all(same_state(states[d], ground_state(12, d)) for d in order if d != 0.5)
+
+    def test_a_failure_mid_block_raises_at_its_delta(self, monkeypatch, tmp_path, spoil_first_check):
+        """Δ = 0.5 needs a second cycle and has none: the sweep yields and caches what precedes it."""
+        deltas = [0.0, 0.25, 0.5, 0.75, 1.0]
+        spoil_first_check(0.5, ground_state(12, 0.5).iterations)
+        monkeypatch.setattr(spinchain, "_MAX_CYCLES", 1)
+        sweep = ground_states(12, deltas, cache_dir=tmp_path)
+        assert [next(sweep).delta for _ in range(2)] == [0.0, 0.25]
+        with pytest.raises(ConvergenceError):
+            next(sweep)
+        expected = {cache_path(tmp_path, 12, 6, d, 1e-12).name for d in (0.0, 0.25)}
+        assert {path.name for path in tmp_path.iterdir()} == expected
+
+    def test_cache_hits_and_misses_come_back_in_order(self, tmp_path):
+        for delta in (0.5, 1.5):
+            ground_state(10, delta, cache_dir=tmp_path)
+        deltas = [1.5, 0.0, 0.5, 1.0, 2.0]
+        states = list(ground_states(10, deltas, cache_dir=tmp_path))
+        assert [state.delta for state in states] == deltas
+        assert [state.iterations == 0 for state in states] == [True, False, True, False, False]
+        assert all(same_state(state, ground_state(10, d)) for d, state in zip(deltas, states)
+                   if state.iterations)
+
+    def test_checks_every_delta_before_solving(self, monkeypatch):
+        monkeypatch.setattr(spinchain, "_lanczos_lowest", None)  # a solve would raise TypeError
+        with pytest.raises(FerromagneticRegimeError):
+            next(ground_states(8, [0.5, -1.0]))
+        with pytest.raises(ValueError, match="not finite"):
+            next(ground_states(8, [0.5, math.nan]))
 
 
 class TestCache:
@@ -662,6 +759,18 @@ class TestCache:
         assert warm.iterations == 0  # served from disk
         assert warm.energy == cold.energy
         assert np.array_equal(warm.phi, cold.phi)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4])
+    def test_entry_solved_at_a_loose_tolerance_is_a_hit(self, tmp_path, tol):
+        """A solve accepts residuals up to 10·tol, and so does the cache check."""
+        cold = ground_state(12, 1.0, tol=tol, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 12, 6, 1.0, tol)
+        stamp = path.stat().st_mtime_ns
+        warm = ground_state(12, 1.0, tol=tol, cache_dir=tmp_path)
+        assert cold.iterations > 0
+        assert warm.iterations == 0
+        assert np.array_equal(warm.phi, cold.phi)
+        assert path.stat().st_mtime_ns == stamp
 
     def test_key_separates_parameters(self, tmp_path):
         ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
