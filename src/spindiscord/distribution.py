@@ -27,6 +27,17 @@ weight of its phi row, and Monte Carlo skips its phi draws with
 `bit_generator.advance`, which leaves the seeded stream where drawing them
 would.  `n_samples` stays the nominal point count.
 
+For every X state C is also unchanged under theta -> pi - theta, which
+swaps cos^2(theta/2) with sin^2(theta/2), so the two outcomes trade their
+p and b, while cos(theta/2) sin(theta/2) stays the same; and under
+phi -> phi + pi, which only flips the sign of x e^{i phi} + y e^{-i phi}.
+Both grids are mirror-symmetric in theta, and at an even n_phi their phi
+node k + n_phi/2 is node k plus pi.  So a grid evaluates one theta node of
+each mirror pair and, for a phi-dependent state at an even n_phi, the first
+half of each phi row, each with the weight of the nodes it stands for.  A
+phi-dependent grid evaluates a quarter of its nodes, a phi-free one half
+of its theta nodes; `n_samples` stays n_theta * n_phi.
+
 This module alone blocks the conditional-entropy path.  Grids evaluate the
 kernel's theta front end once per theta node and the phi modulus once per
 histogram; Monte Carlo hands its cos(theta) draws to the cos(theta) front
@@ -62,8 +73,10 @@ _BLOCK = 1 << 13
 _DRAW = 1 << 18
 
 
-# Caps measured on 2 CPUs: 2^24 points take 1-2.5 s and up to 170 MB peak RSS
-# (AngleGrid(2^23, 2)); 2048 Gauss-Legendre nodes take 0.6 s and 32 MB to build.
+# Caps measured on 2 CPUs in a fresh process.  A 2^24-point grid evaluates
+# 2^22-2^23 points after the mirror folds: its histogram takes 0.14-0.35 s
+# and peaks at 131 MB RSS (AngleGrid(2^23, 2)), 101 MB with
+# GaussGrid(2048, 8192), whose nodes take 0.5-0.65 s to build.
 _MAX_POINTS = 1 << 24
 _MAX_GAUSS_NODES = 2048
 
@@ -78,7 +91,7 @@ def _check_grid(n_theta: int, n_phi: int) -> None:
     if n_theta * n_phi > _MAX_POINTS:
         raise ValueError(
             f"grid of {n_theta}x{n_phi} points is above the 2^24-point maximum "
-            "(2^24 points take 1-2.5 s and up to 170 MB)"
+            "(2^24 points take up to 0.35 s and 131 MB)"
         )
 
 
@@ -100,18 +113,34 @@ def _gauss_nodes(n_theta: int):
 def _grid_blocks(state, theta, weights, phi, phi_free):
     """Broadcastable (theta-row columns, phi-modulus row, weight column) blocks.
 
-    The product grid theta x phi is never materialized: each block holds
-    whole theta rows, at most _BLOCK points, and flattens theta-major.  A
-    phi-free state is blocked over theta nodes alone, each weighted by its
-    phi row.
+    Node n-1-k of theta is pi minus node k, and C(pi - theta, phi) =
+    C(theta, phi) (the outcomes trade their p and b; cos(theta/2) sin(theta/2)
+    is unchanged): one node of each pair is evaluated with twice its weight,
+    and an odd grid's equator node, its own mirror, with its own.  At an even
+    n_phi node k + n_phi/2 is node k plus pi, and C(theta, phi + pi) =
+    C(theta, phi) (x e^{i phi} + y e^{-i phi} only flips sign): the first half
+    of the phi row is evaluated with twice its weight.  A phi-free state is
+    blocked over theta nodes alone, each weighted by its phi row.  The caller
+    keeps n_samples at the nominal n_theta * n_phi.  The product grid is never
+    materialized: each block holds whole theta rows, at most _BLOCK points,
+    and flattens theta-major.
     """
+    half = (len(theta) + 1) // 2
+    folded = 2.0 * weights[:half]
+    if len(theta) % 2:
+        folded[-1] = weights[half - 1]
+    theta = theta[:half]
     if phi_free:
-        weights, phi = weights * len(phi), np.zeros(1)
+        folded *= len(phi)
+        phi = np.zeros(1)
+    elif len(phi) % 2 == 0:
+        folded *= 2.0
+        phi = phi[: len(phi) // 2]
     rows = max(1, _BLOCK // len(phi))
     modulus2 = _modulus2(state, phi[None, :])
     for start in range(0, len(theta), rows):
         block = slice(start, start + rows)
-        yield _theta_rows(theta[block, None]), modulus2, weights[block, None]
+        yield _theta_rows(theta[block, None]), modulus2, folded[block, None]
 
 
 @dataclass(frozen=True)
@@ -176,7 +205,7 @@ class AngleGrid:
     def _blocks(self, state, phi_free):
         theta = np.linspace(0.0, math.pi, self.n_theta)
         phi = np.arange(self.n_phi) * (2.0 * math.pi / self.n_phi)
-        weights = np.full(self.n_theta, 1.0 / (self.n_theta * self.n_phi))
+        weights = np.broadcast_to(1.0 / (self.n_theta * self.n_phi), self.n_theta)
         return _grid_blocks(state, theta, weights, phi, phi_free)
 
 
@@ -247,14 +276,17 @@ def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> Entr
     hi = -math.inf
     # C is constant along phi for these states: the schemes fold phi away
     for rows, modulus2, w in scheme._blocks(state, state.x == 0 or state.y == 0):
-        values = np.maximum(_entropy_rows(state, *rows, modulus2), 0.0)
+        values = _entropy_rows(state, *rows, modulus2)
+        np.maximum(values, 0.0, out=values)
         # C-order flattening is theta-major: the order of the flat product grid
-        w = np.broadcast_to(w, values.shape).ravel()
-        values = values.ravel()
+        weighted = values = values.ravel()
+        if isinstance(w, np.ndarray):  # a grid's weight column; a draw weighs 1.0
+            w = np.repeat(w, modulus2.size)  # each theta row's weight over its phi row
+            weighted = w * values
         idx = np.minimum((values / bin_width).astype(np.int64), n_bins - 1)
         np.add.at(dense, idx, w)  # in the block's size, whatever the bin count
-        s1 += float(np.sum(w * values))
-        s2 += float(np.sum(w * values * values))
+        s1 += float(np.sum(weighted))
+        s2 += float(np.sum(weighted * values))
         lo = min(lo, float(values.min()))
         hi = max(hi, float(values.max()))
     dense *= scale

@@ -62,8 +62,6 @@ _CLAMP = 1e-12
 # C_00 and C_90 closer than this are a tie: at the isotropic point they are
 # equal, and which one rounds lower depends on the last digits of the state.
 _TIE = 1e-12
-# Dirichlet concentrations of `random_xstate`: uniform on the probability simplex.
-_FLAT = np.ones(4)
 _FIELDS = ("u", "v", "w1", "w2", "x", "y")
 
 
@@ -287,7 +285,15 @@ def conditional_entropy_values(state: XState, theta, phi) -> np.ndarray:
     """C_{θ,φ} evaluated elementwise over broadcast angle arrays (radians).
 
     Angles are unrestricted; the expression is 2π-periodic and symmetric
-    under θ → θ + π (the measurement pair {|0̃⟩, |1̃⟩} is unchanged).
+    under θ → θ + π (the measurement pair {|0̃⟩, |1̃⟩} is unchanged).  It
+    is also symmetric under θ → π − θ, which swaps cos²(θ/2) with
+    sin²(θ/2), so the two outcomes trade their p and b, while
+    cos(θ/2) sin(θ/2) stays the same; and under φ → φ + π, which only flips
+    the sign of x e^{iφ} + y e^{−iφ}.  The two sides of each identity round
+    differently, by at most ≈ 4e-15 (1.2e-14 where a conditional state is
+    pure).  `distribution` folds both on its grids: one θ node of each
+    mirror pair, and at an even n_phi half of each φ row, while its
+    `n_samples` stays the nominal grid size.
     A branch with probability at most 1e-12 contributes zero.  This is the
     θ front end and the shared body, over the whole input in one pass.
     """
@@ -350,8 +356,16 @@ def discord(state: XState) -> DiscordResult:
 
 def random_xstate(rng: np.random.Generator) -> XState:
     """Random valid X state: flat-simplex diagonal, coherences inside the
-    positivity disks |x| ≤ sqrt(w1 w2), |y| ≤ sqrt(u v), uniform phases."""
-    u, v, w1, w2 = rng.dirichlet(_FLAT).tolist()
+    positivity disks |x| ≤ sqrt(w1 w2), |y| ≤ sqrt(u v), uniform phases.
+
+    The diagonal is what `rng.dirichlet(np.ones(4))` draws, bit for bit and
+    with the same stream, without its per-call overhead: four unit-shape
+    gammas, summed left to right, each times the reciprocal of the sum.
+    Dividing by the sum instead would round differently.
+    """
+    g0, g1, g2, g3 = rng.standard_gamma(1.0, 4).tolist()
+    scale = 1.0 / (g0 + g1 + g2 + g3)
+    u, v, w1, w2 = g0 * scale, g1 * scale, g2 * scale, g3 * scale
     # the four uniforms on [0, 1) that four rng.uniform() calls would draw, in order
     x_radius, x_turn, y_radius, y_turn = rng.random(4).tolist()
     x = math.sqrt(w1 * w2) * x_radius * cmath.exp(2j * math.pi * x_turn)

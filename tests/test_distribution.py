@@ -194,13 +194,42 @@ def flat_product_reference(state, theta, phi, weights, bin_width=0.005):
     return bins, s1, max(s2 - s1 * s1, 0.0), float(values.min()), float(values.max()), len(values)
 
 
+def grid_nodes(scheme):
+    """The full (theta, phi, weights) node set of a grid scheme, before any fold."""
+    n_theta, n_phi = scheme.n_theta, scheme.n_phi
+    if isinstance(scheme, GaussGrid):
+        nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+        phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
+        return np.arccos(nodes), phi, weights / (2.0 * n_phi)
+    theta = np.linspace(0.0, math.pi, n_theta)
+    phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+    return theta, phi, np.full(n_theta, 1.0 / (n_theta * n_phi))
+
+
+def folded_nodes(theta, phi, weights):
+    """The node set a phi-dependent grid evaluates, with the weights it gives them.
+
+    The first ceil(n_theta/2) theta nodes, each with twice its weight except an
+    odd grid's equator node, and at an even n_phi the first n_phi/2 phi nodes,
+    with twice their weight.
+    """
+    half = (len(theta) + 1) // 2
+    folded = 2.0 * weights[:half]
+    if len(theta) % 2:
+        folded[-1] = weights[half - 1]
+    if len(phi) % 2 == 0:
+        phi, folded = phi[: len(phi) // 2], 2.0 * folded
+    return theta[:half], phi, folded
+
+
 class TestChunkedProductGrids:
-    """Grids whose last theta block is ragged match the flat product."""
+    """Grids whose last folded theta block is ragged match the flat product of the folded nodes."""
 
     STATE = random_xstate(np.random.default_rng(2024))
 
-    def check(self, scheme, theta, phi, weights):
+    def check(self, scheme):
         assert abs(self.STATE.y) > 0.0
+        theta, phi, weights = folded_nodes(*grid_nodes(scheme))
         assert len(theta) % max(1, _BLOCK // len(phi)) != 0
         hist = sample_distribution(self.STATE, scheme)
         bins, mean, variance, lo, hi, count = flat_product_reference(
@@ -209,24 +238,53 @@ class TestChunkedProductGrids:
         assert hist.bins == bins
         assert hist.min_c == lo
         assert hist.max_c == hi
-        assert hist.n_samples == count
+        assert count == len(theta) * len(phi)
+        assert hist.n_samples == scheme.n_theta * scheme.n_phi
         assert abs(hist.mean - mean) <= 1e-15
         assert abs(hist.variance - variance) <= 1e-15
 
     def test_gauss_grid(self):
-        n_theta, n_phi = 1100, 300
-        nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-        phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
-        self.check(
-            GaussGrid(n_theta, n_phi), np.arccos(nodes), phi, weights / (2.0 * n_phi)
-        )
+        self.check(GaussGrid(1100, 300))
+
+    def test_gauss_grid_odd_phi_row(self):
+        self.check(GaussGrid(1100, 301))  # an odd phi row has no half-turn pairs
 
     def test_angle_grid(self):
-        n_theta, n_phi = 2049, 200
-        theta = np.linspace(0.0, math.pi, n_theta)
-        phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-        weights = np.full(n_theta, 1.0 / (n_theta * n_phi))
-        self.check(AngleGrid(n_theta, n_phi), theta, phi, weights)
+        self.check(AngleGrid(2049, 200))
+
+    def test_angle_grid_odd_phi_row(self):
+        self.check(AngleGrid(2049, 201))
+
+
+class TestFoldedGridsMatchTheFullGrid:
+    """Evaluating one node per mirror pair gives the histogram of every node."""
+
+    SIZES = [(64, 64), (65, 63), (33, 40), (50, 31)]
+
+    @staticmethod
+    def states():
+        rng = np.random.default_rng(97)
+        for _ in range(6):
+            s = random_xstate(rng)
+            yield s
+            yield XState(s.u, s.v, s.w1, s.w2, s.x, 0.0)  # phi-free, like a ring pair
+            yield XState(s.u, s.v, s.w1, s.w2, 0.0, s.y)  # phi-free
+
+    @pytest.mark.parametrize("grid", [GaussGrid, AngleGrid])
+    @pytest.mark.parametrize("size", SIZES)
+    def test_histograms_match(self, grid, size):
+        scheme = grid(*size)
+        for state in self.states():
+            hist = sample_distribution(state, scheme)
+            bins, mean, variance, lo, hi, count = flat_product_reference(state, *grid_nodes(scheme))
+            assert hist.bins.keys() == bins.keys(), state
+            for i, mass in bins.items():
+                assert abs(hist.bins[i] - mass) <= 1e-13, state
+            assert abs(hist.mean - mean) <= 1e-15, state
+            assert abs(hist.variance - variance) <= 1e-15, state
+            assert abs(hist.min_c - lo) <= 4e-15, state
+            assert abs(hist.max_c - hi) <= 4e-15, state
+            assert hist.n_samples == count == size[0] * size[1]
 
 
 class TestPhiFreeStates:
@@ -242,9 +300,9 @@ class TestPhiFreeStates:
             return XState(0.35, 0.25, 0.22, 0.18, 0.0, 0.2 + 0.1j)
         return XState(0.5, 0.5, 0.0, 0.0)
 
-    def check(self, state, scheme, theta, phi, weights):
+    def check(self, state, scheme):
         hist = sample_distribution(state, scheme)
-        bins, mean, variance, lo, hi, count = flat_product_reference(state, theta, phi, weights)
+        bins, mean, variance, lo, hi, count = flat_product_reference(state, *grid_nodes(scheme))
         assert hist.bins.keys() == bins.keys()
         for i, mass in bins.items():
             assert abs(hist.bins[i] - mass) <= 1e-12
@@ -255,19 +313,10 @@ class TestPhiFreeStates:
         assert hist.n_samples == count == scheme.n_theta * scheme.n_phi
 
     def test_gauss_grid(self, state):
-        n_theta, n_phi = 1100, 300
-        nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-        phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
-        self.check(
-            state, GaussGrid(n_theta, n_phi), np.arccos(nodes), phi, weights / (2.0 * n_phi)
-        )
+        self.check(state, GaussGrid(1100, 300))
 
     def test_angle_grid(self, state):
-        n_theta, n_phi = 2049, 200
-        theta = np.linspace(0.0, math.pi, n_theta)
-        phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-        weights = np.full(n_theta, 1.0 / (n_theta * n_phi))
-        self.check(state, AngleGrid(n_theta, n_phi), theta, phi, weights)
+        self.check(state, AngleGrid(2049, 200))
 
     def test_monte_carlo_matches_drawn_phi(self, solve):
         state = two_site_rdm(solve(12, 2.0), 1, 2)
@@ -309,15 +358,15 @@ class TestFoldThenBlock:
         state = two_site_rdm(solve(12, 2.0), 1, 2)
         assert state.y == 0
         hist = sample_distribution(state, AngleGrid())
-        assert [v.size for v in calls] == [_BLOCK, 8193 - _BLOCK]
+        assert [v.size for v in calls] == [4097]  # one of each mirror pair of 8193 nodes
         assert hist.n_samples == 8193 * 256
 
     def test_phi_dependent_gauss_grid_blocks_whole_rows(self, calls):
         state = random_xstate(np.random.default_rng(2024))
         assert state.x != 0 and state.y != 0
         sample_distribution(state, GaussGrid(256, 256))
-        assert len(calls) == 8
-        assert all(v.size <= _BLOCK for v in calls)
+        # 128 theta nodes of 128 phi nodes: 64 whole rows per block
+        assert [v.shape for v in calls] == [(64, 128), (64, 128)]
 
     def test_monte_carlo_blocks_equal_the_whole_draw(self, calls, solve, monkeypatch):
         cos_blocks = []

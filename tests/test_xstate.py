@@ -269,6 +269,30 @@ class TestConditionalEntropyMatchesReference:
             self.check(state, self.THETA[:, None], 0.0)
 
 
+class TestMirrorSymmetries:
+    """C(π − θ, φ) = C(θ, φ + π) = C(θ, φ): the identities the grid histograms fold.
+
+    θ → π − θ swaps cos²(θ/2) with sin²(θ/2), so the two outcomes trade their
+    p and b, and keeps cos(θ/2) sin(θ/2); φ → φ + π flips the sign of
+    x e^{iφ} + y e^{−iφ}.  The kernel computes each side with its own rounding.
+    """
+
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    def test_theta_mirror_and_phi_half_turn(self, kind):
+        rng = np.random.default_rng(101)
+        theta = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(0.0, math.pi, 2000)])
+        phi = rng.uniform(0.0, 2 * math.pi, theta.size)
+        for state in reference_states(kind):
+            # a pure state (the singlet among the ring states) has pure conditional
+            # states, where a rounding-level change of λ moves H(λ) by up to H(2^-52)
+            tol = TestCosFrontEnd.TOL if max(xstate._joint_eigs(state)) == 1.0 else 4e-15
+            c = conditional_entropy_values(state, theta, phi)
+            mirrored = conditional_entropy_values(state, math.pi - theta, phi)
+            turned = conditional_entropy_values(state, theta, phi + math.pi)
+            assert np.max(np.abs(mirrored - c)) <= tol, state
+            assert np.max(np.abs(turned - c)) <= tol, state
+
+
 class TestCosFrontEnd:
     """Monte Carlo's cos θ front end against the θ kernel at θ = arccos(cos θ)."""
 
