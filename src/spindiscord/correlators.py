@@ -275,19 +275,20 @@ def _symmetric_discord(gamma_d, gamma_o):
     """`discord_symmetric` in terms of gamma_o = x, defined also at gamma_d = 0.
 
     Floats give a float.  Arrays of one shape give an array, elementwise; an
-    unphysical entry raises for the first one, in the words a float would.
+    unphysical or NaN entry raises for the first one, as a float would.
     """
     g, x = gamma_d, gamma_o
     eigs = [0.25 + g, 0.25 + g, 0.25 + x - g, 0.25 - x - g]
+    # each test is one that a NaN fails; np.minimum keeps a NaN, min may skip it
     if isinstance(g, float):
         smaller = min
-        if min(eigs) < -1e-12:
+        if not (eigs[0] >= -1e-12 and eigs[2] >= -1e-12 and eigs[3] >= -1e-12):
             raise _negative_eigenvalues(eigs, g, x)
     else:
         smaller = np.minimum
-        negative = np.flatnonzero(smaller(smaller(eigs[0], eigs[2]), eigs[3]) < -1e-12)
-        if negative.size:
-            i = negative[0]
+        bad = np.flatnonzero(~(smaller(smaller(eigs[0], eigs[2]), eigs[3]) >= -1e-12))
+        if bad.size:
+            i = bad[0]
             first = [float(e.flat[i]) for e in eigs]
             raise _negative_eigenvalues(first, float(g.flat[i]), float(x.flat[i]))
     c_zero = _clamped_binary_entropy(0.5 + 2.0 * g)

@@ -66,7 +66,7 @@ __all__ = [
     "moments_vs_delta",
 ]
 
-# Points per call of `conditional_entropy_values`: a block's temporaries,
+# Points per call of `_entropy_rows`: a block's temporaries,
 # a few arrays of this length, stay in the CPU cache.
 _BLOCK = 1 << 13
 # Monte Carlo samples per RNG call, which fixes the seeded stream.
@@ -76,7 +76,7 @@ _DRAW = 1 << 18
 # Caps measured on 2 CPUs in a fresh process.  A 2^24-point grid evaluates
 # 2^22-2^23 points after the mirror folds: its histogram takes 0.14-0.35 s
 # and peaks at 131 MB RSS (AngleGrid(2^23, 2)), 101 MB with
-# GaussGrid(2048, 8192), whose nodes take 0.5-0.65 s to build.
+# GaussGrid(2048, 8192), whose nodes take 0.7-1.6 s and 65 MB to build.
 _MAX_POINTS = 1 << 24
 _MAX_GAUSS_NODES = 2048
 
@@ -182,7 +182,7 @@ class GaussGrid:
         if self.n_theta > _MAX_GAUSS_NODES:
             raise ValueError(
                 f"n_theta {self.n_theta} is above the 2048-node Gauss maximum "
-                "(2048 nodes take 0.6 s and 32 MB to build)"
+                "(2048 nodes take 0.7-1.6 s and 65 MB to build)"
             )
         _check_grid(self.n_theta, self.n_phi)
 

@@ -39,9 +39,10 @@ Marshall-signed vector (−1)^(up spins on odd sites) projected into the
 vector of its Krylov space does, so the sector loses none of the states a
 Marshall-started Lanczos reaches.  The values of Δ of a sweep run that path
 together (`ground_states`): in lockstep blocks, one column per Δ, each
-numpy and LAPACK call of a step issued once for the block.  A block holds
-as many columns as fit 256 KiB of Krylov vectors: 39 at N = 12, 5 at
-N = 16 and one from N = 18 up, where a lone Δ keeps its memory.  Every call
+numpy and LAPACK call of a step issued once for the block.  The sector sets
+the block's `width`, as many columns as fit 256 KiB of Krylov vectors: 39 at
+N = 12, 5 at N = 16 and one from N = 18 up, where a lone Δ keeps its
+memory.  Each Δ's `_Column` carries its own run and outcome.  Every call
 acts on each column on its own, so a Δ's state is bit-identical alone, in
 any block and in any order.  Solved ground states can be persisted in a
 binary cache keyed by (N, n_up, Δ, tol).
@@ -53,7 +54,6 @@ import functools
 import math
 import os
 import struct
-import weakref
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -232,7 +232,10 @@ class MomentumSector:
     entries), where `_locate` finds any configuration's smallest rotation.
 
     `start` is the normalized projection of the Marshall signs, the
-    solver's start vector.
+    solver's start vector.  `width` values of Δ, as many columns as fit
+    `_BLOCK_BYTES` of Krylov vectors, make one lockstep block of the solver;
+    `_block_dst` holds the flip destinations of a full block, row k at
+    k·dim + dst (`dst` itself when `width` is 1).
     """
 
     def __init__(self, n_sites: int):
@@ -262,13 +265,16 @@ class MomentumSector:
         self._diag_zz = _bond_zz(reps, n_sites)
         src, dst, amp = self.flip_table(_bonds(n_sites))
         self._flip_pairs = src, dst, 0.5 * amp
+        self.width = max(1, _BLOCK_BYTES // (_KRYLOV_VECTORS * self.dim * 8))
+        self._block_dst = dst if self.width == 1 else (
+            dst + self.dim * np.arange(self.width)[:, None]).ravel()
         # Uᵀ of the Marshall signs m(c) = (−1)^(up spins on odd sites): m(g r)
         # = χ(g) m(r), so each of the O terms of ⟨a|m⟩ is m(r_a)/√O
         odd_sites = np.uint64(int("01" * (n_sites // 2), 2))
         start = root_size * (1.0 - 2.0 * (np.bitwise_count(reps & odd_sites) & 1))
         self.start = start / np.linalg.norm(start)
         for array in (reps, root_size, t_reps, t_class, self._t_coef, self._diag_zz,
-                      self.start, *self._flip_pairs):
+                      self.start, self._block_dst, *self._flip_pairs):
             array.flags.writeable = False
 
     def _locate(self, configs: np.ndarray):
@@ -307,8 +313,10 @@ def apply_hamiltonian(basis: MomentumSector, delta, psi: np.ndarray) -> np.ndarr
     """Matrix-free H_χ·psi in a `MomentumSector`.
 
     `psi` is one vector, or a (K, dim) block whose rows go with the K values
-    of `delta`; each row is summed in the same order as a lone vector.  Any
-    basis with `dim`, `_diag_zz` and `_flip_pairs` serves the same way.
+    of `delta`; each row is summed in the same order as a lone vector.  A
+    block of at most `width` rows scatters through a prefix of the sector's
+    block table, a wider one through destinations built for the call.  For
+    one vector, any basis with `dim`, `_diag_zz` and `_flip_pairs` serves.
     """
     psi = np.asarray(psi, dtype=np.float64)
     dim = basis.dim
@@ -320,24 +328,10 @@ def apply_hamiltonian(basis: MomentumSector, delta, psi: np.ndarray) -> np.ndarr
     weights *= amp
     rows = psi.size // dim
     if rows > 1:
-        dst = _row_destinations(basis, rows)
+        dst = (basis._block_dst[: rows * dst.size] if rows <= basis.width
+               else (dst + dim * np.arange(rows)[:, None]).ravel())
     out += np.bincount(dst, weights=weights.ravel(), minlength=rows * dim).reshape(psi.shape)
     return out
-
-
-# basis -> flip destinations of the widest block it has seen; a narrower
-# block's are a prefix of them
-_DESTINATIONS = weakref.WeakKeyDictionary()
-
-
-def _row_destinations(basis: MomentumSector, rows: int) -> np.ndarray:
-    """Flip destinations of a (rows, dim) block: row k scatters into k·dim + dst, in order."""
-    dst = basis._flip_pairs[1]
-    block = _DESTINATIONS.get(basis)
-    if block is None or block.size < rows * dst.size:
-        block = _DESTINATIONS[basis] = (dst + basis.dim * np.arange(rows)[:, None]).ravel()
-        block.flags.writeable = False
-    return block[: rows * dst.size]
 
 
 @dataclass(frozen=True)
@@ -359,20 +353,35 @@ class GroundState:
 
 
 class _Column:
-    """One Δ's Lanczos run: its start vector, Ritz history, steps and cycles so far."""
+    """One Δ's Lanczos run: its start vector, Ritz history, steps and cycles so far.
 
-    __slots__ = ("index", "delta", "start", "history", "steps", "cycles")
+    Also its run's max(1, Gershgorin bound on ‖T‖) and last Ritz value, and
+    its `outcome`: None until the Δ is done, then its `_lanczos_lowest` entry.
+    """
 
-    def __init__(self, index: int, delta: float, start: np.ndarray):
-        self.index, self.delta, self.start = index, delta, start
+    __slots__ = ("delta", "start", "history", "steps", "cycles", "t_norm", "theta", "outcome")
+
+    def __init__(self, delta: float, start: np.ndarray):
+        self.delta, self.start = delta, start
         self.history, self.steps, self.cycles = [], 0, 0
+        self.t_norm, self.theta, self.outcome = 1.0, math.inf, None
+
+    def spent(self) -> bool:
+        """Whether the run is out of cycles; its outcome is then the `ConvergenceError`."""
+        if self.cycles < _MAX_CYCLES:
+            return False
+        self.outcome = ConvergenceError(
+            f"Lanczos did not converge in {_MAX_CYCLES} cycles (last Ritz value "
+            f"{self.history[-1] if self.history else math.nan!r})"
+        )
+        return True
 
 
-def _lanczos_lowest(matvec, start: np.ndarray, deltas, *, tol: float, width: int = 1):
+def _lanczos_lowest(matvec, start: np.ndarray, deltas, *, tol: float):
     """Thick-restart Lanczos for the lowest eigenpair of H(Δ), each Δ of `deltas` from `start`.
 
     `matvec(Δs, block)` applies H to the rows of a (K, dim) block, row k at
-    Δs[k].  Up to `width` values of Δ run as one block, in lockstep: the
+    Δs[k].  The values of Δ run as one block, in lockstep: the
     matvec, the reorthogonalization products and the `eigh` of the Ritz
     checks are each issued once per step for the whole block, and each acts
     on every row on its own, so a Δ's results do not depend on its block.
@@ -387,51 +396,35 @@ def _lanczos_lowest(matvec, start: np.ndarray, deltas, *, tol: float, width: int
     has converged when its Ritz value moves less than tol between two
     checks with a residual estimate below 10*tol, or when its Krylov space
     is invariant, and it then leaves the block.  A Ritz vector that fails
-    the explicit residual check restarts alone from that vector, in a later
-    block, with its history, steps and cycles.  Returns one entry per Δ:
-    (energy, vector, explicit residual, Ritz history, last Ritz gap, inf
-    when T is 1×1, Lanczos steps), or the `ConvergenceError` of a Δ that ran
-    out of cycles.
+    the explicit residual check restarts from that vector, in a block of
+    the restarts that follows, with its history, steps and cycles.  Returns
+    one entry per Δ: (energy, vector, explicit residual, Ritz history, last
+    Ritz gap, inf when T is 1×1, Lanczos steps), or the `ConvergenceError`
+    of a Δ that ran out of cycles.
     """
     dim = start.size
     m = min(dim, _KRYLOV_VECTORS)
     kept = min(_KEPT_RITZ, m - 1)
-    outcomes = [None] * len(deltas)
-    queue = [_Column(i, delta, start) for i, delta in enumerate(deltas)]
-    while queue:
-        block, queue = queue[:width], queue[width:]
-        queue += _lockstep(matvec, block, m, kept, tol, outcomes)
-    return outcomes
+    columns = [_Column(delta, start) for delta in deltas]
+    block = [col for col in columns if not col.spent()]
+    while block:
+        block = _lockstep(matvec, block, m, kept, tol)
+    return [col.outcome for col in columns]
 
 
-def _lockstep(matvec, columns, m: int, kept: int, tol: float, outcomes) -> list:
+def _lockstep(matvec, columns, m: int, kept: int, tol: float) -> list:
     """Run one block of `_lanczos_lowest` until every column has left it.
 
-    Fills `outcomes` and returns the columns that restart from their Ritz
-    vector.  The vectors live in (K, ...) arrays, one row per column; a
-    column's scalars (‖T‖ bound, last Ritz value) live in lists.
+    Each column leaves with its outcome set, or is returned to restart from
+    its Ritz vector.  The vectors live in (K, ...) arrays, one row per
+    column, compacted in place as columns leave.
     """
     restarts = []
-
-    def spent(col):  # out of cycles: record the failure
-        if col.cycles < _MAX_CYCLES:
-            return False
-        outcomes[col.index] = ConvergenceError(
-            f"Lanczos did not converge in {_MAX_CYCLES} cycles (last Ritz value "
-            f"{col.history[-1] if col.history else math.nan!r})"
-        )
-        return True
-
-    columns = [col for col in columns if not spent(col)]
-    if not columns:
-        return restarts
     v = np.empty((len(columns), m, columns[0].start.size))
     t = np.zeros((len(columns), m, m))
     for c, col in enumerate(columns):
         v[c, 0] = col.start
     deltas = np.array([col.delta for col in columns])
-    t_norm = [1.0] * len(columns)  # max(1, Gershgorin bound on ‖T‖)
-    theta_prev = [math.inf] * len(columns)
     beta = np.zeros(len(columns))  # the previous β
     first, taken = 0, 0  # the cycle's first new vector, and the block's steps
 
@@ -449,9 +442,10 @@ def _lockstep(matvec, columns, m: int, kept: int, tol: float, outcomes) -> list:
             beta_prev, beta = beta, np.sqrt(np.vecdot(w, w))
             betas = beta.tolist()
             invariant = []  # columns whose Ritz pair is exact
-            for c, (a, b0, b) in enumerate(zip(alpha.tolist(), beta_prev.tolist(), betas)):
-                t_norm[c] = max(t_norm[c], abs(a) + b0 + b)
-                if b < 1e-13 * t_norm[c]:
+            scalars = zip(columns, alpha.tolist(), beta_prev.tolist(), betas)
+            for c, (col, a, b0, b) in enumerate(scalars):
+                col.t_norm = max(col.t_norm, abs(a) + b0 + b)
+                if b < 1e-13 * col.t_norm:
                     invariant.append(c)
 
             last = j == m - 1
@@ -466,24 +460,24 @@ def _lockstep(matvec, columns, m: int, kept: int, tol: float, outcomes) -> list:
                 for i, (c, theta, s_last) in enumerate(
                     zip(rows, eigs[:, 0].tolist(), vecs[:, -1, 0].tolist())
                 ):
-                    columns[c].history.append(theta)
+                    col = columns[c]
+                    col.history.append(theta)
                     if c in invariant or (
-                        abs(theta_prev[c] - theta) < tol and betas[c] * abs(s_last) < 10.0 * tol
+                        abs(col.theta - theta) < tol and betas[c] * abs(s_last) < 10.0 * tol
                     ):
                         converged.append(i)
                         left.append(c)
-                    theta_prev[c] = theta
+                    col.theta = theta
                 if converged:
                     krylov = cycle if len(left) == len(columns) else v[left, : j + 1]
-                    failed = _explicit_check(matvec, [columns[c] for c in left], deltas[left],
-                                             krylov, eigs[converged, :2], vecs[converged, :, 0],
-                                             taken, tol, outcomes)
-                    restarts += [col for col in failed if not spent(col)]
+                    restarts += _explicit_check(matvec, [columns[c] for c in left], deltas[left],
+                                                krylov, eigs[converged, :2], vecs[converged, :, 0],
+                                                taken, tol)
             if last:  # the others restart thick, unless they have spent their cycles
                 for c, col in enumerate(columns):
                     if c not in left:
                         col.cycles += 1
-                        if spent(col):
+                        if col.spent():
                             left.append(c)
             if left:
                 keep = [c for c in range(len(columns)) if c not in left]
@@ -493,8 +487,6 @@ def _lockstep(matvec, columns, m: int, kept: int, tol: float, outcomes) -> list:
                     v[row], t[row] = v[c], t[c]
                 v, t = v[: len(keep)], t[: len(keep)]
                 columns = [columns[c] for c in keep]
-                t_norm = [t_norm[c] for c in keep]
-                theta_prev = [theta_prev[c] for c in keep]
                 deltas, w, beta = deltas[keep], w[keep], beta[keep]
                 if last:
                     eigs, vecs = eigs[keep], vecs[keep]
@@ -512,13 +504,14 @@ def _lockstep(matvec, columns, m: int, kept: int, tol: float, outcomes) -> list:
         first = kept
 
 
-def _explicit_check(matvec, columns, deltas, krylov, lowest, ritz, taken, tol, outcomes):
+def _explicit_check(matvec, columns, deltas, krylov, lowest, ritz, taken, tol):
     """Ritz vectors of converged columns through the explicit residual check.
 
     `krylov` holds each column's cycle vectors, `ritz` the coefficients of
     its lowest Ritz vector in them and `lowest` its (at most two) lowest
-    Ritz values.  Fills `outcomes` for the columns that pass; the others
-    get their Ritz vector as a new start and are returned.
+    Ritz values.  A column that passes gets its outcome.  One that fails
+    starts a new run from its Ritz vector, with a fresh T, and is returned
+    unless that spends its cycles.
     """
     q = np.matmul(ritz[:, None, :], krylov)[:, 0]
     q /= np.sqrt(np.vecdot(q, q))[:, None]
@@ -531,11 +524,12 @@ def _explicit_check(matvec, columns, deltas, krylov, lowest, ritz, taken, tol, o
         col.steps += taken
         if residuals[i] <= max(10.0 * tol, 1e-12):
             gap = float(lowest[i, 1] - lowest[i, 0]) if lowest.shape[1] > 1 else math.inf
-            outcomes[col.index] = (float(energies[i]), q[i], float(residuals[i]),
-                                   tuple(col.history), gap, col.steps)
+            col.outcome = (float(energies[i]), q[i], float(residuals[i]),
+                           tuple(col.history), gap, col.steps)
         else:  # restart from q alone, with a sharper target
-            col.start, col.cycles = q[i], col.cycles + 1
-            failed.append(col)
+            col.start, col.cycles, col.t_norm, col.theta = q[i], col.cycles + 1, 1.0, math.inf
+            if not col.spent():
+                failed.append(col)
     return failed
 
 
@@ -548,10 +542,10 @@ def ground_states(n_sites: int, deltas, *, tol: float = 1e-12, cache_dir=None):
     amplitudes φ there.  With `cache_dir` set, solved states are persisted
     and read back exactly; an entry is used only if its φ has unit norm and
     passes the residual check.  The values of Δ that miss the cache are
-    solved together, up to `_BLOCK_BYTES` of Krylov vectors in one lockstep
-    block, and each state is written to the cache as it is yielded.  A Δ
-    whose solve fails raises when the sweep reaches it: the states before
-    it are yielded and cached as if each were solved alone, none after it.
+    solved together, the sector's `width` misses to one lockstep block, and
+    each state is written to the cache as it is yielded.  A Δ whose solve
+    fails raises when the sweep reaches it: the states before it are
+    yielded and cached as if each were solved alone, none after it.
     """
     deltas = [float(delta) for delta in deltas]
     for delta in deltas:
@@ -565,7 +559,6 @@ def ground_states(n_sites: int, deltas, *, tol: float = 1e-12, cache_dir=None):
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol {tol!r} outside (0, 1e-4]")
     sector = _momentum_sector(n_sites)
-    width = max(1, _BLOCK_BYTES // (_KRYLOV_VECTORS * sector.dim * 8))
     window, misses = [], 0  # (Δ, cache path, cached state) since the last yield
     for delta in deltas:
         path = cached = None
@@ -577,10 +570,10 @@ def ground_states(n_sites: int, deltas, *, tol: float = 1e-12, cache_dir=None):
             continue
         window.append((delta, path, cached))
         misses += cached is None
-        if misses == width:
-            yield from _solve_window(sector, window, tol, width)
+        if misses == sector.width:
+            yield from _solve_window(sector, window, tol)
             window, misses = [], 0
-    yield from _solve_window(sector, window, tol, width)
+    yield from _solve_window(sector, window, tol)
 
 
 def _cached_state(sector: MomentumSector, delta: float, tol: float, path):
@@ -594,20 +587,20 @@ def _cached_state(sector: MomentumSector, delta: float, tol: float, path):
     if cached is None:
         return None
     energy, phi = cached
-    if phi.shape != (sector.dim,) or abs(np.linalg.norm(phi) - 1.0) > 1e-8:
+    if phi.shape != (sector.dim,) or not abs(np.linalg.norm(phi) - 1.0) <= 1e-8:
         return None
     phi.flags.writeable = False
     residual = float(np.linalg.norm(apply_hamiltonian(sector, delta, phi) - energy * phi))
-    if residual > max(1e-8, 10.0 * tol):
+    if not residual <= max(1e-8, 10.0 * tol):  # a NaN energy or φ fails too
         return None
     return GroundState(sector, delta, energy, phi, residual, tol, ())
 
 
-def _solve_window(sector: MomentumSector, window, tol: float, width: int):
-    """Solve the misses of `window` in lockstep blocks, then yield its states in order."""
+def _solve_window(sector: MomentumSector, window, tol: float):
+    """Solve the misses of `window` as one lockstep block, then yield its states in order."""
     outcomes = iter(_lanczos_lowest(
         lambda deltas, psi: apply_hamiltonian(sector, deltas, psi), sector.start,
-        [delta for delta, _path, cached in window if cached is None], tol=tol, width=width,
+        [delta for delta, _path, cached in window if cached is None], tol=tol,
     ))
     for delta, path, state in window:
         if state is None:

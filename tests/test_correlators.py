@@ -345,6 +345,12 @@ class TestClosedForms:
             discord_symmetric(0.2, 2.0)  # 1/4 - 3*0.2 < 0
         with pytest.raises(CorrelatorDomainError):
             discord_symmetric(-0.2, 4.0)  # 1/4 + 3*(-0.2) < 0
+        with pytest.raises(CorrelatorDomainError, match="gamma_d=nan, gamma_o=nan;"):
+            discord_symmetric(math.nan, 2.0)
+        with pytest.raises(CorrelatorDomainError, match="gamma_d=-0.1, gamma_o=nan;"):
+            discord_symmetric(-0.1, math.nan)
+        with pytest.raises(CorrelatorDomainError, match="gamma_d=nan, gamma_o=nan;"):
+            discord_isotropic(np.array([-0.2, math.nan]))  # a NaN after a valid entry
 
     @pytest.mark.parametrize(
         "call, eigs, gamma",

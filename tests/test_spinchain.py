@@ -166,6 +166,20 @@ class TestApplyHamiltonian:
             rhs = apply_hamiltonian(basis, delta, a) @ b
             assert lhs == approx(rhs, abs=1e-10)
 
+    @pytest.mark.parametrize("n_sites, width", [(12, 39), (16, 5), (18, 1)])
+    def test_block_rows_equal_lone_calls(self, n_sites, width):
+        """K = 1, `width` and `width` + 3 rows, through the sector's block table or built ones."""
+        sector = spinchain._momentum_sector(n_sites)
+        assert sector.width == width
+        if width == 1:  # the flip destinations serve; no copy of them is kept
+            assert sector._block_dst is sector._flip_pairs[1]
+        rng = np.random.default_rng(n_sites)
+        for rows in (1, width, width + 3):
+            deltas, psi = rng.uniform(-0.9, 2.5, rows), rng.standard_normal((rows, sector.dim))
+            block = apply_hamiltonian(sector, deltas, psi)
+            for k in range(rows):
+                assert np.array_equal(block[k], apply_hamiltonian(sector, deltas[k], psi[k]))
+
     def test_rejects_wrong_shape(self):
         basis = SectorBasis(4, 2)
         with pytest.raises(ValueError, match="shape"):
@@ -674,19 +688,23 @@ class TestLockstepBlocks:
             return real(basis, deltas, psi)
 
         monkeypatch.setattr(spinchain, "apply_hamiltonian", recording)
-        dim = spinchain._momentum_sector(n_sites).dim
-        width = spinchain._BLOCK_BYTES // (spinchain._KRYLOV_VECTORS * dim * 8)
+        sector = spinchain._momentum_sector(n_sites)
         for deltas in (SWEEP, shuffled):
             rows.clear()
             states = list(ground_states(n_sites, deltas))
-            assert max(rows) == min(width, len(SWEEP))
+            assert max(rows) == min(sector.width, len(SWEEP))
             assert all(same_state(state, alone[delta]) for delta, state in zip(deltas, states))
-        for width in (3, 7):
-            monkeypatch.setattr(spinchain, "_BLOCK_BYTES", width * spinchain._KRYLOV_VECTORS * dim * 8)
-            rows.clear()
-            states = list(ground_states(n_sites, shuffled))
-            assert max(rows) == width
-            assert all(same_state(state, alone[delta]) for delta, state in zip(shuffled, states))
+        try:
+            for width in (3, 7):
+                block_bytes = width * spinchain._KRYLOV_VECTORS * sector.dim * 8
+                monkeypatch.setattr(spinchain, "_BLOCK_BYTES", block_bytes)
+                spinchain._momentum_sector.cache_clear()  # the sector sets the width
+                rows.clear()
+                states = list(ground_states(n_sites, shuffled))
+                assert max(rows) == width
+                assert all(same_state(state, alone[delta]) for delta, state in zip(shuffled, states))
+        finally:  # no later test gets a sector of the patched width
+            spinchain._momentum_sector.cache_clear()
 
     def test_a_column_restarted_from_its_ritz_vector_keeps_its_bits(
         self, monkeypatch, spoil_first_check
@@ -821,20 +839,33 @@ class TestCache:
             assert again.iterations > 0  # the misplaced entry forced a solve
             assert load_ground_state(moved, key) is not None  # rewritten
 
-    @pytest.mark.parametrize("scale", [0.0, 0.5], ids=["zero", "half_norm"])
+    @pytest.mark.parametrize("scale", [0.0, 0.5, math.nan], ids=["zero", "half_norm", "nan"])
     def test_unnormalized_entry_is_rejected_and_resolved(self, tmp_path, scale):
-        # CRC-valid, and its residual passes: only the norm check catches it
+        # CRC-valid, and its residual passes (or is NaN): the norm check catches it
         gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
         key = (8, 4, 0.5, 1e-10)
         path = cache_path(tmp_path, *key)
         save_ground_state(path, dataclasses.replace(gs, phi=scale * gs.phi))
-        assert np.array_equal(load_ground_state(path, key)[1], scale * gs.phi)
+        assert np.array_equal(load_ground_state(path, key)[1], scale * gs.phi, equal_nan=True)
 
         again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
         assert again.iterations > 0  # the unnormalized entry forced a solve
         assert again.energy == gs.energy
         assert np.array_equal(again.phi, gs.phi)
         assert np.array_equal(load_ground_state(path, key)[1], gs.phi)  # rewritten
+
+    def test_nan_energy_entry_is_rejected_and_resolved(self, tmp_path):
+        # the CRC covers only φ, so a NaN energy in the header reaches the residual check
+        gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        key = (8, 4, 0.5, 1e-10)
+        path = cache_path(tmp_path, *key)
+        save_ground_state(path, dataclasses.replace(gs, energy=math.nan))
+        assert math.isnan(load_ground_state(path, key)[0])
+
+        again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        assert again.iterations > 0  # the NaN entry forced a solve
+        assert again.energy == gs.energy
+        assert load_ground_state(path, key)[0] == gs.energy  # rewritten
 
     def test_version_two_entry_is_never_read(self, tmp_path):
         # a valid entry under the version-2 name: the version-3 reader never opens it
