@@ -310,8 +310,8 @@ def _solver_config(args) -> dict:
     """
     check_ring_size(args.n)
     if args.n > 22:
-        print(f"warning: n={args.n} runs take seconds and over 100 MB cold (at n=26 on "
-              "2 CPUs: ground-state 2 s and 0.14 GB, fig2 6 s and 0.16 GB)", file=sys.stderr)
+        print(f"warning: n={args.n} runs take seconds and over 100 MB cold (a fresh n=26 process "
+              "on 2 CPUs: ground-state 3.5 s and 0.14 GB, fig2 9 s and 0.16 GB)", file=sys.stderr)
     cache_dir = args.cache_dir
     if cache_dir is None:
         cache_dir = os.environ.get(_ENV_CACHE, _DEFAULT_CACHE)
@@ -336,7 +336,7 @@ def _sampling(args, where: dict):
 def _cmd_ground_state(args) -> int:
     config = _solver_config(args)
     state = ground_state(args.n, args.delta, tol=args.tol, cache_dir=config["cache_dir"])
-    path = cache_path(config["cache_dir"], args.n, args.n // 2, args.delta, args.tol)
+    path = cache_path(config["cache_dir"], args.n, state.sector.n_up, args.delta, args.tol)
     print(f"iterations {state.iterations}", file=sys.stderr)
     if args.format == "json":
         doc = {

@@ -14,11 +14,11 @@ eigenvalues are {1/4+Gamma (twice), 1/4+(k−1)Gamma, 1/4−(k+1)Gamma} and
     D = 1 − S_joint + min(H(1/2 + 2 Gamma), H(1/2 + k Gamma)),
 
 the first argument winning for k below 2 and the second above.  The module
-reads pair states off the ground state's symmetrized amplitudes φ, reads
-the correlators off those states, evaluates the closed forms, and sweeps
-discord over separation and over the anisotropy.  Every sweep draws its
-pair states from `pair_state_sweep`, the one place that handles the
-polarized regime.
+reads pair states off the ground state's amplitudes φ and the sector's
+`pair_table`, the correlators off those states, evaluates the closed forms,
+and sweeps discord over separation and over the anisotropy.  Every sweep
+draws its pair states from `pair_state_sweep`, the one place that handles
+the polarized regime.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .spinchain import GroundState, check_ring_size, ground_states
+from .spinchain import GroundState, _check_separations, check_ring_size, ground_states
 from .xstate import OptimalTheta, XState, _clamped_binary_entropy, _entropy_of, discord
 
 __all__ = [
@@ -125,26 +125,11 @@ def _ring_distance(n: int, i: int, j: int) -> int:
     return min(d, n - d)
 
 
-def _pair_table(sector, r: int):
-    """(A_r, src, dst, element) / 2M for separation r, independent of the amplitudes.
-
-    A_r(a) counts the aligned site pairs at distance r in the representative
-    r_a; the rest is the int32 flip table of X̃_r = UᵀX_rU, X_r the sum of the
-    flip-flops of the M distinct pairs (i, i+r).  M = N, except at r = N/2,
-    where (i, i+r) and (i+r, i+2r) = (i+r, i) are one pair and M = N/2.
-    """
-    n = sector.n_sites
-    m = n // 2 if 2 * r == n else n
-    pairs = [np.uint64((1 << i) | (1 << ((i + r) % n))) for i in range(m)]
-    src, dst, element = sector.flip_table(pairs)
-    aligned = m - np.bincount(src, minlength=sector.dim)
-    return aligned / (2 * m), src.astype(np.int32), dst.astype(np.int32), element / (2 * m)
-
-
 def _pair_state(phi: np.ndarray, table) -> XState:
     """Pair state of sites (i, i+r), the mean over the N translates, from φ.
 
-    u = v = Σ φ²·A_r / 2M, w1 = w2 = ½ − u and x = φᵀX̃_rφ / 2M, one dot product.
+    From the sector's `pair_table(r)`: u = v = Σ φ²·A_r / 2M, w1 = w2 = ½ − u
+    and x = φᵀX̃_rφ / 2M, one dot product.
     """
     aligned, src, dst, element = table
     u = (phi * phi) @ aligned
@@ -162,14 +147,7 @@ def two_site_rdm(gs: GroundState, i: int, j: int) -> XState:
     fixed-S^z sector.
     """
     _check_pair(gs, i, j)
-    r = _ring_distance(gs.sector.n_sites, i, j)
-    return _pair_state(gs.phi, _pair_table(gs.sector, r))
-
-
-def _check_separations(n_sites: int, rs) -> None:
-    for r in rs:
-        if not 1 <= r <= n_sites - 1:
-            raise ValueError(f"separation {r} outside [1, {n_sites - 1}]")
+    return _pair_state(gs.phi, gs.sector.pair_table(_ring_distance(gs.sector.n_sites, i, j)))
 
 
 def pair_state_sweep(
@@ -187,10 +165,10 @@ def pair_state_sweep(
     sector for the two fully polarized states.  Every other anisotropy is
     solved once, all of them by one `ground_states` sweep.  The ring size,
     the separations and the finiteness of every anisotropy are checked
-    before anything is yielded.  One `_pair_table` per separation is built
-    at the first solve, 16 B per entry, 22 MB at N = 26.  With two or more
-    solves it is kept and reused for every Δ; with one, it is dropped once
-    its pair state is read.
+    before anything is yielded.  One sector `pair_table` per separation is
+    built at the first solve, 16 B per entry, 22 MB at N = 26 (r and N − r
+    give one table and bit-identical states).  With two or more solves it is
+    kept and reused for every Δ; with one, it is dropped once read.
     """
     rs = tuple(rs)
     check_ring_size(n_sites)
@@ -211,7 +189,7 @@ def pair_state_sweep(
         gs = next(states)
         for r in rs:
             if r not in tables:
-                tables[r] = _pair_table(gs.sector, r)
+                tables[r] = gs.sector.pair_table(r)
             state = _pair_state(gs.phi, tables[r] if reuse else tables.pop(r))
             yield delta, r, state
 

@@ -25,7 +25,9 @@ reflection eigenvalue +1 and spin-inversion eigenvalue (−1)^(N/2).  The
 `MomentumSector` of these characters, the one basis the solver uses, holds
 one symmetrized state per orbit of the 4N-element group (about dim/4N of
 them); `build_sector` builds it, and the ground state's amplitudes φ in it
-are kept, without any array as long as the S^z = 0 sector.
+are kept, without any array as long as the S^z = 0 sector.  It also owns
+the site pairs at every ring distance r and their tables (`pair_table`); the
+Hamiltonian's bonds are the pairs at r = 1.
 
 The lowest eigenpair comes from one thick-restart Lanczos path: cycles of
 at most 24 vectors, fully reorthogonalized within the cycle, each restart
@@ -122,22 +124,22 @@ def check_ring_size(n_sites: int) -> None:
         raise ValueError(f"n_sites {n_sites} above the supported cap {MAX_SITES}")
 
 
+def _check_separations(n_sites: int, rs) -> None:
+    for r in rs:
+        if not 1 <= r <= n_sites - 1:
+            raise ValueError(f"separation {r} outside [1, {n_sites - 1}]")
+
+
 def _flips(states: np.ndarray, masks):
     """(src, c): each configuration anti-aligned on a pair of `masks`, and its flip there."""
     srcs = [np.flatnonzero(np.bitwise_count(states & mask) == 1) for mask in masks]
     return np.concatenate(srcs), np.concatenate([states[s] ^ m for s, m in zip(srcs, masks)])
 
 
-def _bonds(n_sites: int):
-    """Bit masks of the ring's N nearest-neighbor bonds."""
-    return [np.uint64((1 << i) | (1 << ((i + 1) % n_sites))) for i in range(n_sites)]
-
-
-def _bond_zz(states: np.ndarray, n_sites: int) -> np.ndarray:
-    """Σ_bonds s^z s^z per configuration: (aligned − anti)/4."""
-    rot = _rotate(states, n_sites)
-    anti = np.bitwise_count(states ^ rot).astype(np.float64)
-    return (n_sites - 2.0 * anti) / 4.0
+def _pair_masks(n_sites: int, r: int):
+    """Bit masks of the M distinct site pairs (i, i+r): M = N, or N/2 at r = N/2."""
+    m = n_sites // 2 if 2 * r == n_sites else n_sites
+    return [np.uint64((1 << i) | (1 << ((i + r) % n_sites))) for i in range(m)]
 
 
 def _rotate(states: np.ndarray, n_sites: int) -> np.ndarray:
@@ -213,7 +215,7 @@ class MomentumSector:
     are the orthonormal columns of U, which maps their amplitudes φ to the
     S^z = 0 amplitudes ψ(c) = φ[a(c)]·χ(g_c)/√O(c).  In this basis H_χ =
     UᵀHU has the diagonal Δ·zz(r_a) and, for each flip-flop taking r_a to
-    c = g r_b, the element ½·χ(g)·√(O_a/O_b) at (b, a) (see `flip_table`).
+    c = g r_b, the element ½·χ(g)·√(O_a/O_b) at (b, a) (see `_flip_table`).
 
     No orbit drops out, because χ = 1 on the stabilizer of every S^z = 0
     configuration.  For λ = 1, χ is trivial.  For λ = −1, N/2 is odd, and
@@ -262,8 +264,8 @@ class MomentumSector:
         self._root_size, self._t_reps, self._t_class = root_size, t_reps, t_class
         self._t_coef = g_char / root_size[t_class]
 
-        self._diag_zz = _bond_zz(reps, n_sites)
-        src, dst, amp = self.flip_table(_bonds(n_sites))
+        src, dst, amp = self._flip_table(_pair_masks(n_sites, 1))  # one per anti-aligned bond
+        self._diag_zz = (n_sites - 2.0 * np.bincount(src, minlength=self.dim)) / 4.0
         self._flip_pairs = src, dst, 0.5 * amp
         self.width = max(1, _BLOCK_BYTES // (_KRYLOV_VECTORS * self.dim * 8))
         self._block_dst = dst if self.width == 1 else (
@@ -286,7 +288,7 @@ class MomentumSector:
             coef[(shift & 1) == 1] *= -1.0  # χ(T^(−shift)) = λ^shift
         return self._t_class[t], coef
 
-    def flip_table(self, masks):
+    def _flip_table(self, masks):
         """(src, dst, element) of UᵀFU, F the sum of the flip-flops of the site pairs `masks`.
 
         One entry per pair anti-aligned in a representative r_a: the flip takes
@@ -295,6 +297,25 @@ class MomentumSector:
         src, targets = _flips(self._reps, masks)
         dst, coef = self._locate(targets)
         return src, dst, self._root_size[src] * coef
+
+    def pair_table(self, r: int):
+        """(A_r, src, dst, element) / 2M of the M `_pair_masks` at ring distance r.
+
+        A_r(a) counts the pairs aligned in r_a; the rest is the int32 flip
+        table of X̃_r = UᵀX_rU, X_r the sum of their flip-flops.  r and N − r
+        give one table; at r = 1 it is the Hamiltonian's, with no `_locate`.
+        """
+        _check_separations(self.n_sites, [r])
+        r = min(r, self.n_sites - r)
+        masks = _pair_masks(self.n_sites, r)
+        if r == 1:  # the bonds; doubling the stored ½·amp is exact
+            src, dst, half = self._flip_pairs
+            element = 2.0 * half
+        else:
+            src, dst, element = self._flip_table(masks)
+        m = len(masks)
+        aligned = m - np.bincount(src, minlength=self.dim)
+        return aligned / (2 * m), src.astype(np.int32), dst.astype(np.int32), element / (2 * m)
 
 
 def build_sector(n_sites: int) -> MomentumSector:

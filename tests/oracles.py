@@ -39,15 +39,26 @@ class SectorBasis:
             raise KeyError(f"configuration {config:#x} not in sector")
         return pos
 
+    def _anti_bonds(self) -> list:
+        """Per bond, bits i and i+1 mod N: 1 where a configuration is anti-aligned there, else 0."""
+        n, states = self.n_sites, self.states
+        return [((states >> np.uint64(i)) ^ (states >> np.uint64((i + 1) % n))) & np.uint64(1)
+                for i in range(n)]
+
     @cached_property
     def _diag_zz(self) -> np.ndarray:
-        return spinchain._bond_zz(self.states, self.n_sites)
+        """Σ_bonds s^z s^z per configuration: (aligned − anti-aligned)/4."""
+        anti = sum(self._anti_bonds()).astype(np.float64)
+        return (self.n_sites - 2.0 * anti) / 4.0
 
     @cached_property
     def _flip_pairs(self):
         """(src, dst, 1/2): index pairs connected by one neighbor flip-flop."""
-        src, targets = spinchain._flips(self.states, spinchain._bonds(self.n_sites))
-        return src, np.searchsorted(self.states, targets), 0.5
+        n = self.n_sites
+        src = [np.flatnonzero(anti) for anti in self._anti_bonds()]
+        targets = [self.states[s] ^ np.uint64((1 << i) | (1 << ((i + 1) % n)))
+                   for i, s in enumerate(src)]
+        return np.concatenate(src), np.searchsorted(self.states, np.concatenate(targets)), 0.5
 
 
 def sector_configs(n_sites: int) -> list:

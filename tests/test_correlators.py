@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import weakref
+from dataclasses import astuple
 from math import comb
 
 import numpy as np
@@ -187,8 +188,8 @@ class TestPairStateOracle:
     def test_opposite_pairs_are_listed_once(self):
         # at r = N/2 the N pairs (i, i + N/2) are N/2 distinct ones, each met from both ends
         sector = MomentumSector(12)
-        _, src, _, _ = correlators._pair_table(sector, 6)
-        doubled, _, _ = sector.flip_table([np.uint64((1 << i) | (1 << ((i + 6) % 12))) for i in range(12)])
+        _, src, _, _ = sector.pair_table(6)
+        doubled, _, _ = sector._flip_table([np.uint64((1 << i) | (1 << ((i + 6) % 12))) for i in range(12)])
         assert src.size == 112
         assert doubled.size == 224
 
@@ -475,13 +476,13 @@ class TestPairStateSweep:
 
     def test_builds_one_table_per_separation(self, monkeypatch, solve):
         built = []
-        pair_table = correlators._pair_table
+        pair_table = MomentumSector.pair_table
 
         def counting(sector, r):
             built.append(r)
             return pair_table(sector, r)
 
-        monkeypatch.setattr(correlators, "_pair_table", counting)
+        monkeypatch.setattr(MomentumSector, "pair_table", counting)
         deltas = [0.0, 0.5, 1.0, 1.5, 2.0]
         rows = list(pair_state_sweep(10, deltas, [1, 2, 3]))
         assert built == [1, 2, 3]
@@ -492,11 +493,22 @@ class TestPairStateSweep:
         assert len(rows) == 9
         assert built == []
 
+    def test_opposite_separations_give_identical_states(self):
+        # (1, 1+r) and (1, 1+N−r) are pairs at one ring distance; their states must share every bit
+        states = {(delta, r): state for delta, r, state in
+                  pair_state_sweep(12, [0.3, 1.0, 1.7], range(1, 12))}
+
+        def bits(state):
+            return np.array(astuple(state), dtype=complex).tobytes()
+
+        for (delta, r), state in states.items():
+            assert bits(state) == bits(states[delta, 12 - r]), (delta, r)
+
     @pytest.mark.parametrize("deltas, held", [([-2.0, 1.0], False), ([0.5, 1.0], True)])
     def test_single_solve_drops_each_table(self, monkeypatch, deltas, held):
         """One solve frees a separation's table before the next is built; two keep them."""
         tables, alive = [], []
-        pair_table = correlators._pair_table
+        pair_table = MomentumSector.pair_table
 
         def recording(sector, r):
             gc.collect()
@@ -505,7 +517,7 @@ class TestPairStateSweep:
             tables.append(weakref.ref(table[0]))
             return table
 
-        monkeypatch.setattr(correlators, "_pair_table", recording)
+        monkeypatch.setattr(MomentumSector, "pair_table", recording)
         sweep = pair_state_sweep(10, deltas, [1, 2, 3])
         rows = list(itertools.islice(sweep, 6))  # the sweep stays open on its last row
         assert [(delta, r) for delta, r, _ in rows[3:]] == [(1.0, 1), (1.0, 2), (1.0, 3)]

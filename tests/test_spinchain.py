@@ -376,6 +376,27 @@ class TestMomentumSector:
         assert MomentumSector(16).dim == 257
         assert MomentumSector(20).dim == 2518
 
+    @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 14, 16])
+    def test_nearest_neighbor_pair_table_is_the_general_build(self, n_sites):
+        # r = 1 reads the Hamiltonian's flip table; it must equal a fresh build of the bonds
+        sector = MomentumSector(n_sites)
+        src, dst, element = sector._flip_table(spinchain._pair_masks(n_sites, 1))
+        scale = 2 * n_sites
+        want = ((n_sites - np.bincount(src, minlength=sector.dim)) / scale,
+                src.astype(np.int32), dst.astype(np.int32), element / scale)
+        for got in (sector.pair_table(1), sector.pair_table(n_sites - 1)):
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_pair_table_folds_and_checks_the_separation(self):
+        sector = MomentumSector(12)
+        for r in range(1, 6):
+            near, far = sector.pair_table(r), sector.pair_table(12 - r)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(near, far))
+        for r in (0, 12, -1):
+            with pytest.raises(ValueError, match=rf"^separation {r} outside \[1, 11\]$"):
+                sector.pair_table(r)
+
     @pytest.mark.parametrize("n_sites", [4, 6, 8, 10, 12, 14])
     def test_projects_the_dense_hamiltonian(self, n_sites):
         sector = MomentumSector(n_sites)
