@@ -21,7 +21,8 @@ more than 10^6 points, an `--rs` that repeats a separation, a fig1 `--r`
 below 4, a grid of more than 2^24 points or a `--quadrature` of more than
 2048 Gauss nodes, a `--bin-width` below 1e-6, or an `--out` or
 `--cache-dir` that cannot be written (`error: <message>`, no traceback);
-2 numerical failure.
+2 numerical failure; `main` alone maps an error to its code.  A sweep that
+fails partway, whatever the error, first writes its rows under `# INCOMPLETE`.
 
 `main` may be called many times in one process: the parser is built on the
 first call and reused, and its defaults are tuples that no call can mutate.
@@ -39,6 +40,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .correlators import (
+    DiscordByAnisotropy,
+    DiscordByDistance,
     discord_profile_vs_delta,
     discord_profile_vs_r,
     pair_state_sweep,
@@ -46,6 +49,7 @@ from .correlators import (
 from .distribution import (
     AngleGrid,
     GaussGrid,
+    MomentsByAnisotropy,
     UniformSphere,
     _check_bin_width,
     moments_vs_delta,
@@ -181,22 +185,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fig2", parents=[io, solver], help="discord vs separation")
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--delta-range", type=_range_arg, default=None)
-    p.set_defaults(
-        handler=_cmd_sweep,
-        columns=("delta", "r", "discord", "symmetric_form", "isotropic_form"),
-    )
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("fig3", parents=[io, solver], help="discord vs anisotropy")
     p.add_argument("--rs", type=_int_list_arg, default=(1, 2, 4))
     p.add_argument(
         "--delta-range", type=_range_arg, default=tuple(_range_arg("-1.5:2.5:0.05"))
     )
-    p.set_defaults(handler=_cmd_sweep, columns=("delta", "r", "discord", "k", "basis"))
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("fig4", parents=[io, solver], help="correlator ratio vs anisotropy")
     p.add_argument("--rs", type=_int_list_arg, default=(1, 3))
     p.add_argument("--delta-range", type=_range_arg, default=tuple(_range_arg("0:2:0.05")))
-    p.set_defaults(handler=_cmd_sweep, columns=("delta", "r", "k", "basis"))
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser(
         "fig5", parents=[io, solver, quad], help="conditional-entropy histogram"
@@ -210,9 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--rs", type=_int_list_arg, default=(1, 2, 4))
     p.add_argument("--delta-range", type=_range_arg, default=tuple(_range_arg("0:2:0.1")))
-    p.set_defaults(
-        handler=_cmd_sweep, columns=("delta", "r", "mean_c", "var_c", "min_c", "max_c")
-    )
+    p.set_defaults(handler=_cmd_sweep)
 
     return parser
 
@@ -254,15 +253,15 @@ def _emit_table(args, config, columns, rows, summary=None) -> int:
 
     Each row is written as the iterable yields it, its cells in column order.
     If the iterable raises, the rows so far are written and marked incomplete
-    (nothing is written if there are none).  A summary goes under the JSON
-    document's "summary" key, or beside a CSV table to
-    `<out stem>.summary.json` (stderr without --out).
+    (nothing is written if there are none), and the error is raised again.
+    A summary goes under the JSON document's "summary" key, or beside a CSV
+    table to `<out stem>.summary.json` (stderr without --out).
     """
     collected, exc = [], None
     try:
         for row in rows:
             collected.append(row)
-    except (ValueError, RuntimeError) as err:
+    except Exception as err:  # any error: re-raised below, for `main` to map
         exc = err
     stamp = None if args.deterministic else _utc_stamp()
     if args.format == "json":
@@ -294,8 +293,7 @@ def _emit_table(args, config, columns, rows, summary=None) -> int:
         else:
             sys.stderr.write(summary_text)
     if exc is not None:
-        print(f"error: sweep aborted: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, RuntimeError) else 1
+        raise exc
     return 0
 
 
@@ -379,15 +377,17 @@ def _cmd_sweep(args) -> int:
         where = {"rs": rs, "deltas": deltas}
     pairs = pair_state_sweep(args.n, deltas, rs, tol=args.tol, cache_dir=config["cache_dir"])
     if args.command == "fig2":
-        rows = discord_profile_vs_r(pairs)
+        rows, columns = discord_profile_vs_r(pairs), DiscordByDistance._fields
     elif args.command == "fig6":
         scheme, where = _sampling(args, where)
         rows = moments_vs_delta(pairs, scheme, bin_width=args.bin_width)
+        columns = MomentsByAnisotropy._fields
     else:
-        rows = discord_profile_vs_delta(pairs)
-        if args.command == "fig4":  # fig3's rows without the discord column
+        rows, columns = discord_profile_vs_delta(pairs), DiscordByAnisotropy._fields
+        if args.command == "fig4":  # fig3 without its discord column
+            columns = columns[:2] + columns[3:]
             rows = (row[:2] + row[3:] for row in rows)
-    return _emit_table(args, {**config, **where}, args.columns, rows)
+    return _emit_table(args, {**config, **where}, columns, rows)
 
 
 def _cmd_fig5(args) -> int:

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .spinchain import GroundState, _check_separations, check_ring_size, ground_states
+from .spinchain import GroundState, _ring_distance, check_ring_size, ground_states
 from .xstate import OptimalTheta, XState, _clamped_binary_entropy, _entropy_of, discord
 
 __all__ = [
@@ -95,8 +95,8 @@ class DiscordByDistance(NamedTuple):
     delta: float
     r: int
     discord: float
-    symmetric_closed_form: Optional[float]
-    isotropic_closed_form: Optional[float]
+    symmetric_form: Optional[float]
+    isotropic_form: Optional[float]
 
 
 class DiscordByAnisotropy(NamedTuple):
@@ -109,7 +109,7 @@ class DiscordByAnisotropy(NamedTuple):
     r: int
     discord: float
     k: float
-    chosen_theta: OptimalTheta
+    basis: OptimalTheta
 
 
 def _check_pair(gs: GroundState, i: int, j: int) -> None:
@@ -118,11 +118,6 @@ def _check_pair(gs: GroundState, i: int, j: int) -> None:
         raise ValueError(f"sites ({i}, {j}) outside ring [1, {n}]")
     if i == j:
         raise ValueError(f"pair sites must differ, got ({i}, {j})")
-
-
-def _ring_distance(n: int, i: int, j: int) -> int:
-    d = abs(i - j) % n
-    return min(d, n - d)
 
 
 def _pair_state(phi: np.ndarray, table) -> XState:
@@ -142,12 +137,12 @@ def two_site_rdm(gs: GroundState, i: int, j: int) -> XState:
 
     Qubit value 0 is spin up.  The ground state is invariant under the
     ring's translations and reflection, so the pair state, symmetric in its
-    two sites, depends only on their ring distance (see `_pair_state`).  The
-    double-flip coherence y changes S^z by 2, so it vanishes in the
-    fixed-S^z sector.
+    two sites, depends only on their ring distance, which the sector's
+    `pair_table` folds from |i − j| (see `_pair_state`).  The double-flip
+    coherence y changes S^z by 2, so it vanishes in the fixed-S^z sector.
     """
     _check_pair(gs, i, j)
-    return _pair_state(gs.phi, gs.sector.pair_table(_ring_distance(gs.sector.n_sites, i, j)))
+    return _pair_state(gs.phi, gs.sector.pair_table(abs(i - j)))
 
 
 def pair_state_sweep(
@@ -164,15 +159,14 @@ def pair_state_sweep(
     mixture without a solve: there the ground state leaves the S^z = 0
     sector for the two fully polarized states.  Every other anisotropy is
     solved once, all of them by one `ground_states` sweep.  The ring size,
-    the separations and the finiteness of every anisotropy are checked
-    before anything is yielded.  One sector `pair_table` per separation is
-    built at the first solve, 16 B per entry, 22 MB at N = 26 (r and N − r
-    give one table and bit-identical states).  With two or more solves it is
-    kept and reused for every Δ; with one, it is dropped once read.
+    the finiteness of every anisotropy and the separations, folded to ring
+    distances, are checked before anything is yielded.  One sector
+    `pair_table` per distance (r and N − r share one) is built at the first
+    solve, 16 B per entry, 22 MB at N = 26, and reduced once per Δ.  With
+    two or more solves it is kept for every Δ; with one, dropped once read.
     """
-    rs = tuple(rs)
     check_ring_size(n_sites)
-    _check_separations(n_sites, rs)
+    separations = [(r, _ring_distance(n_sites, r)) for r in rs]
     deltas = [float(delta) for delta in deltas]
     for delta in deltas:
         if not math.isfinite(delta):
@@ -183,15 +177,19 @@ def pair_state_sweep(
     tables = {}
     for delta in deltas:
         if delta <= -1.0:
-            for r in rs:
+            for r, _ in separations:
                 yield delta, r, _POLARIZED
             continue
         gs = next(states)
-        for r in rs:
-            if r not in tables:
-                tables[r] = gs.sector.pair_table(r)
-            state = _pair_state(gs.phi, tables[r] if reuse else tables.pop(r))
-            yield delta, r, state
+        reduced = {}
+        for r, distance in separations:
+            if distance not in reduced:
+                if distance not in tables:
+                    tables[distance] = gs.sector.pair_table(distance)
+                reduced[distance] = _pair_state(
+                    gs.phi, tables[distance] if reuse else tables.pop(distance)
+                )
+            yield delta, r, reduced[distance]
 
 
 def _gamma_d(state: XState) -> float:
@@ -207,10 +205,10 @@ def _ratio(state: XState) -> float:
 
 
 def pair_correlations(gs: GroundState, i: int, j: int) -> PairCorrelations:
-    """Pair expectation values, read off the reduced state of (i, j)."""
+    """Pair expectation values, read off the reduced state of (i, j), at their ring distance."""
     state = two_site_rdm(gs, i, j)
     return PairCorrelations(
-        r=_ring_distance(gs.sector.n_sites, i, j),
+        r=_ring_distance(gs.sector.n_sites, abs(i - j)),
         gamma_d=_gamma_d(state),
         gamma_o=state.x,
         y_corr=state.y,
@@ -220,16 +218,15 @@ def pair_correlations(gs: GroundState, i: int, j: int) -> PairCorrelations:
 
 
 def k_ratio(gs: GroundState, r: int) -> KRatio:
-    """Correlator ratio k = gamma_o/gamma_d for the pair (1, 1+r)."""
-    n = gs.sector.n_sites
-    _check_separations(n, [r])
-    state = two_site_rdm(gs, 1, 1 + r)
+    """Ratio k = gamma_o/gamma_d of the pair (1, 1+r), r in [1, N − 1], at its ring distance."""
+    distance = _ring_distance(gs.sector.n_sites, r)
+    state = _pair_state(gs.phi, gs.sector.pair_table(distance))
     k = _ratio(state)
     if math.isnan(k):
         raise UndefinedRatioError(
             f"gamma_d(r={r}) = {_gamma_d(state)!r} vanishes; k is undefined"
         )
-    return KRatio(r=_ring_distance(n, 1, 1 + r), k=k)
+    return KRatio(r=distance, k=k)
 
 
 def discord_symmetric(gamma_d, k):

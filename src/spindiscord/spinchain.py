@@ -124,10 +124,11 @@ def check_ring_size(n_sites: int) -> None:
         raise ValueError(f"n_sites {n_sites} above the supported cap {MAX_SITES}")
 
 
-def _check_separations(n_sites: int, rs) -> None:
-    for r in rs:
-        if not 1 <= r <= n_sites - 1:
-            raise ValueError(f"separation {r} outside [1, {n_sites - 1}]")
+def _ring_distance(n_sites: int, r: int) -> int:
+    """Ring distance min(r, N − r) of the separation r, refused outside [1, N − 1]."""
+    if not 1 <= r <= n_sites - 1:
+        raise ValueError(f"separation {r} outside [1, {n_sites - 1}]")
+    return min(r, n_sites - r)
 
 
 def _flips(states: np.ndarray, masks):
@@ -305,8 +306,7 @@ class MomentumSector:
         table of X̃_r = UᵀX_rU, X_r the sum of their flip-flops.  r and N − r
         give one table; at r = 1 it is the Hamiltonian's, with no `_locate`.
         """
-        _check_separations(self.n_sites, [r])
-        r = min(r, self.n_sites - r)
+        r = _ring_distance(self.n_sites, r)
         masks = _pair_masks(self.n_sites, r)
         if r == 1:  # the bonds; doubling the stored ½·amp is exact
             src, dst, half = self._flip_pairs

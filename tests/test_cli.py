@@ -351,6 +351,18 @@ class TestFig3:
         assert by_delta["-1.5"][4] == "zero"
         assert float(by_delta["1.0"][2]) > 0.0
 
+    def test_non_default_tolerance_reaches_the_solver_and_the_cache(self, tmp_path, capsys):
+        code = run(
+            ["fig3", "--n", "8", "--rs", "1", "--delta-range", "0:1:0.5", "--tol", "1e-10",
+             "--format", "json", "--deterministic"] + cache_args(tmp_path)
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert '"tol": 1e-10' in out
+        assert json.loads(out)["config"]["tol"] == 1e-10
+        names = {p.name for p in (tmp_path / "cache").iterdir()}
+        assert names == {f"gs_n08_up04_d{d}_t1e-10_v3.bin" for d in ("0", "0.5", "1")}
+
     def test_range_through_zero_has_no_negative_zero(self, tmp_path, capsys):
         # -0.9 + 3 * 0.3 rounds to -0.0; the sweep must use the 0.0 that
         # `ground-state --delta 0` caches under
@@ -367,6 +379,27 @@ class TestFig3:
         names = [p.name for p in (tmp_path / "cache").iterdir()]
         assert any("_d0_" in name for name in names)
         assert not any("_d-0_" in name for name in names)
+
+
+class TestSweepColumns:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_header_is_the_record_fields(self, tmp_path, capsys, fmt):
+        """fig2, fig3 and fig6 print their record's field names; fig4 is fig3 without discord."""
+
+        def header(*argv):
+            code = run([*argv, "--n", "4", "--delta-range", "1:1:1", "--format", fmt,
+                        "--deterministic"] + cache_args(tmp_path))
+            out = capsys.readouterr().out
+            assert code == 0
+            return json.loads(out)["columns"] if fmt == "json" else parse_csv(out)[0]
+
+        fig3 = list(correlators.DiscordByAnisotropy._fields)
+        assert header("fig2") == list(correlators.DiscordByDistance._fields)
+        assert header("fig3", "--rs", "1") == fig3
+        assert header("fig4", "--rs", "1") == [name for name in fig3 if name != "discord"]
+        assert header("fig6", "--rs", "1", "--quadrature", "32x32") == list(
+            distribution.MomentsByAnisotropy._fields
+        )
 
 
 class TestFig4:
@@ -585,6 +618,31 @@ class TestIncompleteSweep:
         capsys.readouterr()
         assert code == 2
         assert not out_file.exists()
+
+    def test_unwritable_cache_mid_sweep_keeps_the_rows_so_far(self, tmp_path, capsys, monkeypatch):
+        """At N = 18 each Δ is solved and saved alone; the second save fails."""
+        save, saved = spinchain.save_ground_state, []
+
+        def failing_second(path, state):
+            saved.append(state.delta)
+            if len(saved) == 2:
+                raise PermissionError(13, "Permission denied", str(path))
+            save(path, state)
+
+        monkeypatch.setattr(spinchain, "save_ground_state", failing_second)
+        out_file = tmp_path / "partial.csv"
+        code = run(
+            ["fig3", "--n", "18", "--rs", "1", "--delta-range", "0.5:1.5:0.5",
+             "--deterministic", "--out", str(out_file)] + cache_args(tmp_path)
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error: ") and "Permission denied" in err
+        assert saved == [0.5, 1.0]
+        lines = out_file.read_text().splitlines()
+        assert lines[0] == "delta,r,discord,k,basis"
+        assert [line.split(",")[0] for line in lines[1:-1]] == ["0.5"]
+        assert lines[-1] == "# INCOMPLETE"
 
     def test_failure_mid_block_keeps_the_cache_of_the_deltas_before_it(
         self, tmp_path, capsys, monkeypatch, spoil_first_check

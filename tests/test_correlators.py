@@ -404,9 +404,9 @@ class TestDiscordProfileVsR:
         rows = list(discord_profile_vs_r(pair_state_sweep(12, [1.0], range(1, 7))))
         assert len(rows) == 6
         for row in rows:
-            assert row.isotropic_closed_form is not None
-            assert row.discord == approx(row.isotropic_closed_form, abs=1e-9)
-            assert row.discord == approx(row.symmetric_closed_form, abs=1e-9)
+            assert row.isotropic_form is not None
+            assert row.discord == approx(row.isotropic_form, abs=1e-9)
+            assert row.discord == approx(row.symmetric_form, abs=1e-9)
 
     def test_four_site_nearest_neighbor_value(self):
         rows = list(discord_profile_vs_r(pair_state_sweep(4, [1.0], [1, 2])))
@@ -419,8 +419,8 @@ class TestDiscordProfileVsR:
 
     def test_isotropic_form_absent_off_the_isotropic_point(self):
         rows = list(discord_profile_vs_r(pair_state_sweep(8, [0.5], range(1, 5))))
-        assert all(row.isotropic_closed_form is None for row in rows)
-        assert all(row.symmetric_closed_form is not None for row in rows)
+        assert all(row.isotropic_form is None for row in rows)
+        assert all(row.symmetric_form is not None for row in rows)
 
     def test_ring_reflection_symmetry(self, solve):
         gs = solve(8, 1.2)
@@ -437,12 +437,12 @@ class TestDiscordProfileVsDelta:
         for row in rows:
             assert row.discord == 0.0
             assert row.k == 0.0
-            assert row.chosen_theta is OptimalTheta.ZERO
+            assert row.basis is OptimalTheta.ZERO
 
     def test_basis_switch_across_isotropic_point(self):
         rows = list(discord_profile_vs_delta(pair_state_sweep(12, [0.5, 1.5], [1])))
-        assert rows[0].chosen_theta is OptimalTheta.NINETY
-        assert rows[1].chosen_theta is OptimalTheta.ZERO
+        assert rows[0].basis is OptimalTheta.NINETY
+        assert rows[1].basis is OptimalTheta.ZERO
 
     def test_k_columns_track_anisotropy(self):
         rows = list(discord_profile_vs_delta(pair_state_sweep(8, [0.5, 1.0, 1.5], [1])))
@@ -484,8 +484,9 @@ class TestPairStateSweep:
 
         monkeypatch.setattr(MomentumSector, "pair_table", counting)
         deltas = [0.0, 0.5, 1.0, 1.5, 2.0]
-        rows = list(pair_state_sweep(10, deltas, [1, 2, 3]))
-        assert built == [1, 2, 3]
+        rows = list(pair_state_sweep(10, deltas, [1, 9, 2, 8, 3]))
+        assert built == [1, 2, 3]  # r and N − r are one ring distance, one table
+        assert [r for _, r, _ in rows[:5]] == [1, 9, 2, 8, 3]  # rows keep the requested r
         for delta, r, state in rows:
             assert state == two_site_rdm(solve(10, delta), 1, 1 + r)
         built.clear()

@@ -763,6 +763,17 @@ class TestLockstepBlocks:
         expected = {cache_path(tmp_path, 12, 6, d, 1e-12).name for d in (0.0, 0.25)}
         assert {path.name for path in tmp_path.iterdir()} == expected
 
+    def test_a_column_out_of_cycles_at_a_cycle_end_raises_at_its_delta(self, monkeypatch):
+        """Δ = 0 converges in the first cycle; Δ = 0.5 needs a second, and has none."""
+        alone = ground_state(14, 0.0)
+        assert (alone.iterations, ground_state(14, 0.5).iterations) == (20, 28)
+        assert spinchain._momentum_sector(14).width > 1  # both share one block
+        monkeypatch.setattr(spinchain, "_MAX_CYCLES", 1)
+        sweep = ground_states(14, [0.0, 0.5])
+        assert same_state(next(sweep), alone)
+        with pytest.raises(ConvergenceError, match="did not converge in 1 cycles"):
+            next(sweep)
+
     def test_cache_hits_and_misses_come_back_in_order(self, tmp_path):
         for delta in (0.5, 1.5):
             ground_state(10, delta, cache_dir=tmp_path)
@@ -828,11 +839,20 @@ class TestCache:
         assert np.array_equal(again.phi, gs.phi)
         assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is not None  # rewritten clean
 
-    def test_truncated_file_is_rejected(self, tmp_path):
-        ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+    @pytest.mark.parametrize(
+        "cut", [slice(None, -7), slice(None, 10), slice(0, 0)],
+        ids=["7_bytes_off", "10_bytes_left", "empty"],
+    )
+    def test_truncated_file_is_rejected(self, tmp_path, cut):
+        """A cut payload, and a file shorter than its header and footer, are misses."""
+        gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
         path = cache_path(tmp_path, 8, 4, 0.5, 1e-10)
-        path.write_bytes(path.read_bytes()[:-7])
+        path.write_bytes(path.read_bytes()[cut])
         assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is None
+        again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        assert again.iterations > 0  # cache miss forced a fresh solve
+        assert np.array_equal(again.phi, gs.phi)
+        assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is not None  # rewritten clean
 
     def test_wrong_magic_is_rejected(self, tmp_path):
         ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
