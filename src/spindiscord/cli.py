@@ -16,11 +16,12 @@ columns and adds a config echo, and fig5's summary (a JSON sidecar beside a
 CSV table).  Identical arguments and seeds reproduce identical bytes, apart
 from one leading timestamp comment that `--deterministic` suppresses.
 
-Exit codes: 0 success; 1 bad arguments, among them a `--delta-range` of
-more than 10^6 points, an `--rs` that repeats a separation, a fig1 `--r`
-below 4, a grid of more than 2^24 points or a `--quadrature` of more than
-2048 Gauss nodes, a `--bin-width` below 1e-6, or an `--out` or
-`--cache-dir` that cannot be written (`error: <message>`, no traceback);
+Exit codes: 0 success; 1 bad arguments, among them a `--tol` outside
+(0, 1e-4], a `--delta-range` of more than 10^6 points, an `--rs` that
+repeats a separation, a fig1 `--r` below 4, a grid of more than 2^24 points
+or a `--quadrature` of more than 2048 Gauss nodes, a `--bin-width` below
+1e-6, or an `--out` or `--cache-dir` that cannot be written (`error:
+<message>`, no traceback);
 2 numerical failure; `main` alone maps an error to its code.  A sweep that
 fails partway, whatever the error, first writes its rows under `# INCOMPLETE`.
 
@@ -56,7 +57,7 @@ from .distribution import (
     sample_distribution,
 )
 from .scaling import PairKind, ScalingParams, normalized_discord_curve
-from .spinchain import cache_path, check_ring_size, ground_state
+from .spinchain import _sweep_inputs, cache_path, check_ring_size, ground_state
 from .xstate import OptimalTheta
 
 __all__ = ["main", "entry"]
@@ -68,13 +69,6 @@ _MAX_RANGE_POINTS = 1_000_000
 
 
 # ── argument parsing ────────────────────────────────────────────────────────
-
-
-def _tol_arg(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1e-4:
-        raise argparse.ArgumentTypeError(f"tolerance {text} outside (0, 1e-4]")
-    return value
 
 
 def _range_arg(text: str) -> list:
@@ -147,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--n", type=int, default=12, help="ring size (even, >= 4)")
-    solver.add_argument("--tol", type=_tol_arg, default=1e-12)
+    solver.add_argument("--tol", type=float, default=1e-12)
     solver.add_argument(
         "--cache-dir",
         help=f"ground-state cache (default ./{_DEFAULT_CACHE}; env {_ENV_CACHE})",
@@ -303,10 +297,11 @@ def _emit_table(args, config, columns, rows, summary=None) -> int:
 def _solver_config(args) -> dict:
     """The solver flags as every config echoes them: n, tol and the cache directory.
 
-    The ring size is checked first, so a bad --n is refused before any
-    scheme or row is built.
+    The ring size and then the tolerance window are checked first, so a bad
+    --n or --tol is refused before any warning, scheme or row.
     """
     check_ring_size(args.n)
+    _sweep_inputs((), args.tol)
     if args.n > 22:
         print(f"warning: n={args.n} runs take seconds and over 100 MB cold (a fresh n=26 process "
               "on 2 CPUs: ground-state 3.5 s and 0.14 GB, fig2 9 s and 0.16 GB)", file=sys.stderr)

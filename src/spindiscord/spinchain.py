@@ -554,11 +554,22 @@ def _explicit_check(matvec, columns, deltas, krylov, lowest, ritz, taken, tol):
     return failed
 
 
+def _sweep_inputs(deltas, tol: float) -> list:
+    """The values of Δ as floats, each refused unless finite, and tol unless in (0, 1e-4]."""
+    deltas = [float(delta) for delta in deltas]
+    for delta in deltas:
+        if not math.isfinite(delta):
+            raise ValueError(f"delta={delta!r} is not finite")
+    if not 0.0 < tol <= 1e-4:
+        raise ValueError(f"tol {tol!r} outside (0, 1e-4]")
+    return deltas
+
+
 def ground_states(n_sites: int, deltas, *, tol: float = 1e-12, cache_dir=None):
     """Yield the lowest eigenpair of the XXZ ring in the S^z = 0 sector for each Δ, in order.
 
     Every Δ must be finite and above −1, so that the sector hosts the global
-    ground state; every Δ and `tol` are checked before anything is solved.
+    ground state, and `tol` within (0, 1e-4]: all checked before any solve.
     Lanczos runs on H_χ in the `MomentumSector`, and each state keeps its
     amplitudes φ there.  With `cache_dir` set, solved states are persisted
     and read back exactly; an entry is used only if its φ has unit norm and
@@ -568,17 +579,13 @@ def ground_states(n_sites: int, deltas, *, tol: float = 1e-12, cache_dir=None):
     fails raises when the sweep reaches it: the states before it are
     yielded and cached as if each were solved alone, none after it.
     """
-    deltas = [float(delta) for delta in deltas]
+    deltas = _sweep_inputs(deltas, tol)
     for delta in deltas:
-        if not math.isfinite(delta):
-            raise ValueError(f"delta={delta!r} is not finite")
         if delta <= -1.0:
             raise FerromagneticRegimeError(
                 f"delta={delta!r} <= -1: ground state is fully polarized and leaves "
                 "the S^z = 0 sector; pair discord vanishes there"
             )
-    if not 0.0 < tol <= 1e-4:
-        raise ValueError(f"tol {tol!r} outside (0, 1e-4]")
     sector = _momentum_sector(n_sites)
     window, misses = [], 0  # (Δ, cache path, cached state) since the last yield
     for delta in deltas:

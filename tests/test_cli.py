@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -160,6 +161,37 @@ class TestUsage:
         assert message in err
         assert "polarized" not in err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("n", ["8", "24"])  # 24: refused before the large-ring warning
+    def test_tolerance_refused_before_a_polarized_row(self, tmp_path, capsys, n):
+        out_file = tmp_path / "out.csv"
+        code = run(["fig3", "--n", n, "--rs", "1", "--delta-range", "-1.5:-1:0.5",
+                    "--tol", "1", "--out", str(out_file)] + cache_args(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: tol 1.0 outside (0, 1e-4]"]
+        assert not out_file.exists()
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["fig3", "--delta-range", "0:1:0"],
+          "argument --delta-range: range step 0.0 must be positive"),
+         (["fig3", "--rs", ","], "argument --rs: empty separation list"),
+         (["fig5", "--quadrature", "32xab"],
+          "argument --quadrature: quadrature '32xab' is not of the form NxM")],
+        ids=["zero_step", "empty_rs", "non_int_quadrature"],
+    )
+    def test_malformed_argument_is_a_usage_line(self, tmp_path, capsys, argv, message):
+        out_file = tmp_path / "out.csv"
+        code = run(argv + ["--n", "8", "--out", str(out_file)] + cache_args(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"spindiscord {argv[0]}: error: {message}"
+        assert not out_file.exists()
+        assert not (tmp_path / "cache").exists()
 
     def test_bad_separation_list(self, tmp_path, capsys):
         code = run(["fig3", "--n", "4", "--rs", "a,b"] + cache_args(tmp_path))
@@ -380,6 +412,21 @@ class TestFig3:
         assert any("_d0_" in name for name in names)
         assert not any("_d-0_" in name for name in names)
 
+    def test_large_ring_warns_once_and_solves_nothing_when_polarized(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(spinchain.MomentumSector, "__init__", None)  # building one raises
+        code = run(["fig3", "--n", "24", "--rs", "1", "--delta-range", "-2:-1.5:0.5",
+                    "--deterministic"] + cache_args(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 0
+        [line] = captured.err.splitlines()
+        assert line.startswith("warning: n=24 ")
+        assert captured.out.splitlines() == [
+            "delta,r,discord,k,basis", "-2.0,1,0.0,0.0,zero", "-1.5,1,0.0,0.0,zero",
+        ]
+        assert not (tmp_path / "cache").exists()
+
 
 class TestSweepColumns:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -415,6 +462,14 @@ class TestFig4:
         assert rows[0][3] == "ninety"
         assert rows[-1][3] == "zero"
         assert float(rows[0][2]) > 2.0 > float(rows[-1][2])
+
+    def test_json_stamp_is_the_second_key(self, tmp_path, capsys):
+        code = run(["fig4", "--n", "8", "--rs", "1", "--delta-range", "0:0.5:0.5",
+                    "--format", "json"] + cache_args(tmp_path))
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert list(doc)[:2] == ["command", "generated"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", doc["generated"])
 
 
 class TestFig5:

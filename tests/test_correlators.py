@@ -422,6 +422,15 @@ class TestDiscordProfileVsR:
         assert all(row.isotropic_form is None for row in rows)
         assert all(row.symmetric_form is not None for row in rows)
 
+    def test_state_outside_the_symmetric_closed_form_keeps_its_discord(self):
+        # passes XState's checks, but the closed form's eigenvalue 1/4 − x − gamma_d is −1e-10
+        state = XState(u=0.3, v=0.3, w1=0.2, w2=0.2, x=0.2 + 1e-10)
+        [row] = discord_profile_vs_r([(0.5, 1, state)])
+        assert row.symmetric_form is None
+        assert row.isotropic_form is None
+        assert type(row.discord) is float
+        assert row.discord == approx(0.3103403046658615, abs=1e-12)
+
     def test_ring_reflection_symmetry(self, solve):
         gs = solve(8, 1.2)
         for r in (1, 2, 3):
@@ -468,6 +477,18 @@ class TestPairStateSweep:
         monkeypatch.setattr(correlators, "ground_states", None)  # a solve would raise TypeError
         rows = pair_state_sweep(8, [-2.0, 0.5, delta], [1])
         with pytest.raises(ValueError, match=rf"^delta={delta!r} is not finite$"):
+            next(rows)
+
+    @pytest.mark.parametrize(
+        "deltas, tol, message",
+        [([-1.5, 0.5], 5.0, r"^tol 5.0 outside \(0, 1e-4\]$"),
+         ([-1.5], 5.0, r"^tol 5.0 outside \(0, 1e-4\]$"),
+         ([-1.5, math.nan], 1e-12, r"^delta=nan is not finite$")],
+        ids=["tol_then_solved", "tol_alone", "nan"],
+    )
+    def test_rejects_bad_input_before_a_polarized_row(self, deltas, tol, message):
+        rows = pair_state_sweep(8, deltas, [1], tol=tol)
+        with pytest.raises(ValueError, match=message):
             next(rows)
 
     def test_accepts_one_shot_separations(self):

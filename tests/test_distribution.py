@@ -75,6 +75,22 @@ class TestSchemeValidation:
         assert a.mean == b.mean
 
 
+class TestHistogramChecks:
+    @pytest.mark.parametrize(
+        "field, message",
+        [({"bins": {0: 0.5}}, r"^histogram mass 0.5 does not sum to 1$"),
+         ({"mean": 0.5}, r"^mean 0.5 outside \[0.0, 0.2\]$"),
+         ({"variance": -1e-3}, r"^variance -0.001 negative$")],
+        ids=["mass", "mean", "variance"],
+    )
+    def test_refuses_an_inconsistent_histogram(self, field, message):
+        valid = dict(bin_width=0.1, bins={0: 1.0}, mean=0.1, variance=0.0,
+                     min_c=0.0, max_c=0.2, n_samples=10)
+        EntropyHistogram(**valid)
+        with pytest.raises(ValueError, match=message):
+            EntropyHistogram(**{**valid, **field})
+
+
 class TestSampleDistribution:
     def test_pure_state_is_point_mass_at_zero(self):
         hist = sample_distribution(BELL, GaussGrid(64, 64))
