@@ -16,14 +16,16 @@ columns and adds a config echo, and fig5's summary (a JSON sidecar beside a
 CSV table).  Identical arguments and seeds reproduce identical bytes, apart
 from one leading timestamp comment that `--deterministic` suppresses.
 
-Exit codes: 0 success; 1 bad arguments, among them a `--tol` outside
-(0, 1e-4], a `--delta-range` of more than 10^6 points, an `--rs` that
-repeats a separation, a fig1 `--r` below 4, a grid of more than 2^24 points
-or a `--quadrature` of more than 2048 Gauss nodes, a `--bin-width` below
-1e-6, or an `--out` or `--cache-dir` that cannot be written (`error:
-<message>`, no traceback);
-2 numerical failure; `main` alone maps an error to its code.  A sweep that
-fails partway, whatever the error, first writes its rows under `# INCOMPLETE`.
+Exit codes: 0 success; 1 bad arguments (`error: <message>`, no traceback),
+among them a `--delta-range` of more than 10^6 points, an `--rs` that
+repeats a separation, a fig1 `--r` below 4, or an `--out` or `--cache-dir`
+that cannot be written; 2 numerical failure; `main` alone maps an error to
+its code.  A solve request is checked in full before the n > 22 warning and
+before any row or cache entry: first the ring size, separations, Δ and the
+`--tol` window (0, 1e-4], then the fig5/fig6 scheme (1000 to 2^24 grid
+points, at most 2048 Gauss nodes, at least 1000 samples) and a `--bin-width`
+within [1e-6, 1].  A sweep that fails partway, whatever the error, first
+writes its rows under `# INCOMPLETE`.
 
 `main` may be called many times in one process: the parser is built on the
 first call and reused, and its defaults are tuples that no call can mutate.
@@ -57,7 +59,7 @@ from .distribution import (
     sample_distribution,
 )
 from .scaling import PairKind, ScalingParams, normalized_discord_curve
-from .spinchain import _sweep_inputs, cache_path, check_ring_size, ground_state
+from .spinchain import _sweep_inputs, cache_path, ground_state
 from .xstate import OptimalTheta
 
 __all__ = ["main", "entry"]
@@ -294,47 +296,52 @@ def _emit_table(args, config, columns, rows, summary=None) -> int:
 # ── shared argument resolution ──────────────────────────────────────────────
 
 
-def _solver_config(args) -> dict:
-    """The solver flags as every config echoes them: n, tol and the cache directory.
+def _solver_config(args):
+    """A solve request, checked in full: (its config echo, Δ values, separations, scheme).
 
-    The ring size and then the tolerance window are checked first, so a bad
-    --n or --tol is refused before any warning, scheme or row.
+    `_sweep_inputs` checks the solve first; fig5 and fig6 then build their
+    scheme, which checks its size, and check the bin width.  The n > 22
+    warning comes last, after every check.
     """
-    check_ring_size(args.n)
-    _sweep_inputs((), args.tol)
+    if args.command == "fig2":
+        deltas = args.delta_range if args.delta_range is not None else [args.delta]
+        rs, where = range(1, args.n // 2 + 1), {"deltas": deltas}
+    elif args.command == "ground-state":
+        deltas, rs, where = [args.delta], (), {"delta": args.delta}
+    elif args.command == "fig5":
+        deltas, rs, where = [args.delta], [args.r], {"delta": args.delta, "r": args.r}
+    else:
+        deltas, rs, where = args.delta_range, args.rs, {"rs": args.rs, "deltas": args.delta_range}
+    _sweep_inputs(args.n, deltas, args.tol, rs)
+    scheme = None
+    if args.command in ("fig5", "fig6"):
+        scheme = (UniformSphere(n_samples=args.samples, seed=args.seed) if args.scheme == "mc"
+                  else _SCHEMES[args.scheme](*(args.quadrature or ())))
+        _check_bin_width(args.bin_width)
+        # the scheme echo: its kind, then its dataclass fields in declaration order
+        descriptor = {"kind": args.scheme, **vars(scheme)}
+        where = {"seed": args.seed, **where, "scheme": descriptor, "bin_width": args.bin_width}
     if args.n > 22:
         print(f"warning: n={args.n} runs take seconds and over 100 MB cold (a fresh n=26 process "
               "on 2 CPUs: ground-state 3.5 s and 0.14 GB, fig2 9 s and 0.16 GB)", file=sys.stderr)
     cache_dir = args.cache_dir
     if cache_dir is None:
         cache_dir = os.environ.get(_ENV_CACHE, _DEFAULT_CACHE)
-    return {"n": args.n, "tol": args.tol, "cache_dir": cache_dir}
-
-
-def _sampling(args, where: dict):
-    """fig5/fig6: the scheme and bin width, checked before any solve, and their config echo."""
-    if args.scheme == "mc":
-        scheme = UniformSphere(n_samples=args.samples, seed=args.seed)
-    else:
-        scheme = _SCHEMES[args.scheme](*(args.quadrature or ()))
-    _check_bin_width(args.bin_width)
-    # the scheme echo: its kind, then its dataclass fields in declaration order
-    descriptor = {"kind": args.scheme, **vars(scheme)}
-    return scheme, {"seed": args.seed, **where, "scheme": descriptor, "bin_width": args.bin_width}
+    return {"n": args.n, "tol": args.tol, "cache_dir": cache_dir, **where}, deltas, rs, scheme
 
 
 # ── subcommands ─────────────────────────────────────────────────────────────
 
 
 def _cmd_ground_state(args) -> int:
-    config = _solver_config(args)
+    config, _, _, _ = _solver_config(args)
     state = ground_state(args.n, args.delta, tol=args.tol, cache_dir=config["cache_dir"])
     path = cache_path(config["cache_dir"], args.n, state.sector.n_up, args.delta, args.tol)
     print(f"iterations {state.iterations}", file=sys.stderr)
     if args.format == "json":
         doc = {
             "command": "ground-state",
-            "config": {**config, "delta": args.delta},
+            "config": config,
             "energy": state.energy,
             "residual": state.residual,
             "cache": str(path),
@@ -343,12 +350,7 @@ def _cmd_ground_state(args) -> int:
             doc["generated"] = _utc_stamp()
         _emit(args, json.dumps(doc, indent=2) + "\n")
     else:
-        text = (
-            f"energy {state.energy!r}\n"
-            f"residual {state.residual!r}\n"
-            f"cache {path}\n"
-        )
-        _emit(args, text)
+        _emit(args, f"energy {state.energy!r}\nresidual {state.residual!r}\ncache {path}\n")
     return 0
 
 
@@ -363,18 +365,11 @@ def _cmd_fig1(args) -> int:
 
 def _cmd_sweep(args) -> int:
     """fig2, fig3, fig4 and fig6: the rows of one pair-state sweep over (Δ, r)."""
-    config = _solver_config(args)
-    if args.command == "fig2":
-        deltas = args.delta_range if args.delta_range is not None else [args.delta]
-        rs, where = range(1, args.n // 2 + 1), {"deltas": deltas}
-    else:
-        deltas, rs = args.delta_range, args.rs
-        where = {"rs": rs, "deltas": deltas}
+    config, deltas, rs, scheme = _solver_config(args)
     pairs = pair_state_sweep(args.n, deltas, rs, tol=args.tol, cache_dir=config["cache_dir"])
     if args.command == "fig2":
         rows, columns = discord_profile_vs_r(pairs), DiscordByDistance._fields
     elif args.command == "fig6":
-        scheme, where = _sampling(args, where)
         rows = moments_vs_delta(pairs, scheme, bin_width=args.bin_width)
         columns = MomentsByAnisotropy._fields
     else:
@@ -382,14 +377,13 @@ def _cmd_sweep(args) -> int:
         if args.command == "fig4":  # fig3 without its discord column
             columns = columns[:2] + columns[3:]
             rows = (row[:2] + row[3:] for row in rows)
-    return _emit_table(args, {**config, **where}, columns, rows)
+    return _emit_table(args, config, columns, rows)
 
 
 def _cmd_fig5(args) -> int:
-    config = _solver_config(args)
-    scheme, sampling = _sampling(args, {"delta": args.delta, "r": args.r})
+    config, deltas, rs, scheme = _solver_config(args)
     [(_, _, state)] = pair_state_sweep(
-        args.n, [args.delta], [args.r], tol=args.tol, cache_dir=config["cache_dir"]
+        args.n, deltas, rs, tol=args.tol, cache_dir=config["cache_dir"]
     )
     hist = sample_distribution(state, scheme, bin_width=args.bin_width)
     rows = [
@@ -401,13 +395,13 @@ def _cmd_fig5(args) -> int:
         "variance": hist.variance,
         "min_c": hist.min_c,
         "max_c": hist.max_c,
-        "scheme": sampling["scheme"],
+        "scheme": config["scheme"],
         "seed": args.seed,
         "n_samples": hist.n_samples,
         "bin_width": hist.bin_width,
     }
     columns = ("bin_left", "bin_right", "mass")
-    return _emit_table(args, {**config, **sampling}, columns, rows, summary)
+    return _emit_table(args, config, columns, rows, summary)
 
 
 # ── entry points ────────────────────────────────────────────────────────────

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .spinchain import GroundState, _ring_distance, _sweep_inputs, check_ring_size, ground_states
+from .spinchain import GroundState, _ring_distance, _sweep_inputs, ground_states
 from .xstate import OptimalTheta, XState, _clamped_binary_entropy, _entropy_of, discord
 
 __all__ = [
@@ -158,17 +158,15 @@ def pair_state_sweep(
     Anisotropies at or below −1 yield the pair state of the polarized
     mixture without a solve: there the ground state leaves the S^z = 0
     sector for the two fully polarized states.  Every other anisotropy is
-    solved once, all of them by one `ground_states` sweep.  The ring size,
-    the separations, folded to ring distances, and then the finiteness of
-    every anisotropy and the tolerance window (0, 1e-4] are checked before
+    solved once, all of them by one `ground_states` sweep.  `_sweep_inputs`
+    checks the ring size, the separations, folded to ring distances, the
+    finiteness of every anisotropy and the tolerance window (0, 1e-4] before
     anything is yielded, polarized rows included.  One sector `pair_table`
     per distance (r and N − r share one) is built at the first solve, 16 B
     per entry, 22 MB at N = 26, and reduced once per Δ.  With two or more
     solves it is kept for every Δ; with one, dropped once read.
     """
-    check_ring_size(n_sites)
-    separations = [(r, _ring_distance(n_sites, r)) for r in rs]
-    deltas = _sweep_inputs(deltas, tol)
+    deltas, separations = _sweep_inputs(n_sites, deltas, tol, rs)
     solved = [delta for delta in deltas if delta > -1.0]
     states = ground_states(n_sites, solved, tol=tol, cache_dir=cache_dir)
     reuse = len(solved) > 1

@@ -554,22 +554,29 @@ def _explicit_check(matvec, columns, deltas, krylov, lowest, ritz, taken, tol):
     return failed
 
 
-def _sweep_inputs(deltas, tol: float) -> list:
-    """The values of Δ as floats, each refused unless finite, and tol unless in (0, 1e-4]."""
+def _sweep_inputs(n_sites: int, deltas, tol: float, rs=()):
+    """The one check of a solve request: its Δ values as floats, and (r, ring distance) pairs.
+
+    It refuses, in order, an unsupported ring size, a separation outside
+    [1, N − 1], a non-finite Δ and a tol outside (0, 1e-4].
+    """
+    check_ring_size(n_sites)
+    separations = [(r, _ring_distance(n_sites, r)) for r in rs]
     deltas = [float(delta) for delta in deltas]
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"delta={delta!r} is not finite")
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol {tol!r} outside (0, 1e-4]")
-    return deltas
+    return deltas, separations
 
 
 def ground_states(n_sites: int, deltas, *, tol: float = 1e-12, cache_dir=None):
     """Yield the lowest eigenpair of the XXZ ring in the S^z = 0 sector for each Δ, in order.
 
     Every Δ must be finite and above −1, so that the sector hosts the global
-    ground state, and `tol` within (0, 1e-4]: all checked before any solve.
+    ground state, `tol` within (0, 1e-4] and N a supported ring size: all
+    checked before the sector is built.
     Lanczos runs on H_χ in the `MomentumSector`, and each state keeps its
     amplitudes φ there.  With `cache_dir` set, solved states are persisted
     and read back exactly; an entry is used only if its φ has unit norm and
@@ -579,7 +586,7 @@ def ground_states(n_sites: int, deltas, *, tol: float = 1e-12, cache_dir=None):
     fails raises when the sweep reaches it: the states before it are
     yielded and cached as if each were solved alone, none after it.
     """
-    deltas = _sweep_inputs(deltas, tol)
+    deltas, _ = _sweep_inputs(n_sites, deltas, tol)
     for delta in deltas:
         if delta <= -1.0:
             raise FerromagneticRegimeError(

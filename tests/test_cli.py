@@ -176,6 +176,32 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "argv, message",
+        [(["ground-state", "--n", "24", "--delta", "nan"], "delta=nan is not finite"),
+         (["fig2", "--n", "24", "--delta", "nan"], "delta=nan is not finite"),
+         (["fig5", "--n", "24", "--r", "30"], "separation 30 outside [1, 23]"),
+         (["fig3", "--n", "24", "--rs", "30", "--delta-range", "0:1:0.5"],
+          "separation 30 outside [1, 23]"),
+         (["fig6", "--n", "24", "--rs", "1", "--delta-range", "0:1:0.5", "--quadrature", "16x16"],
+          "grid of 16x16 points is below the 1000-point minimum"),
+         (["fig5", "--n", "8", "--delta", "nan", "--scheme", "angle", "--quadrature", "16x16"],
+          "delta=nan is not finite")],
+        ids=["ground_state_delta", "fig2_delta", "fig5_r", "fig3_rs", "fig6_grid",
+             "fig5_delta_before_grid"],
+    )
+    def test_solve_request_refused_before_the_large_ring_warning(
+        self, tmp_path, capsys, argv, message
+    ):
+        out_file = tmp_path / "out.csv"
+        code = run(argv + ["--out", str(out_file)] + cache_args(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not out_file.exists()
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
         [(["fig3", "--delta-range", "0:1:0"],
           "argument --delta-range: range step 0.0 must be positive"),
          (["fig3", "--rs", ","], "argument --rs: empty separation list"),

@@ -629,6 +629,12 @@ class TestGroundState:
         with pytest.raises(ValueError, match=rf"^delta={delta!r} is not finite$"):
             ground_state(8, delta)
 
+    @pytest.mark.parametrize("delta", [0.5, math.nan])
+    def test_rejects_a_bad_ring_before_its_deltas_or_a_sector(self, monkeypatch, delta):
+        monkeypatch.setattr(spinchain, "build_sector", None)  # a build would raise TypeError
+        with pytest.raises(ValueError, match=r"^n_sites must be even and >= 4, got 5 "):
+            next(ground_states(5, [delta]))
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError, match="tol"):
             ground_state(4, 1.0, tol=0.0)
