@@ -1,7 +1,9 @@
 """Command-line surface emitting plot-ready data files.
 
 Subcommands: `ground-state` solves one ring sector (and warms the solver
-cache); `fig1` exports the normalized critical-scaling curves, `fig2`
+cache); `fig1` exports the normalized critical-scaling curves of the
+power-law model over a reduced-temperature grid t (its `--delta-range`),
+with the far-pair separation `--r` as the model's one setting, `fig2`
 discord versus spin separation, `fig3` discord versus anisotropy, `fig4`
 the correlator ratio and optimal basis versus anisotropy, `fig5` the
 conditional-entropy histogram of one pair, and `fig6` conditional-entropy
@@ -21,11 +23,12 @@ among them a `--delta-range` of more than 10^6 points, an `--rs` that
 repeats a separation, a fig1 `--r` below 4, or an `--out` or `--cache-dir`
 that cannot be written; 2 numerical failure; `main` alone maps an error to
 its code.  A solve request is checked in full before the n > 22 warning and
-before any row or cache entry: first the ring size, separations, Δ and the
-`--tol` window (0, 1e-4], then the fig5/fig6 scheme (1000 to 2^24 grid
-points, at most 2048 Gauss nodes, at least 1000 samples) and a `--bin-width`
-within [1e-6, 1].  A sweep that fails partway, whatever the error, first
-writes its rows under `# INCOMPLETE`.
+before any row or cache entry: first the ring size, separations, Δ, the
+`--tol` window (0, 1e-4] and, for ground-state alone, Δ > −1, then the
+fig5/fig6 scheme (1000 to 2^24 grid points, at most 2048 Gauss nodes, at
+least 1000 samples) and a `--bin-width` within [1e-6, 1].  A sweep that
+fails partway, whatever the error, first writes its rows under
+`# INCOMPLETE`.
 
 `main` may be called many times in one process: the parser is built on the
 first call and reused, and its defaults are tuples that no call can mutate.
@@ -58,7 +61,7 @@ from .distribution import (
     moments_vs_delta,
     sample_distribution,
 )
-from .scaling import PairKind, ScalingParams, normalized_discord_curve
+from .scaling import PairKind, normalized_discord_curve
 from .spinchain import _sweep_inputs, cache_path, ground_state
 from .xstate import OptimalTheta
 
@@ -307,7 +310,7 @@ def _solver_config(args):
         deltas = args.delta_range if args.delta_range is not None else [args.delta]
         rs, where = range(1, args.n // 2 + 1), {"deltas": deltas}
     elif args.command == "ground-state":
-        deltas, rs, where = [args.delta], (), {"delta": args.delta}
+        deltas, rs, where = [args.delta], None, {"delta": args.delta}
     elif args.command == "fig5":
         deltas, rs, where = [args.delta], [args.r], {"delta": args.delta, "r": args.r}
     else:
@@ -356,9 +359,8 @@ def _cmd_ground_state(args) -> int:
 
 def _cmd_fig1(args) -> int:
     ts = args.delta_range
-    params = ScalingParams(r=args.r)
-    nn = normalized_discord_curve(params, ts, PairKind.NN)
-    far = normalized_discord_curve(params, ts, PairKind.FAR)
+    nn = normalized_discord_curve(ts, PairKind.NN)
+    far = normalized_discord_curve(ts, PairKind.FAR, args.r)
     config = {"r": args.r, "t_grid": [ts[0], ts[-1], len(ts)]}
     return _emit_table(args, config, ("t", "nn", "far"), zip(ts, nn, far))
 

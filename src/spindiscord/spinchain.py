@@ -554,20 +554,29 @@ def _explicit_check(matvec, columns, deltas, krylov, lowest, ritz, taken, tol):
     return failed
 
 
-def _sweep_inputs(n_sites: int, deltas, tol: float, rs=()):
+def _sweep_inputs(n_sites: int, deltas, tol: float, rs=None):
     """The one check of a solve request: its Δ values as floats, and (r, ring distance) pairs.
 
     It refuses, in order, an unsupported ring size, a separation outside
-    [1, N − 1], a non-finite Δ and a tol outside (0, 1e-4].
+    [1, N − 1], a non-finite Δ and a tol outside (0, 1e-4].  A ground-state
+    request, `rs` None, also refuses Δ ≤ −1, whose ground state leaves the
+    S^z = 0 sector; a pair sweep yields polarized rows there instead.
     """
     check_ring_size(n_sites)
-    separations = [(r, _ring_distance(n_sites, r)) for r in rs]
+    separations = [(r, _ring_distance(n_sites, r)) for r in (rs if rs is not None else ())]
     deltas = [float(delta) for delta in deltas]
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"delta={delta!r} is not finite")
     if not 0.0 < tol <= 1e-4:
         raise ValueError(f"tol {tol!r} outside (0, 1e-4]")
+    if rs is None:
+        for delta in deltas:
+            if delta <= -1.0:
+                raise FerromagneticRegimeError(
+                    f"delta={delta!r} <= -1: ground state is fully polarized and leaves "
+                    "the S^z = 0 sector; pair discord vanishes there"
+                )
     return deltas, separations
 
 
@@ -587,12 +596,6 @@ def ground_states(n_sites: int, deltas, *, tol: float = 1e-12, cache_dir=None):
     yielded and cached as if each were solved alone, none after it.
     """
     deltas, _ = _sweep_inputs(n_sites, deltas, tol)
-    for delta in deltas:
-        if delta <= -1.0:
-            raise FerromagneticRegimeError(
-                f"delta={delta!r} <= -1: ground state is fully polarized and leaves "
-                "the S^z = 0 sector; pair discord vanishes there"
-            )
     sector = _momentum_sector(n_sites)
     window, misses = [], 0  # (Δ, cache path, cached state) since the last yield
     for delta in deltas:

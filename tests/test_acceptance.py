@@ -24,7 +24,7 @@ from spindiscord.correlators import (
     two_site_rdm,
 )
 from spindiscord.distribution import AngleGrid, GaussGrid, sample_distribution
-from spindiscord.scaling import PairKind, ScalingParams, normalized_discord_curve
+from spindiscord.scaling import PairKind, normalized_discord_curve
 from spindiscord.spinchain import ground_state
 from spindiscord.xstate import OptimalTheta, XState, discord, random_xstate
 
@@ -190,19 +190,16 @@ def test_criterion_7_asymptotics():
 @criterion(8, "critical-scaling curves peak at t = 1 with a kink")
 def test_criterion_8_scaling():
     t0 = time.perf_counter()
-    params = ScalingParams()
     ts = delta_grid(0.5, 1.5, 0.01)
     steps = (1e-2, 1e-3, 1e-4, 1e-5)
     for pair in (PairKind.NN, PairKind.FAR):
-        for t, value in zip(ts, normalized_discord_curve(params, ts, pair)):
+        for t, value in zip(ts, normalized_discord_curve(ts, pair)):
             if t == 1.0:
                 assert value == 1.0
             else:
                 assert value < 1.0
         for side in (+1.0, -1.0):
-            pts = normalized_discord_curve(
-                params, [1.0 + side * h for h in steps], pair
-            )
+            pts = normalized_discord_curve([1.0 + side * h for h in steps], pair)
             slopes = [(1.0 - value) / h for value, h in zip(pts, steps)]
             assert all(b > a for a, b in zip(slopes, slopes[1:]))
     assert time.perf_counter() - t0 < 1.0

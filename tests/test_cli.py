@@ -184,9 +184,12 @@ class TestUsage:
          (["fig6", "--n", "24", "--rs", "1", "--delta-range", "0:1:0.5", "--quadrature", "16x16"],
           "grid of 16x16 points is below the 1000-point minimum"),
          (["fig5", "--n", "8", "--delta", "nan", "--scheme", "angle", "--quadrature", "16x16"],
-          "delta=nan is not finite")],
+          "delta=nan is not finite"),
+         (["ground-state", "--n", "24", "--delta", "-2"],
+          "delta=-2.0 <= -1: ground state is fully polarized and leaves the S^z = 0 sector; "
+          "pair discord vanishes there")],
         ids=["ground_state_delta", "fig2_delta", "fig5_r", "fig3_rs", "fig6_grid",
-             "fig5_delta_before_grid"],
+             "fig5_delta_before_grid", "ground_state_polarized"],
     )
     def test_solve_request_refused_before_the_large_ring_warning(
         self, tmp_path, capsys, argv, message
@@ -337,7 +340,7 @@ class TestFig1:
                 assert nn < 1.0
                 assert far < 1.0
 
-    @pytest.mark.parametrize("r", ["1", "2", "3"])
+    @pytest.mark.parametrize("r", ["1", "2", "3", "0", "-3"])
     def test_far_pair_below_four_refused(self, capsys, r):
         code = run(["fig1", "--r", r, "--deterministic"])
         captured = capsys.readouterr()

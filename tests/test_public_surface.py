@@ -12,7 +12,8 @@ MODULES = ("xstate", "spinchain", "correlators", "distribution", "scaling", "cli
 REMOVED = ("MeasurementBasis", "GridVerifyReport", "C90Result", "joint_eigenvalues",
            "discord_grid_verify", "pure_state_discord", "AsymptoticCheck",
            "asymptotic_discord_check", "find_peaks", "NormalizedDiscordPoint",
-           "SectorBasis", "dense_sector_hamiltonian", "dense_spectrum_oracle")
+           "SectorBasis", "dense_sector_hamiltonian", "dense_spectrum_oracle", "ScalingForm",
+           "ScalingParams")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
