@@ -18,17 +18,21 @@ columns and adds a config echo, and fig5's summary (a JSON sidecar beside a
 CSV table).  Identical arguments and seeds reproduce identical bytes, apart
 from one leading timestamp comment that `--deterministic` suppresses.
 
+Every solve runs at the solver's one Lanczos tolerance, `spinchain.TOL`,
+which the JSON config echo records as "tol".
+
 Exit codes: 0 success; 1 bad arguments (`error: <message>`, no traceback),
-among them a `--delta-range` of more than 10^6 points, an `--rs` that
-repeats a separation, a fig1 `--r` below 4, or an `--out` or `--cache-dir`
-that cannot be written; 2 numerical failure; `main` alone maps an error to
-its code.  A solve request is checked in full before the n > 22 warning and
-before any row or cache entry: first the ring size, separations, Δ, the
-`--tol` window (0, 1e-4] and, for ground-state alone, Δ > −1, then the
-fig5/fig6 scheme (1000 to 2^24 grid points, at most 2048 Gauss nodes, at
-least 1000 samples) and a `--bin-width` within [1e-6, 1].  A sweep that
-fails partway, whatever the error, first writes its rows under
-`# INCOMPLETE`.
+among them a `--delta-range` of more than 10^6 points, fig2's `--delta`
+together with its `--delta-range`, an `--rs` that repeats a separation, a
+fig1 `--r` below 4, or an `--out` or `--cache-dir` that cannot be written;
+2 numerical failure; `main` alone maps an error to its code.  A solve
+request is checked in full before the n > 22 warning and before any row or
+cache entry: first the ring size, separations, Δ (−0 is read as 0) and,
+for ground-state alone, Δ > −1, then the fig5/fig6 scheme (1000 to 2^24
+grid points, at most 2048 Gauss nodes, at least 1000 samples; `--quadrature`
+sizes a grid scheme only and `--samples` mc only) and a `--bin-width`
+within [1e-6, 1].  A sweep that fails partway, whatever the error, first
+writes its rows under `# INCOMPLETE`.
 
 `main` may be called many times in one process: the parser is built on the
 first call and reused, and its defaults are tuples that no call can mutate.
@@ -62,7 +66,7 @@ from .distribution import (
     sample_distribution,
 )
 from .scaling import PairKind, normalized_discord_curve
-from .spinchain import _sweep_inputs, cache_path, ground_state
+from .spinchain import TOL, _sweep_inputs, cache_path, ground_state
 from .xstate import OptimalTheta
 
 __all__ = ["main", "entry"]
@@ -146,7 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--n", type=int, default=12, help="ring size (even, >= 4)")
-    solver.add_argument("--tol", type=float, default=1e-12)
     solver.add_argument(
         "--cache-dir",
         help=f"ground-state cache (default ./{_DEFAULT_CACHE}; env {_ENV_CACHE})",
@@ -162,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     quad.add_argument("--quadrature", type=_quadrature_arg, help="grid size NxM")
     quad.add_argument(
-        "--samples", type=int, default=UniformSphere.n_samples, help="mc sample count"
+        "--samples", type=int, help=f"mc sample count (default {UniformSphere.n_samples})"
     )
     quad.add_argument("--bin-width", type=float, default=0.005)
     quad.add_argument("--seed", type=int, default=0, help="mc sampler seed")
@@ -182,8 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fig1)
 
     p = sub.add_parser("fig2", parents=[io, solver], help="discord vs separation")
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--delta-range", type=_range_arg, default=None)
+    delta = p.add_mutually_exclusive_group()
+    delta.add_argument("--delta", type=float, default=1.0)
+    delta.add_argument("--delta-range", type=_range_arg, default=None)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("fig3", parents=[io, solver], help="discord vs anisotropy")
@@ -302,9 +306,10 @@ def _emit_table(args, config, columns, rows, summary=None) -> int:
 def _solver_config(args):
     """A solve request, checked in full: (its config echo, Δ values, separations, scheme).
 
-    `_sweep_inputs` checks the solve first; fig5 and fig6 then build their
-    scheme, which checks its size, and check the bin width.  The n > 22
-    warning comes last, after every check.
+    `_sweep_inputs` checks the solve first, and the echo carries its checked
+    Δ values; fig5 and fig6 then build their scheme, which checks its size,
+    and check the bin width.  The n > 22 warning comes last, after every
+    check.
     """
     if args.command == "fig2":
         deltas = args.delta_range if args.delta_range is not None else [args.delta]
@@ -315,11 +320,19 @@ def _solver_config(args):
         deltas, rs, where = [args.delta], [args.r], {"delta": args.delta, "r": args.r}
     else:
         deltas, rs, where = args.delta_range, args.rs, {"rs": args.rs, "deltas": args.delta_range}
-    _sweep_inputs(args.n, deltas, args.tol, rs)
+    deltas, _ = _sweep_inputs(args.n, deltas, rs)
+    where.update({"delta": deltas[0]} if "delta" in where else {"deltas": deltas})
     scheme = None
     if args.command in ("fig5", "fig6"):
-        scheme = (UniformSphere(n_samples=args.samples, seed=args.seed) if args.scheme == "mc"
-                  else _SCHEMES[args.scheme](*(args.quadrature or ())))
+        if args.scheme == "mc":
+            if args.quadrature is not None:
+                raise ValueError("--quadrature sizes a grid scheme, not --scheme mc")
+            n_samples = UniformSphere.n_samples if args.samples is None else args.samples
+            scheme = UniformSphere(n_samples=n_samples, seed=args.seed)
+        else:
+            if args.samples is not None:
+                raise ValueError(f"--samples sizes --scheme mc, not --scheme {args.scheme}")
+            scheme = _SCHEMES[args.scheme](*(args.quadrature or ()))
         _check_bin_width(args.bin_width)
         # the scheme echo: its kind, then its dataclass fields in declaration order
         descriptor = {"kind": args.scheme, **vars(scheme)}
@@ -330,16 +343,16 @@ def _solver_config(args):
     cache_dir = args.cache_dir
     if cache_dir is None:
         cache_dir = os.environ.get(_ENV_CACHE, _DEFAULT_CACHE)
-    return {"n": args.n, "tol": args.tol, "cache_dir": cache_dir, **where}, deltas, rs, scheme
+    return {"n": args.n, "tol": TOL, "cache_dir": cache_dir, **where}, deltas, rs, scheme
 
 
 # ── subcommands ─────────────────────────────────────────────────────────────
 
 
 def _cmd_ground_state(args) -> int:
-    config, _, _, _ = _solver_config(args)
-    state = ground_state(args.n, args.delta, tol=args.tol, cache_dir=config["cache_dir"])
-    path = cache_path(config["cache_dir"], args.n, state.sector.n_up, args.delta, args.tol)
+    config, deltas, _, _ = _solver_config(args)
+    state = ground_state(args.n, deltas[0], cache_dir=config["cache_dir"])
+    path = cache_path(config["cache_dir"], args.n, state.sector.n_up, state.delta)
     print(f"iterations {state.iterations}", file=sys.stderr)
     if args.format == "json":
         doc = {
@@ -368,7 +381,7 @@ def _cmd_fig1(args) -> int:
 def _cmd_sweep(args) -> int:
     """fig2, fig3, fig4 and fig6: the rows of one pair-state sweep over (Δ, r)."""
     config, deltas, rs, scheme = _solver_config(args)
-    pairs = pair_state_sweep(args.n, deltas, rs, tol=args.tol, cache_dir=config["cache_dir"])
+    pairs = pair_state_sweep(args.n, deltas, rs, cache_dir=config["cache_dir"])
     if args.command == "fig2":
         rows, columns = discord_profile_vs_r(pairs), DiscordByDistance._fields
     elif args.command == "fig6":
@@ -384,9 +397,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_fig5(args) -> int:
     config, deltas, rs, scheme = _solver_config(args)
-    [(_, _, state)] = pair_state_sweep(
-        args.n, deltas, rs, tol=args.tol, cache_dir=config["cache_dir"]
-    )
+    [(_, _, state)] = pair_state_sweep(args.n, deltas, rs, cache_dir=config["cache_dir"])
     hist = sample_distribution(state, scheme, bin_width=args.bin_width)
     rows = [
         (idx * hist.bin_width, (idx + 1) * hist.bin_width, mass)

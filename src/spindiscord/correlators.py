@@ -145,30 +145,23 @@ def two_site_rdm(gs: GroundState, i: int, j: int) -> XState:
     return _pair_state(gs.phi, gs.sector.pair_table(abs(i - j)))
 
 
-def pair_state_sweep(
-    n_sites: int,
-    deltas,
-    rs,
-    *,
-    tol: float = 1e-12,
-    cache_dir=None,
-):
+def pair_state_sweep(n_sites: int, deltas, rs, *, cache_dir=None):
     """Yield (delta, r, pair state of sites (1, 1+r)) in (delta, r) order.
 
     Anisotropies at or below −1 yield the pair state of the polarized
     mixture without a solve: there the ground state leaves the S^z = 0
     sector for the two fully polarized states.  Every other anisotropy is
     solved once, all of them by one `ground_states` sweep.  `_sweep_inputs`
-    checks the ring size, the separations, folded to ring distances, the
-    finiteness of every anisotropy and the tolerance window (0, 1e-4] before
-    anything is yielded, polarized rows included.  One sector `pair_table`
-    per distance (r and N − r share one) is built at the first solve, 16 B
-    per entry, 22 MB at N = 26, and reduced once per Δ.  With two or more
-    solves it is kept for every Δ; with one, dropped once read.
+    checks the ring size, the separations, folded to ring distances, and
+    the finiteness of every anisotropy before anything is yielded, polarized
+    rows included.  One sector `pair_table` per distance (r and N − r share
+    one) is built at the first solve, 16 B per entry, 22 MB at N = 26, and
+    reduced once per Δ.  With two or more solves it is kept for every Δ;
+    with one, dropped once read.
     """
-    deltas, separations = _sweep_inputs(n_sites, deltas, tol, rs)
+    deltas, separations = _sweep_inputs(n_sites, deltas, rs)
     solved = [delta for delta in deltas if delta > -1.0]
-    states = ground_states(n_sites, solved, tol=tol, cache_dir=cache_dir)
+    states = ground_states(n_sites, solved, cache_dir=cache_dir)
     reuse = len(solved) > 1
     tables = {}
     for delta in deltas:

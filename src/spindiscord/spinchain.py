@@ -46,8 +46,9 @@ the block's `width`, as many columns as fit 256 KiB of Krylov vectors: 39 at
 N = 12, 5 at N = 16 and one from N = 18 up, where a lone Δ keeps its
 memory.  Each Δ's `_Column` carries its own run and outcome.  Every call
 acts on each column on its own, so a Δ's state is bit-identical alone, in
-any block and in any order.  Solved ground states can be persisted in a
-binary cache keyed by (N, n_up, Δ, tol).
+any block and in any order.  Every solve runs at the one Lanczos tolerance
+`TOL`, and solved ground states can be persisted in a binary cache keyed by
+(N, n_up, Δ).
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ __all__ = [
 ]
 
 MAX_SITES = 26
+# The Lanczos tolerance: Ritz value movement and residual estimate of a
+# converged solve; the cache header records it.  k = 2 at Δ = 1, and the
+# measurement basis there, hold only this tight.
+TOL = 1e-12
 # Lanczos vectors per restart cycle: at most 25 rows keep LAPACK's eigh of T
 # off divide-and-conquer and its threaded BLAS-3 calls.  The block is
 # 24 * dim * 8 B in the reduced sector: 0.5 MB at N = 20, 19.5 MB at N = 26.
@@ -368,7 +373,6 @@ class GroundState:
     energy: float
     phi: np.ndarray
     residual: float
-    tol: float
     ritz_history: tuple
     iterations: int = 0
 
@@ -398,7 +402,7 @@ class _Column:
         return True
 
 
-def _lanczos_lowest(matvec, start: np.ndarray, deltas, *, tol: float):
+def _lanczos_lowest(matvec, start: np.ndarray, deltas):
     """Thick-restart Lanczos for the lowest eigenpair of H(Δ), each Δ of `deltas` from `start`.
 
     `matvec(Δs, block)` applies H to the rows of a (K, dim) block, row k at
@@ -414,8 +418,8 @@ def _lanczos_lowest(matvec, start: np.ndarray, deltas, *, tol: float):
     on from the residual direction.  T is diagonalized on every fourth new
     vector of a cycle and on its last step, for the whole block; a Δ whose
     β turns negligible against T off that schedule is checked alone.  A Δ
-    has converged when its Ritz value moves less than tol between two
-    checks with a residual estimate below 10*tol, or when its Krylov space
+    has converged when its Ritz value moves less than `TOL` between two
+    checks with a residual estimate below 10·TOL, or when its Krylov space
     is invariant, and it then leaves the block.  A Ritz vector that fails
     the explicit residual check restarts from that vector, in a block of
     the restarts that follows, with its history, steps and cycles.  Returns
@@ -429,11 +433,11 @@ def _lanczos_lowest(matvec, start: np.ndarray, deltas, *, tol: float):
     columns = [_Column(delta, start) for delta in deltas]
     block = [col for col in columns if not col.spent()]
     while block:
-        block = _lockstep(matvec, block, m, kept, tol)
+        block = _lockstep(matvec, block, m, kept)
     return [col.outcome for col in columns]
 
 
-def _lockstep(matvec, columns, m: int, kept: int, tol: float) -> list:
+def _lockstep(matvec, columns, m: int, kept: int) -> list:
     """Run one block of `_lanczos_lowest` until every column has left it.
 
     Each column leaves with its outcome set, or is returned to restart from
@@ -484,7 +488,7 @@ def _lockstep(matvec, columns, m: int, kept: int, tol: float) -> list:
                     col = columns[c]
                     col.history.append(theta)
                     if c in invariant or (
-                        abs(col.theta - theta) < tol and betas[c] * abs(s_last) < 10.0 * tol
+                        abs(col.theta - theta) < TOL and betas[c] * abs(s_last) < 10.0 * TOL
                     ):
                         converged.append(i)
                         left.append(c)
@@ -493,7 +497,7 @@ def _lockstep(matvec, columns, m: int, kept: int, tol: float) -> list:
                     krylov = cycle if len(left) == len(columns) else v[left, : j + 1]
                     restarts += _explicit_check(matvec, [columns[c] for c in left], deltas[left],
                                                 krylov, eigs[converged, :2], vecs[converged, :, 0],
-                                                taken, tol)
+                                                taken)
             if last:  # the others restart thick, unless they have spent their cycles
                 for c, col in enumerate(columns):
                     if c not in left:
@@ -525,7 +529,7 @@ def _lockstep(matvec, columns, m: int, kept: int, tol: float) -> list:
         first = kept
 
 
-def _explicit_check(matvec, columns, deltas, krylov, lowest, ritz, taken, tol):
+def _explicit_check(matvec, columns, deltas, krylov, lowest, ritz, taken):
     """Ritz vectors of converged columns through the explicit residual check.
 
     `krylov` holds each column's cycle vectors, `ritz` the coefficients of
@@ -543,7 +547,7 @@ def _explicit_check(matvec, columns, deltas, krylov, lowest, ritz, taken, tol):
     failed = []
     for i, col in enumerate(columns):
         col.steps += taken
-        if residuals[i] <= max(10.0 * tol, 1e-12):
+        if residuals[i] <= 10.0 * TOL:
             gap = float(lowest[i, 1] - lowest[i, 0]) if lowest.shape[1] > 1 else math.inf
             col.outcome = (float(energies[i]), q[i], float(residuals[i]),
                            tuple(col.history), gap, col.steps)
@@ -554,22 +558,20 @@ def _explicit_check(matvec, columns, deltas, krylov, lowest, ritz, taken, tol):
     return failed
 
 
-def _sweep_inputs(n_sites: int, deltas, tol: float, rs=None):
+def _sweep_inputs(n_sites: int, deltas, rs=None):
     """The one check of a solve request: its Δ values as floats, and (r, ring distance) pairs.
 
     It refuses, in order, an unsupported ring size, a separation outside
-    [1, N − 1], a non-finite Δ and a tol outside (0, 1e-4].  A ground-state
+    [1, N − 1] and a non-finite Δ; a Δ of −0.0 becomes 0.0.  A ground-state
     request, `rs` None, also refuses Δ ≤ −1, whose ground state leaves the
     S^z = 0 sector; a pair sweep yields polarized rows there instead.
     """
     check_ring_size(n_sites)
     separations = [(r, _ring_distance(n_sites, r)) for r in (rs if rs is not None else ())]
-    deltas = [float(delta) for delta in deltas]
+    deltas = [float(delta) + 0.0 for delta in deltas]
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"delta={delta!r} is not finite")
-    if not 0.0 < tol <= 1e-4:
-        raise ValueError(f"tol {tol!r} outside (0, 1e-4]")
     if rs is None:
         for delta in deltas:
             if delta <= -1.0:
@@ -580,12 +582,12 @@ def _sweep_inputs(n_sites: int, deltas, tol: float, rs=None):
     return deltas, separations
 
 
-def ground_states(n_sites: int, deltas, *, tol: float = 1e-12, cache_dir=None):
+def ground_states(n_sites: int, deltas, *, cache_dir=None):
     """Yield the lowest eigenpair of the XXZ ring in the S^z = 0 sector for each Δ, in order.
 
     Every Δ must be finite and above −1, so that the sector hosts the global
-    ground state, `tol` within (0, 1e-4] and N a supported ring size: all
-    checked before the sector is built.
+    ground state, and N a supported ring size: both checked before the
+    sector is built.
     Lanczos runs on H_χ in the `MomentumSector`, and each state keeps its
     amplitudes φ there.  With `cache_dir` set, solved states are persisted
     and read back exactly; an entry is used only if its φ has unit norm and
@@ -595,33 +597,31 @@ def ground_states(n_sites: int, deltas, *, tol: float = 1e-12, cache_dir=None):
     fails raises when the sweep reaches it: the states before it are
     yielded and cached as if each were solved alone, none after it.
     """
-    deltas, _ = _sweep_inputs(n_sites, deltas, tol)
+    deltas, _ = _sweep_inputs(n_sites, deltas)
     sector = _momentum_sector(n_sites)
     window, misses = [], 0  # (Δ, cache path, cached state) since the last yield
     for delta in deltas:
         path = cached = None
         if cache_dir is not None:
-            path = cache_path(cache_dir, n_sites, sector.n_up, delta, tol)
-            cached = _cached_state(sector, delta, tol, path)
+            path = cache_path(cache_dir, n_sites, sector.n_up, delta)
+            cached = _cached_state(sector, delta, path)
         if cached is not None and not window:
             yield cached
             continue
         window.append((delta, path, cached))
         misses += cached is None
         if misses == sector.width:
-            yield from _solve_window(sector, window, tol)
+            yield from _solve_window(sector, window)
             window, misses = [], 0
-    yield from _solve_window(sector, window, tol)
+    yield from _solve_window(sector, window)
 
 
-def _cached_state(sector: MomentumSector, delta: float, tol: float, path):
+def _cached_state(sector: MomentumSector, delta: float, path):
     """The cache entry at `path`, or None if it is missing, corrupt, stale or unnormalized.
 
-    The entry must also pass the residual check at max(1e-8, 10·tol), which
-    is never stricter than a solve's own max(10·tol, 1e-12): an entry a
-    solve wrote at a loose tol is a hit, not solved and written again.
+    The entry must also pass the residual check at 1e-8.
     """
-    cached = load_ground_state(path, (sector.n_sites, sector.n_up, delta, tol))
+    cached = load_ground_state(path, (sector.n_sites, sector.n_up, delta))
     if cached is None:
         return None
     energy, phi = cached
@@ -629,16 +629,16 @@ def _cached_state(sector: MomentumSector, delta: float, tol: float, path):
         return None
     phi.flags.writeable = False
     residual = float(np.linalg.norm(apply_hamiltonian(sector, delta, phi) - energy * phi))
-    if not residual <= max(1e-8, 10.0 * tol):  # a NaN energy or φ fails too
+    if not residual <= 1e-8:  # a NaN energy or φ fails too
         return None
-    return GroundState(sector, delta, energy, phi, residual, tol, ())
+    return GroundState(sector, delta, energy, phi, residual, ())
 
 
-def _solve_window(sector: MomentumSector, window, tol: float):
+def _solve_window(sector: MomentumSector, window):
     """Solve the misses of `window` as one lockstep block, then yield its states in order."""
     outcomes = iter(_lanczos_lowest(
         lambda deltas, psi: apply_hamiltonian(sector, deltas, psi), sector.start,
-        [delta for delta, _path, cached in window if cached is None], tol=tol,
+        [delta for delta, _path, cached in window if cached is None],
     ))
     for delta, path, state in window:
         if state is None:
@@ -654,34 +654,28 @@ def _solve_window(sector: MomentumSector, window, tol: float):
             if phi[np.argmax(np.abs(phi))] < 0.0:
                 phi = -phi
             phi.flags.writeable = False
-            state = GroundState(sector, delta, energy, phi, residual, tol, history, steps)
+            state = GroundState(sector, delta, energy, phi, residual, history, steps)
             if path is not None:
                 save_ground_state(path, state)
         yield state
 
 
-def ground_state(
-    n_sites: int,
-    delta: float,
-    *,
-    tol: float = 1e-12,
-    cache_dir=None,
-) -> GroundState:
+def ground_state(n_sites: int, delta: float, *, cache_dir=None) -> GroundState:
     """Lowest eigenpair of the XXZ ring in the S^z = 0 sector: `ground_states` of one Δ."""
-    return next(ground_states(n_sites, [delta], tol=tol, cache_dir=cache_dir))
+    return next(ground_states(n_sites, [delta], cache_dir=cache_dir))
 
 
 # ── persistent cache ────────────────────────────────────────────────────────
-# Layout: magic "SDKGS1", u32 N, u32 n_up, f64 delta, f64 tol, f64 energy,
-# u64 dimension, then dimension little-endian f64 amplitudes φ in the
-# `MomentumSector`, then u32 CRC32 of the payload bytes.  All integers
-# little-endian.
+# Layout: magic "SDKGS1", u32 N, u32 n_up, f64 delta, f64 tol (always TOL),
+# f64 energy, u64 dimension, then dimension little-endian f64 amplitudes φ
+# in the `MomentumSector`, then u32 CRC32 of the payload bytes.  All
+# integers little-endian.
 
 
-def cache_path(cache_dir, n_sites: int, n_up: int, delta: float, tol: float) -> Path:
+def cache_path(cache_dir, n_sites: int, n_up: int, delta: float) -> Path:
     """File path for one solved sector, keyed on every cache header field."""
     name = (
-        f"gs_n{n_sites:02d}_up{n_up:02d}_d{delta:.17g}_t{tol:.17g}"
+        f"gs_n{n_sites:02d}_up{n_up:02d}_d{delta:.17g}_t{TOL:.17g}"
         f"_v{_CACHE_CODE_VERSION}.bin"
     )
     return Path(cache_dir) / name
@@ -692,7 +686,7 @@ def save_ground_state(path, state: GroundState) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     sector, payload = state.sector, state.phi.astype("<f8").tobytes()
     header = _CACHE_HEADER.pack(_CACHE_MAGIC, sector.n_sites, sector.n_up, state.delta,
-                                state.tol, state.energy, sector.dim)
+                                TOL, state.energy, sector.dim)
     # a temp file per writer: concurrent writers of one key never share one.
     # Created like any other file, so the cache entry's mode follows the umask.
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -711,8 +705,8 @@ def save_ground_state(path, state: GroundState) -> None:
 def load_ground_state(path, key):
     """(energy, φ) from a cache file, or None on any mismatch.
 
-    `key` is the request (n_sites, n_up, delta, tol); a header recording any
-    other request is a mismatch.
+    `key` is the request (n_sites, n_up, delta); a header recording any
+    other request, or a tol other than `TOL`, is a mismatch.
     """
     path = Path(path)
     try:
@@ -724,7 +718,7 @@ def load_ground_state(path, key):
     magic, n_sites, n_up, delta, tol, energy, dim = _CACHE_HEADER.unpack_from(blob)
     if magic != _CACHE_MAGIC:
         return None
-    if (n_sites, n_up, delta, tol) != tuple(key):
+    if (n_sites, n_up, delta, tol) != (*key, TOL):
         return None
     expected = _CACHE_HEADER.size + 8 * dim + _CACHE_FOOTER.size
     if len(blob) != expected:

@@ -162,17 +162,28 @@ class TestUsage:
         assert "polarized" not in err
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("n", ["8", "24"])  # 24: refused before the large-ring warning
-    def test_tolerance_refused_before_a_polarized_row(self, tmp_path, capsys, n):
+    # 24: refused before the large-ring warning
+    @pytest.mark.parametrize("n, r", [("8", "9"), ("24", "30")], ids=["8", "24"])
+    def test_bad_separation_refused_before_a_polarized_row(self, tmp_path, capsys, n, r):
         out_file = tmp_path / "out.csv"
-        code = run(["fig3", "--n", n, "--rs", "1", "--delta-range", "-1.5:-1:0.5",
-                    "--tol", "1", "--out", str(out_file)] + cache_args(tmp_path))
+        code = run(["fig3", "--n", n, "--rs", r, "--delta-range", "-1.5:-1:0.5",
+                    "--out", str(out_file)] + cache_args(tmp_path))
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.splitlines() == ["error: tol 1.0 outside (0, 1e-4]"]
+        assert captured.err.splitlines() == [f"error: separation {r} outside [1, {int(n) - 1}]"]
         assert not out_file.exists()
         assert not (tmp_path / "cache").exists()
+
+    def test_tolerance_is_not_an_option(self, tmp_path, capsys):
+        out_file = tmp_path / "out.csv"
+        code = run(["fig3", "--n", "8", "--rs", "1", "--delta-range", "0:1:0.5", "--tol", "1e-10",
+                    "--out", str(out_file)] + cache_args(tmp_path))
+        assert code == 1
+        assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
+        assert not out_file.exists()
+        assert not (tmp_path / "cache").exists()
+
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -187,9 +198,17 @@ class TestUsage:
           "delta=nan is not finite"),
          (["ground-state", "--n", "24", "--delta", "-2"],
           "delta=-2.0 <= -1: ground state is fully polarized and leaves the S^z = 0 sector; "
-          "pair discord vanishes there")],
+          "pair discord vanishes there"),
+         (["fig5", "--n", "24", "--scheme", "mc", "--quadrature", "16x16", "--samples", "1000"],
+          "--quadrature sizes a grid scheme, not --scheme mc"),
+         (["fig5", "--n", "24", "--samples", "1000"],
+          "--samples sizes --scheme mc, not --scheme gauss"),
+         (["fig6", "--n", "24", "--rs", "1", "--delta-range", "0:1:0.5", "--scheme", "angle",
+           "--quadrature", "40x40", "--samples", "1000"],
+          "--samples sizes --scheme mc, not --scheme angle")],
         ids=["ground_state_delta", "fig2_delta", "fig5_r", "fig3_rs", "fig6_grid",
-             "fig5_delta_before_grid", "ground_state_polarized"],
+             "fig5_delta_before_grid", "ground_state_polarized", "quadrature_under_mc",
+             "samples_under_gauss", "samples_under_angle"],
     )
     def test_solve_request_refused_before_the_large_ring_warning(
         self, tmp_path, capsys, argv, message
@@ -209,8 +228,10 @@ class TestUsage:
           "argument --delta-range: range step 0.0 must be positive"),
          (["fig3", "--rs", ","], "argument --rs: empty separation list"),
          (["fig5", "--quadrature", "32xab"],
-          "argument --quadrature: quadrature '32xab' is not of the form NxM")],
-        ids=["zero_step", "empty_rs", "non_int_quadrature"],
+          "argument --quadrature: quadrature '32xab' is not of the form NxM"),
+         (["fig2", "--delta", "0.5", "--delta-range", "1:1:1"],
+          "argument --delta-range: not allowed with argument --delta")],
+        ids=["zero_step", "empty_rs", "non_int_quadrature", "fig2_delta_and_range"],
     )
     def test_malformed_argument_is_a_usage_line(self, tmp_path, capsys, argv, message):
         out_file = tmp_path / "out.csv"
@@ -369,6 +390,30 @@ class TestFig1:
         assert stamped.splitlines()[1:] == plain.splitlines()
 
 
+class TestNegativeZeroDelta:
+    @pytest.mark.parametrize("command", ["ground-state", "fig5"])
+    def test_minus_zero_is_the_zero_entry(self, tmp_path, capsys, command):
+        outs = []
+        for delta in ("--delta=0", "--delta=-0"):
+            assert run([command, "--n", "8", delta, "--deterministic"] + cache_args(tmp_path)) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [
+            spinchain.cache_path(tmp_path, 8, 4, 0.0).name
+        ]
+
+    def test_fig2_rows_and_echo_read_zero(self, tmp_path, capsys):
+        for fmt in ("csv", "json"):
+            code = run(["fig2", "--n", "8", "--delta=-0", "--format", fmt, "--deterministic"]
+                       + cache_args(tmp_path))
+            assert code == 0
+            out = capsys.readouterr().out
+            assert "-0.0" not in out
+        doc = json.loads(out)
+        assert [row[0] for row in doc["rows"]] == [0.0] * 4
+        assert doc["config"]["deltas"] == [0.0]
+
+
 class TestFig2:
     def test_profile_rows(self, tmp_path, capsys):
         code = run(
@@ -411,18 +456,6 @@ class TestFig3:
         assert float(by_delta["-1.5"][2]) == 0.0
         assert by_delta["-1.5"][4] == "zero"
         assert float(by_delta["1.0"][2]) > 0.0
-
-    def test_non_default_tolerance_reaches_the_solver_and_the_cache(self, tmp_path, capsys):
-        code = run(
-            ["fig3", "--n", "8", "--rs", "1", "--delta-range", "0:1:0.5", "--tol", "1e-10",
-             "--format", "json", "--deterministic"] + cache_args(tmp_path)
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert '"tol": 1e-10' in out
-        assert json.loads(out)["config"]["tol"] == 1e-10
-        names = {p.name for p in (tmp_path / "cache").iterdir()}
-        assert names == {f"gs_n08_up04_d{d}_t1e-10_v3.bin" for d in ("0", "0.5", "1")}
 
     def test_range_through_zero_has_no_negative_zero(self, tmp_path, capsys):
         # -0.9 + 3 * 0.3 rounds to -0.0; the sweep must use the 0.0 that
@@ -746,5 +779,5 @@ class TestIncompleteSweep:
         assert [float(line.split(",")[0]) for line in lines[1:-1]] == [0.0, 0.25]
         assert lines[-1] == "# INCOMPLETE"
         cache = tmp_path / "cache"
-        expected = {spinchain.cache_path(cache, 12, 6, d, 1e-12).name for d in (0.0, 0.25)}
+        expected = {spinchain.cache_path(cache, 12, 6, d).name for d in (0.0, 0.25)}
         assert {path.name for path in cache.iterdir()} == expected

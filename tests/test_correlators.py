@@ -480,14 +480,14 @@ class TestPairStateSweep:
             next(rows)
 
     @pytest.mark.parametrize(
-        "deltas, tol, message",
-        [([-1.5, 0.5], 5.0, r"^tol 5.0 outside \(0, 1e-4\]$"),
-         ([-1.5], 5.0, r"^tol 5.0 outside \(0, 1e-4\]$"),
-         ([-1.5, math.nan], 1e-12, r"^delta=nan is not finite$")],
-        ids=["tol_then_solved", "tol_alone", "nan"],
+        "deltas, rs, message",
+        [([-1.5, 0.5], [9], r"^separation 9 outside \[1, 7\]$"),
+         ([-1.5], [9], r"^separation 9 outside \[1, 7\]$"),
+         ([-1.5, math.nan], [1], r"^delta=nan is not finite$")],
+        ids=["rs_solved", "rs_alone", "nan"],
     )
-    def test_rejects_bad_input_before_a_polarized_row(self, deltas, tol, message):
-        rows = pair_state_sweep(8, deltas, [1], tol=tol)
+    def test_rejects_bad_input_before_a_polarized_row(self, deltas, rs, message):
+        rows = pair_state_sweep(8, deltas, rs)
         with pytest.raises(ValueError, match=message):
             next(rows)
 

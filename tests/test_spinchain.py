@@ -4,7 +4,6 @@ import dataclasses
 import math
 import os
 import random
-import shutil
 import stat
 import tracemalloc
 
@@ -635,12 +634,6 @@ class TestGroundState:
         with pytest.raises(ValueError, match=r"^n_sites must be even and >= 4, got 5 "):
             next(ground_states(5, [delta]))
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError, match="tol"):
-            ground_state(4, 1.0, tol=0.0)
-        with pytest.raises(ValueError, match="tol"):
-            ground_state(4, 1.0, tol=1e-3)
-
     @pytest.mark.parametrize("gap, raises", [(5e-11, True), (1e-9, False)])
     def test_degenerate_ground_state_raises(self, monkeypatch, gap, raises):
         """A lowest Ritz gap at or below 1e-10 is refused, a wider one is not.
@@ -673,7 +666,7 @@ class TestGroundState:
 
         with np.errstate(all="raise"):
             ((energy, vec, residual, history, gap, steps),) = spinchain._lanczos_lowest(
-                matvec, start, [0.0], tol=1e-12
+                matvec, start, [0.0]
             )
         assert steps == 3
         assert len(calls) == 4  # three steps and the explicit residual
@@ -766,7 +759,7 @@ class TestLockstepBlocks:
         assert [next(sweep).delta for _ in range(2)] == [0.0, 0.25]
         with pytest.raises(ConvergenceError):
             next(sweep)
-        expected = {cache_path(tmp_path, 12, 6, d, 1e-12).name for d in (0.0, 0.25)}
+        expected = {cache_path(tmp_path, 12, 6, d).name for d in (0.0, 0.25)}
         assert {path.name for path in tmp_path.iterdir()} == expected
 
     def test_a_column_out_of_cycles_at_a_cycle_end_raises_at_its_delta(self, monkeypatch):
@@ -800,50 +793,46 @@ class TestLockstepBlocks:
 
 class TestCache:
     def test_roundtrip_is_exact(self, tmp_path):
-        gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
-        path = cache_path(tmp_path, 8, 4, 0.5, 1e-10)
+        gs = ground_state(8, 0.5, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 8, 4, 0.5)
         assert path.exists()
-        loaded = load_ground_state(path, (8, 4, 0.5, 1e-10))
+        loaded = load_ground_state(path, (8, 4, 0.5))
         assert loaded is not None
         energy, phi = loaded
         assert energy == gs.energy
         assert np.array_equal(phi, gs.phi)
 
     def test_hit_reproduces_cold_run_exactly(self, tmp_path):
-        cold = ground_state(10, 1.0, tol=1e-10, cache_dir=tmp_path)
-        warm = ground_state(10, 1.0, tol=1e-10, cache_dir=tmp_path)
+        cold = ground_state(10, 1.0, cache_dir=tmp_path)
+        warm = ground_state(10, 1.0, cache_dir=tmp_path)
         assert warm.iterations == 0  # served from disk
         assert warm.energy == cold.energy
         assert np.array_equal(warm.phi, cold.phi)
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-4])
-    def test_entry_solved_at_a_loose_tolerance_is_a_hit(self, tmp_path, tol):
-        """A solve accepts residuals up to 10·tol, and so does the cache check."""
-        cold = ground_state(12, 1.0, tol=tol, cache_dir=tmp_path)
-        path = cache_path(tmp_path, 12, 6, 1.0, tol)
-        stamp = path.stat().st_mtime_ns
-        warm = ground_state(12, 1.0, tol=tol, cache_dir=tmp_path)
+    def test_minus_zero_delta_is_the_zero_entry(self, tmp_path):
+        cold = ground_state(8, 0.0, cache_dir=tmp_path)
+        warm = ground_state(8, -0.0, cache_dir=tmp_path)
         assert cold.iterations > 0
         assert warm.iterations == 0
-        assert np.array_equal(warm.phi, cold.phi)
-        assert path.stat().st_mtime_ns == stamp
+        assert math.copysign(1.0, warm.delta) == 1.0
+        assert [p.name for p in tmp_path.iterdir()] == [cache_path(tmp_path, 8, 4, 0.0).name]
 
     def test_key_separates_parameters(self, tmp_path):
-        ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
-        for key in ((8, 4, 0.6, 1e-10), (8, 4, 0.5, 1e-9)):
+        ground_state(8, 0.5, cache_dir=tmp_path)
+        for key in ((8, 4, 0.6), (10, 5, 0.5)):
             assert load_ground_state(cache_path(tmp_path, *key), key) is None
 
     def test_corrupt_payload_is_rejected_and_resolved(self, tmp_path):
-        gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
-        path = cache_path(tmp_path, 8, 4, 0.5, 1e-10)
+        gs = ground_state(8, 0.5, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 8, 4, 0.5)
         blob = bytearray(path.read_bytes())
         blob[60] ^= 0xFF  # flip one payload byte; CRC must catch it
         path.write_bytes(bytes(blob))
-        assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is None
-        again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        assert load_ground_state(path, (8, 4, 0.5)) is None
+        again = ground_state(8, 0.5, cache_dir=tmp_path)
         assert again.iterations > 0  # cache miss forced a fresh solve
         assert np.array_equal(again.phi, gs.phi)
-        assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is not None  # rewritten clean
+        assert load_ground_state(path, (8, 4, 0.5)) is not None  # rewritten clean
 
     @pytest.mark.parametrize(
         "cut", [slice(None, -7), slice(None, 10), slice(0, 0)],
@@ -851,51 +840,53 @@ class TestCache:
     )
     def test_truncated_file_is_rejected(self, tmp_path, cut):
         """A cut payload, and a file shorter than its header and footer, are misses."""
-        gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
-        path = cache_path(tmp_path, 8, 4, 0.5, 1e-10)
+        gs = ground_state(8, 0.5, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 8, 4, 0.5)
         path.write_bytes(path.read_bytes()[cut])
-        assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is None
-        again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        assert load_ground_state(path, (8, 4, 0.5)) is None
+        again = ground_state(8, 0.5, cache_dir=tmp_path)
         assert again.iterations > 0  # cache miss forced a fresh solve
         assert np.array_equal(again.phi, gs.phi)
-        assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is not None  # rewritten clean
+        assert load_ground_state(path, (8, 4, 0.5)) is not None  # rewritten clean
 
     def test_wrong_magic_is_rejected(self, tmp_path):
-        ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
-        path = cache_path(tmp_path, 8, 4, 0.5, 1e-10)
+        ground_state(8, 0.5, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 8, 4, 0.5)
         blob = bytearray(path.read_bytes())
         blob[0] ^= 0xFF
         path.write_bytes(bytes(blob))
-        assert load_ground_state(path, (8, 4, 0.5, 1e-10)) is None
+        assert load_ground_state(path, (8, 4, 0.5)) is None
 
     @pytest.mark.parametrize(
-        "key",
-        [(10, 4, 0.5, 1e-10), (8, 3, 0.5, 1e-10), (8, 4, 0.6, 1e-10), (8, 4, 0.5, 1e-9)],
+        "field, value",
+        [(1, 10), (2, 3), (3, 0.6), (4, 1e-10)],
         ids=["n_sites", "n_up", "delta", "tol"],
     )
-    def test_header_must_match_the_requested_key(self, tmp_path, key):
-        ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
-        source = cache_path(tmp_path, 8, 4, 0.5, 1e-10)
-        moved = cache_path(tmp_path, *key)
-        shutil.copyfile(source, moved)
-        assert load_ground_state(moved, (8, 4, 0.5, 1e-10)) is not None  # intact file
-        assert load_ground_state(moved, key) is None
-        n_sites, n_up, delta, tol = key
-        if n_up == n_sites // 2:
-            again = ground_state(n_sites, delta, tol=tol, cache_dir=tmp_path)
-            assert again.iterations > 0  # the misplaced entry forced a solve
-            assert load_ground_state(moved, key) is not None  # rewritten
+    def test_header_must_match_the_requested_key(self, tmp_path, field, value):
+        """A CRC-valid entry whose header records another (N, n_up, Δ), or a tol
+        other than TOL, is a miss at the request's path, solved and written again."""
+        gs = ground_state(8, 0.5, cache_dir=tmp_path)
+        path = cache_path(tmp_path, 8, 4, 0.5)
+        blob = path.read_bytes()
+        header = list(spinchain._CACHE_HEADER.unpack_from(blob))
+        header[field] = value
+        path.write_bytes(spinchain._CACHE_HEADER.pack(*header) + blob[spinchain._CACHE_HEADER.size:])
+        assert load_ground_state(path, (8, 4, 0.5)) is None
+        again = ground_state(8, 0.5, cache_dir=tmp_path)
+        assert again.iterations > 0  # the entry forced a solve
+        assert np.array_equal(again.phi, gs.phi)
+        assert path.read_bytes() == blob  # rewritten
 
     @pytest.mark.parametrize("scale", [0.0, 0.5, math.nan], ids=["zero", "half_norm", "nan"])
     def test_unnormalized_entry_is_rejected_and_resolved(self, tmp_path, scale):
         # CRC-valid, and its residual passes (or is NaN): the norm check catches it
-        gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
-        key = (8, 4, 0.5, 1e-10)
+        gs = ground_state(8, 0.5, cache_dir=tmp_path)
+        key = (8, 4, 0.5)
         path = cache_path(tmp_path, *key)
         save_ground_state(path, dataclasses.replace(gs, phi=scale * gs.phi))
         assert np.array_equal(load_ground_state(path, key)[1], scale * gs.phi, equal_nan=True)
 
-        again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        again = ground_state(8, 0.5, cache_dir=tmp_path)
         assert again.iterations > 0  # the unnormalized entry forced a solve
         assert again.energy == gs.energy
         assert np.array_equal(again.phi, gs.phi)
@@ -903,26 +894,26 @@ class TestCache:
 
     def test_nan_energy_entry_is_rejected_and_resolved(self, tmp_path):
         # the CRC covers only φ, so a NaN energy in the header reaches the residual check
-        gs = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
-        key = (8, 4, 0.5, 1e-10)
+        gs = ground_state(8, 0.5, cache_dir=tmp_path)
+        key = (8, 4, 0.5)
         path = cache_path(tmp_path, *key)
         save_ground_state(path, dataclasses.replace(gs, energy=math.nan))
         assert math.isnan(load_ground_state(path, key)[0])
 
-        again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        again = ground_state(8, 0.5, cache_dir=tmp_path)
         assert again.iterations > 0  # the NaN entry forced a solve
         assert again.energy == gs.energy
         assert load_ground_state(path, key)[0] == gs.energy  # rewritten
 
     def test_version_two_entry_is_never_read(self, tmp_path):
         # a valid entry under the version-2 name: the version-3 reader never opens it
-        gs = ground_state(8, 0.5, tol=1e-10)
-        key = (8, 4, 0.5, 1e-10)
+        gs = ground_state(8, 0.5)
+        key = (8, 4, 0.5)
         current = cache_path(tmp_path, *key)
         assert current.name.endswith("_v3.bin")
         old = current.with_name(current.name.replace("_v3.bin", "_v2.bin"))
         save_ground_state(old, gs)
-        again = ground_state(8, 0.5, tol=1e-10, cache_dir=tmp_path)
+        again = ground_state(8, 0.5, cache_dir=tmp_path)
         assert again.iterations > 0  # solved, not read
         assert current.exists()
 
@@ -939,10 +930,10 @@ class TestCache:
     def test_writer_does_not_depend_on_a_shared_temp_name(self, tmp_path):
         # a directory where a fixed "<key>.tmp" would go blocks such a writer
         gs = ground_state(6, 1.5)
-        path = cache_path(tmp_path, 6, 3, 1.5, gs.tol)
+        path = cache_path(tmp_path, 6, 3, 1.5)
         path.with_suffix(".tmp").mkdir()
         save_ground_state(path, gs)
-        energy, phi = load_ground_state(path, (6, 3, 1.5, gs.tol))
+        energy, phi = load_ground_state(path, (6, 3, 1.5))
         assert energy == gs.energy
         assert np.array_equal(phi, gs.phi)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -951,7 +942,7 @@ class TestCache:
 
     def test_failed_save_leaves_no_temp_file(self, tmp_path, monkeypatch):
         gs = ground_state(6, 1.5)
-        path = cache_path(tmp_path, 6, 3, 1.5, gs.tol)
+        path = cache_path(tmp_path, 6, 3, 1.5)
 
         def fail(src, dst):
             raise OSError("disk full")
@@ -965,6 +956,6 @@ class TestCache:
         gs = ground_state(6, 1.5)
         path = tmp_path / "nested" / "dir" / "state.bin"
         save_ground_state(path, gs)
-        energy, phi = load_ground_state(path, (6, 3, 1.5, gs.tol))
+        energy, phi = load_ground_state(path, (6, 3, 1.5))
         assert energy == gs.energy
         assert np.array_equal(phi, gs.phi)
