@@ -15,11 +15,14 @@ fig2, fig3, fig4 and fig6 are the rows of one pair-state sweep over
 the discord column).  Every table, fig1 and fig5 included, goes through one
 writer.  CSV is the primary format; `--format json` mirrors the same
 columns and adds a config echo, and fig5's summary (a JSON sidecar beside a
-CSV table).  Identical arguments and seeds reproduce identical bytes, apart
-from one leading timestamp comment that `--deterministic` suppresses.
+CSV table).  Identical arguments and seeds reproduce identical bytes at one
+BLAS thread setting, apart from one leading timestamp comment that
+`--deterministic` suppresses; another `OPENBLAS_NUM_THREADS` can move a
+solve's last digits.
 
-Every solve runs at the solver's one Lanczos tolerance, `spinchain.TOL`,
-which the JSON config echo records as "tol".
+Every solve runs at the solver's one Lanczos tolerance, `spinchain.TOL`, and
+every histogram has the one bin width `distribution.BIN_WIDTH`; the JSON
+config echo records them as "tol" and "bin_width".
 
 Exit codes: 0 success; 1 bad arguments (`error: <message>`, no traceback),
 among them a `--delta-range` of more than 10^6 points, fig2's `--delta`
@@ -27,12 +30,12 @@ together with its `--delta-range`, an `--rs` that repeats a separation, a
 fig1 `--r` below 4, or an `--out` or `--cache-dir` that cannot be written;
 2 numerical failure; `main` alone maps an error to its code.  A solve
 request is checked in full before the n > 22 warning and before any row or
-cache entry: first the ring size, separations, Δ (−0 is read as 0) and,
-for ground-state alone, Δ > −1, then the fig5/fig6 scheme (1000 to 2^24
-grid points, at most 2048 Gauss nodes, at least 1000 samples; `--quadrature`
-sizes a grid scheme only and `--samples` mc only) and a `--bin-width`
-within [1e-6, 1].  A sweep that fails partway, whatever the error, first
-writes its rows under `# INCOMPLETE`.
+cache entry: first the ring size, separations, Δ (finite and at most 1000;
+−0 is read as 0) and, for ground-state alone, Δ > −1, then the fig5/fig6
+scheme (1000 to 2^24 grid points, at most 2048 Gauss nodes, at least 1000
+samples; `--quadrature` sizes a grid scheme only, `--samples` and `--seed`
+mc only, and the echo's seed is 0 when unset).  A sweep that fails
+partway, whatever the error, first writes its rows under `# INCOMPLETE`.
 
 `main` may be called many times in one process: the parser is built on the
 first call and reused, and its defaults are tuples that no call can mutate.
@@ -57,11 +60,11 @@ from .correlators import (
     pair_state_sweep,
 )
 from .distribution import (
+    BIN_WIDTH,
     AngleGrid,
     GaussGrid,
     MomentsByAnisotropy,
     UniformSphere,
-    _check_bin_width,
     moments_vs_delta,
     sample_distribution,
 )
@@ -167,8 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     quad.add_argument(
         "--samples", type=int, help=f"mc sample count (default {UniformSphere.n_samples})"
     )
-    quad.add_argument("--bin-width", type=float, default=0.005)
-    quad.add_argument("--seed", type=int, default=0, help="mc sampler seed")
+    quad.add_argument("--seed", type=int, help="mc sampler seed (default 0)")
 
     p = sub.add_parser("ground-state", parents=[io, solver], help="solve one sector")
     p.add_argument("--delta", type=float, default=1.0)
@@ -307,9 +309,8 @@ def _solver_config(args):
     """A solve request, checked in full: (its config echo, Δ values, separations, scheme).
 
     `_sweep_inputs` checks the solve first, and the echo carries its checked
-    Δ values; fig5 and fig6 then build their scheme, which checks its size,
-    and check the bin width.  The n > 22 warning comes last, after every
-    check.
+    Δ values; fig5 and fig6 then build their scheme, which checks its size.
+    The n > 22 warning comes last, after every check.
     """
     if args.command == "fig2":
         deltas = args.delta_range if args.delta_range is not None else [args.delta]
@@ -328,15 +329,16 @@ def _solver_config(args):
             if args.quadrature is not None:
                 raise ValueError("--quadrature sizes a grid scheme, not --scheme mc")
             n_samples = UniformSphere.n_samples if args.samples is None else args.samples
-            scheme = UniformSphere(n_samples=n_samples, seed=args.seed)
+            scheme = UniformSphere(n_samples=n_samples, seed=args.seed or 0)
         else:
             if args.samples is not None:
                 raise ValueError(f"--samples sizes --scheme mc, not --scheme {args.scheme}")
+            if args.seed is not None:
+                raise ValueError(f"--seed seeds --scheme mc, not --scheme {args.scheme}")
             scheme = _SCHEMES[args.scheme](*(args.quadrature or ()))
-        _check_bin_width(args.bin_width)
         # the scheme echo: its kind, then its dataclass fields in declaration order
         descriptor = {"kind": args.scheme, **vars(scheme)}
-        where = {"seed": args.seed, **where, "scheme": descriptor, "bin_width": args.bin_width}
+        where = {"seed": args.seed or 0, **where, "scheme": descriptor, "bin_width": BIN_WIDTH}
     if args.n > 22:
         print(f"warning: n={args.n} runs take seconds and over 100 MB cold (a fresh n=26 process "
               "on 2 CPUs: ground-state 3.5 s and 0.14 GB, fig2 9 s and 0.16 GB)", file=sys.stderr)
@@ -385,8 +387,7 @@ def _cmd_sweep(args) -> int:
     if args.command == "fig2":
         rows, columns = discord_profile_vs_r(pairs), DiscordByDistance._fields
     elif args.command == "fig6":
-        rows = moments_vs_delta(pairs, scheme, bin_width=args.bin_width)
-        columns = MomentsByAnisotropy._fields
+        rows, columns = moments_vs_delta(pairs, scheme), MomentsByAnisotropy._fields
     else:
         rows, columns = discord_profile_vs_delta(pairs), DiscordByAnisotropy._fields
         if args.command == "fig4":  # fig3 without its discord column
@@ -398,20 +399,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_fig5(args) -> int:
     config, deltas, rs, scheme = _solver_config(args)
     [(_, _, state)] = pair_state_sweep(args.n, deltas, rs, cache_dir=config["cache_dir"])
-    hist = sample_distribution(state, scheme, bin_width=args.bin_width)
-    rows = [
-        (idx * hist.bin_width, (idx + 1) * hist.bin_width, mass)
-        for idx, mass in sorted(hist.bins.items())
-    ]
+    hist = sample_distribution(state, scheme)
+    rows = [(k * BIN_WIDTH, (k + 1) * BIN_WIDTH, mass) for k, mass in sorted(hist.bins.items())]
     summary = {
         "mean": hist.mean,
         "variance": hist.variance,
         "min_c": hist.min_c,
         "max_c": hist.max_c,
         "scheme": config["scheme"],
-        "seed": args.seed,
+        "seed": config["seed"],
         "n_samples": hist.n_samples,
-        "bin_width": hist.bin_width,
+        "bin_width": BIN_WIDTH,
     }
     columns = ("bin_left", "bin_right", "mass")
     return _emit_table(args, config, columns, rows, summary)

@@ -18,7 +18,7 @@ P(C) and moments under a choice of sampling scheme:
     twin-peaked histograms seen in coarse-grained basis surveys.
 
 Moments, extrema, and the histogram are all computed from the raw weighted
-values; bins exist only for presentation and peak counting.
+values; bins, of one width `BIN_WIDTH`, are only for presentation and peaks.
 
 C depends on phi only through |x e^{i phi} + y e^{-i phi}|, which is constant
 when x = 0 or y = 0 (every ring pair state: its fixed S^z forces y = 0).
@@ -71,6 +71,9 @@ __all__ = [
 _BLOCK = 1 << 13
 # Monte Carlo samples per RNG call, which fixes the seeded stream.
 _DRAW = 1 << 18
+# Histogram bin width; C lies in [0, 1], and the last bin also takes C = 1.
+BIN_WIDTH = 0.005
+_N_BINS = math.ceil(1.0 / BIN_WIDTH) + 1
 
 
 # Caps measured on 2 CPUs in a fresh process.  A 2^24-point grid evaluates
@@ -211,9 +214,8 @@ class AngleGrid:
 
 @dataclass(frozen=True)
 class EntropyHistogram:
-    """Binned P(C) plus moments and extrema from the raw weighted values."""
+    """P(C), bin k covering [k·BIN_WIDTH, (k+1)·BIN_WIDTH), and raw-value moments and extrema."""
 
-    bin_width: float
     bins: Dict[int, float]
     mean: float
     variance: float
@@ -247,19 +249,8 @@ class MomentsByAnisotropy(NamedTuple):
     max_c: float
 
 
-def _check_bin_width(bin_width: float) -> None:
-    if not 1e-6 <= bin_width <= 1.0:
-        raise ValueError(f"bin_width {bin_width!r} outside [1e-6, 1] "
-                         "(a width below 1e-6 needs more than the 10^6 + 1 bin maximum)")
-
-
-def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> EntropyHistogram:
-    """Histogram and moments of C(theta, phi) under the given scheme.
-
-    bin_width lies in [1e-6, 1]: a narrower bin would need more than
-    10^6 + 1 bins, and is refused before any is allocated.
-    """
-    _check_bin_width(bin_width)
+def sample_distribution(state: XState, scheme) -> EntropyHistogram:
+    """Histogram, in bins of `BIN_WIDTH`, and moments of C(theta, phi) under the given scheme."""
     if not hasattr(scheme, "_blocks"):
         raise ValueError(f"unknown sampling scheme {scheme!r}")
     if isinstance(scheme, UniformSphere):
@@ -268,8 +259,7 @@ def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> Entr
         n_samples, scale = scheme.n_samples, 1.0 / scheme.n_samples
     else:
         n_samples, scale = scheme.n_theta * scheme.n_phi, 1.0
-    n_bins = int(math.ceil(1.0 / bin_width)) + 1
-    dense = np.zeros(n_bins)
+    dense = np.zeros(_N_BINS)
     s1 = 0.0
     s2 = 0.0
     lo = math.inf
@@ -283,8 +273,8 @@ def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> Entr
         if isinstance(w, np.ndarray):  # a grid's weight column; a draw weighs 1.0
             w = np.repeat(w, modulus2.size)  # each theta row's weight over its phi row
             weighted = w * values
-        idx = np.minimum((values / bin_width).astype(np.int64), n_bins - 1)
-        np.add.at(dense, idx, w)  # in the block's size, whatever the bin count
+        idx = np.minimum((values / BIN_WIDTH).astype(np.int64), _N_BINS - 1)
+        np.add.at(dense, idx, w)  # in the block's size
         s1 += float(np.sum(weighted))
         s2 += float(np.sum(weighted * values))
         lo = min(lo, float(values.min()))
@@ -294,7 +284,6 @@ def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> Entr
     s2 *= scale
     filled = np.flatnonzero(dense > 0.0)
     return EntropyHistogram(
-        bin_width=bin_width,
         bins=dict(zip(filled.tolist(), dense[filled].tolist())),
         # a weighted sum of values in [lo, hi] can round just outside them
         mean=min(max(s1, lo), hi),
@@ -305,10 +294,10 @@ def sample_distribution(state: XState, scheme, bin_width: float = 0.005) -> Entr
     )
 
 
-def moments_vs_delta(pairs, scheme=None, *, bin_width: float = 0.005):
+def moments_vs_delta(pairs, scheme=None):
     """Conditional-entropy moment rows over `pair_state_sweep` output."""
     if scheme is None:
         scheme = GaussGrid()
     for delta, r, state in pairs:
-        hist = sample_distribution(state, scheme, bin_width)
+        hist = sample_distribution(state, scheme)
         yield MomentsByAnisotropy(delta, r, hist.mean, hist.variance, hist.min_c, hist.max_c)

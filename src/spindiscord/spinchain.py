@@ -80,6 +80,9 @@ __all__ = [
 ]
 
 MAX_SITES = 26
+# The largest Δ solved: the energy is about −Δ·N/4, and above this its
+# rounding is coarser than TOL, so Lanczos can exhaust its cycles.
+MAX_DELTA = 1000.0
 # The Lanczos tolerance: Ritz value movement and residual estimate of a
 # converged solve; the cache header records it.  k = 2 at Δ = 1, and the
 # measurement basis there, hold only this tight.
@@ -340,22 +343,23 @@ def apply_hamiltonian(basis: MomentumSector, delta, psi: np.ndarray) -> np.ndarr
 
     `psi` is one vector, or a (K, dim) block whose rows go with the K values
     of `delta`; each row is summed in the same order as a lone vector.  A
-    block of at most `width` rows scatters through a prefix of the sector's
-    block table, a wider one through destinations built for the call.  For
-    one vector, any basis with `dim`, `_diag_zz` and `_flip_pairs` serves.
+    block scatters through a prefix of the sector's block table, so K is at
+    most `width`.  For one vector, any basis with `dim`, `_diag_zz` and
+    `_flip_pairs` serves.
     """
     psi = np.asarray(psi, dtype=np.float64)
     dim = basis.dim
     if psi.ndim not in (1, 2) or psi.shape[-1] != dim:
         raise ValueError(f"psi has shape {psi.shape}, expected ({dim},) or (K, {dim})")
+    rows = psi.size // dim
+    if rows > 1 and rows > basis.width:  # a lone row needs no `width`
+        raise ValueError(f"a block of {rows} rows is wider than the sector's {basis.width}")
     out = (np.asarray(delta, dtype=np.float64)[..., None] * basis._diag_zz) * psi
     src, dst, amp = basis._flip_pairs
     weights = np.take(psi, src, axis=-1)
     weights *= amp
-    rows = psi.size // dim
     if rows > 1:
-        dst = (basis._block_dst[: rows * dst.size] if rows <= basis.width
-               else (dst + dim * np.arange(rows)[:, None]).ravel())
+        dst = basis._block_dst[: rows * dst.size]
     out += np.bincount(dst, weights=weights.ravel(), minlength=rows * dim).reshape(psi.shape)
     return out
 
@@ -562,9 +566,10 @@ def _sweep_inputs(n_sites: int, deltas, rs=None):
     """The one check of a solve request: its Δ values as floats, and (r, ring distance) pairs.
 
     It refuses, in order, an unsupported ring size, a separation outside
-    [1, N − 1] and a non-finite Δ; a Δ of −0.0 becomes 0.0.  A ground-state
-    request, `rs` None, also refuses Δ ≤ −1, whose ground state leaves the
-    S^z = 0 sector; a pair sweep yields polarized rows there instead.
+    [1, N − 1], and a non-finite Δ or one above `MAX_DELTA`; a Δ of −0.0
+    becomes 0.0.  A ground-state request, `rs` None, also refuses Δ ≤ −1,
+    whose ground state leaves the S^z = 0 sector; a pair sweep yields
+    polarized rows there instead.
     """
     check_ring_size(n_sites)
     separations = [(r, _ring_distance(n_sites, r)) for r in (rs if rs is not None else ())]
@@ -572,6 +577,9 @@ def _sweep_inputs(n_sites: int, deltas, rs=None):
     for delta in deltas:
         if not math.isfinite(delta):
             raise ValueError(f"delta={delta!r} is not finite")
+        if delta > MAX_DELTA:
+            raise ValueError(f"delta={delta!r} above {MAX_DELTA:g}: the energy's rounding "
+                             f"there exceeds the Lanczos tolerance {TOL:g}")
     if rs is None:
         for delta in deltas:
             if delta <= -1.0:
@@ -585,9 +593,9 @@ def _sweep_inputs(n_sites: int, deltas, rs=None):
 def ground_states(n_sites: int, deltas, *, cache_dir=None):
     """Yield the lowest eigenpair of the XXZ ring in the S^z = 0 sector for each Δ, in order.
 
-    Every Δ must be finite and above −1, so that the sector hosts the global
-    ground state, and N a supported ring size: both checked before the
-    sector is built.
+    Every Δ must lie in (−1, `MAX_DELTA`], so that the sector hosts the
+    global ground state and Lanczos can meet `TOL`, and N must be a
+    supported ring size: both checked before the sector is built.
     Lanczos runs on H_χ in the `MomentumSector`, and each state keeps its
     amplitudes φ there.  With `cache_dir` set, solved states are persisted
     and read back exactly; an entry is used only if its φ has unit norm and

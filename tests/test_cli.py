@@ -13,6 +13,10 @@ from spindiscord import cli, correlators, distribution, spinchain
 from spindiscord.spinchain import ConvergenceError
 
 
+ABOVE_MAX_DELTA = ("delta=5000.0 above 1000: the energy's rounding there exceeds the Lanczos "
+                   "tolerance 1e-12")
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -50,12 +54,14 @@ class TestGroundStateCommand:
         assert "polarized" in err
 
     def test_tolerance_window_enforced(self, tmp_path, capsys):
-        code = run(
-            ["ground-state", "--n", "4", "--delta", "1.0", "--tol", "1e-3"]
-            + cache_args(tmp_path)
-        )
-        capsys.readouterr()
+        # The solver tolerance is the constant spinchain.TOL: --tol is refused as unknown.
+        out_file = tmp_path / "out.txt"
+        code = run(["ground-state", "--n", "8", "--tol", "1e-10", "--out", str(out_file)]
+                   + cache_args(tmp_path))
         assert code == 1
+        assert "unrecognized arguments: --tol 1e-10" in capsys.readouterr().err
+        assert not out_file.exists()
+        assert not (tmp_path / "cache").exists()
 
     def test_json_document(self, tmp_path, capsys):
         code = run(
@@ -205,10 +211,17 @@ class TestUsage:
           "--samples sizes --scheme mc, not --scheme gauss"),
          (["fig6", "--n", "24", "--rs", "1", "--delta-range", "0:1:0.5", "--scheme", "angle",
            "--quadrature", "40x40", "--samples", "1000"],
-          "--samples sizes --scheme mc, not --scheme angle")],
+          "--samples sizes --scheme mc, not --scheme angle"),
+         (["fig5", "--n", "24", "--seed", "3"], "--seed seeds --scheme mc, not --scheme gauss"),
+         (["fig6", "--n", "24", "--rs", "1", "--delta-range", "0:1:0.5", "--scheme", "angle",
+           "--quadrature", "40x40", "--seed", "3"],
+          "--seed seeds --scheme mc, not --scheme angle"),
+         (["ground-state", "--n", "24", "--delta", "5000"], ABOVE_MAX_DELTA),
+         (["fig3", "--n", "24", "--rs", "1", "--delta-range", "-2:5000:5002"], ABOVE_MAX_DELTA)],
         ids=["ground_state_delta", "fig2_delta", "fig5_r", "fig3_rs", "fig6_grid",
              "fig5_delta_before_grid", "ground_state_polarized", "quadrature_under_mc",
-             "samples_under_gauss", "samples_under_angle"],
+             "samples_under_gauss", "samples_under_angle", "seed_under_gauss",
+             "seed_under_angle", "ground_state_above_max_delta", "fig3_above_max_delta"],
     )
     def test_solve_request_refused_before_the_large_ring_warning(
         self, tmp_path, capsys, argv, message
@@ -302,6 +315,17 @@ class TestUsage:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
 
+    @pytest.mark.parametrize("argv", [["fig5"], ["fig6", "--rs", "1", "--delta-range", "0:1:0.5"]])
+    def test_monte_carlo_seed_defaults_to_zero(self, tmp_path, capsys, argv):
+        """Without `--seed`, mc draws and echoes seed 0: the same bytes as `--seed 0`."""
+        base = argv + ["--n", "4", "--scheme", "mc", "--samples", "1000", "--format", "json",
+                       "--deterministic"] + cache_args(tmp_path)
+        assert run(base) == 0
+        unset = capsys.readouterr().out
+        assert run(base + ["--seed", "0"]) == 0
+        assert capsys.readouterr().out == unset
+        assert json.loads(unset)["config"]["seed"] == 0
+
     def test_bad_quadrature(self, tmp_path, capsys):
         code = run(["fig5", "--n", "4", "--quadrature", "256"] + cache_args(tmp_path))
         assert code == 1
@@ -316,26 +340,18 @@ class TestUsage:
         assert 100000 not in distribution._GAUSS_NODES
         assert not (tmp_path / "cache").exists()  # refused before any solve
 
-    def test_bin_width_below_the_cap_refused(self, tmp_path, capsys):
-        code = run(["fig5", "--n", "8", "--bin-width", "1e-12"] + cache_args(tmp_path))
+    @pytest.mark.parametrize("command", [["fig5"], ["fig6", "--rs", "1", "--delta-range", "0:1:0.5"]])
+    def test_bin_width_refused_before_any_solve(self, tmp_path, capsys, command):
+        """The bin width is `distribution.BIN_WIDTH`: `--bin-width` is an unknown argument."""
+        out_file = tmp_path / "out.csv"
+        code = run(command + ["--n", "8", "--bin-width", "0.01", "--out", str(out_file)]
+                   + cache_args(tmp_path))
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert line.startswith("error: bin_width 1e-12 outside [1e-6, 1]")
-        assert "10^6 + 1 bin maximum" in line
-
-    @pytest.mark.parametrize("command", [["fig5"], ["fig6", "--rs", "1", "--delta-range", "0:1:0.5"]])
-    def test_bin_width_refused_before_any_solve(self, tmp_path, capsys, command):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        code = run(command + ["--n", "8", "--bin-width", "1e-12", "--cache-dir", str(cache)])
-        captured = capsys.readouterr()
-        assert code == 1
-        [line] = captured.err.splitlines()
-        assert line.startswith("error: bin_width 1e-12 outside [1e-6, 1]")
-        assert "sweep aborted" not in line
-        assert list(cache.iterdir()) == []
+        assert "unrecognized arguments: --bin-width 0.01" in captured.err
+        assert not out_file.exists()
+        assert not (tmp_path / "cache").exists()
 
     def test_undersized_scheme_rejected(self, tmp_path, capsys):
         code = run(

@@ -10,6 +10,7 @@ from spindiscord import distribution, xstate
 from spindiscord.correlators import pair_state_sweep, two_site_rdm
 from spindiscord.distribution import (
     _BLOCK,
+    BIN_WIDTH,
     AngleGrid,
     EntropyHistogram,
     GaussGrid,
@@ -26,15 +27,14 @@ BELL = XState(0.5, 0.5, 0.0, 0.0, 0.0, 0.5)
 
 def synthetic_histogram(bins):
     total = sum(bins.values())
-    centers = {i: (i + 0.5) * 0.005 for i in bins}
+    centers = {i: (i + 0.5) * BIN_WIDTH for i in bins}
     mean = sum(bins[i] * centers[i] for i in bins) / total
     return EntropyHistogram(
-        bin_width=0.005,
         bins={i: m / total for i, m in bins.items()},
         mean=mean,
         variance=0.0,
-        min_c=min(centers.values()) - 0.0025,
-        max_c=max(centers.values()) + 0.0025,
+        min_c=min(centers.values()) - BIN_WIDTH / 2,
+        max_c=max(centers.values()) + BIN_WIDTH / 2,
         n_samples=1000,
     )
 
@@ -84,8 +84,7 @@ class TestHistogramChecks:
         ids=["mass", "mean", "variance"],
     )
     def test_refuses_an_inconsistent_histogram(self, field, message):
-        valid = dict(bin_width=0.1, bins={0: 1.0}, mean=0.1, variance=0.0,
-                     min_c=0.0, max_c=0.2, n_samples=10)
+        valid = dict(bins={0: 1.0}, mean=0.1, variance=0.0, min_c=0.0, max_c=0.2, n_samples=10)
         EntropyHistogram(**valid)
         with pytest.raises(ValueError, match=message):
             EntropyHistogram(**{**valid, **field})
@@ -129,13 +128,13 @@ class TestSampleDistribution:
         state = two_site_rdm(solve(8, 2.0), 1, 2)
         for scheme in (GaussGrid(64, 64), AngleGrid(257, 64)):
             hist = sample_distribution(state, scheme)
-            centers = {i: (i + 0.5) * hist.bin_width for i in hist.bins}
+            centers = {i: (i + 0.5) * BIN_WIDTH for i in hist.bins}
             binned_mean = sum(hist.bins[i] * centers[i] for i in hist.bins)
             binned_var = (
                 sum(hist.bins[i] * centers[i] ** 2 for i in hist.bins) - binned_mean**2
             )
-            assert abs(binned_mean - hist.mean) <= hist.bin_width
-            assert abs(binned_var - hist.variance) <= hist.bin_width
+            assert abs(binned_mean - hist.mean) <= BIN_WIDTH
+            assert abs(binned_var - hist.variance) <= BIN_WIDTH
 
     def test_monte_carlo_agrees_with_quadrature(self):
         # phi-independent state: x = y = 0
@@ -168,22 +167,17 @@ class TestSampleDistribution:
             )
 
     def test_rejects_bad_bin_width_and_scheme(self):
-        with pytest.raises(ValueError, match="bin_width"):
-            sample_distribution(BELL, GaussGrid(64, 64), bin_width=0.0)
+        """The bin width is `BIN_WIDTH` alone: no call or histogram carries one."""
+        with pytest.raises(TypeError, match="bin_width"):
+            sample_distribution(BELL, GaussGrid(64, 64), bin_width=0.01)
+        with pytest.raises(TypeError, match="bin_width"):
+            moments_vs_delta([(1.0, 1, BELL)], GaussGrid(64, 64), bin_width=0.01)
+        assert "bin_width" not in EntropyHistogram.__dataclass_fields__
         with pytest.raises(ValueError, match="scheme"):
             sample_distribution(BELL, "gauss")
 
-    @pytest.mark.parametrize("bin_width", [1e-12, 9.99e-7, 5e-324, math.nan])
-    def test_refuses_bins_beyond_the_cap_before_allocating(self, bin_width, monkeypatch):
-        def no_bins(*args, **kwargs):
-            raise AssertionError("bins allocated")
 
-        monkeypatch.setattr(distribution.np, "zeros", no_bins)
-        with pytest.raises(ValueError, match=r"10\^6 \+ 1 bin maximum"):
-            sample_distribution(BELL, GaussGrid(64, 64), bin_width=bin_width)
-
-
-def flat_product_reference(state, theta, phi, weights, bin_width=0.005):
+def flat_product_reference(state, theta, phi, weights):
     """Histogram of C over the materialized theta x phi product (theta-major).
 
     Values are evaluated once over the whole flat grid; bins and sums are
@@ -195,14 +189,14 @@ def flat_product_reference(state, theta, phi, weights, bin_width=0.005):
     flat_phi = np.tile(phi, len(theta))
     flat_w = np.repeat(weights, n_phi)
     values = np.maximum(conditional_entropy_values(state, flat_theta, flat_phi), 0.0)
-    n_bins = int(math.ceil(1.0 / bin_width)) + 1
+    n_bins = int(math.ceil(1.0 / BIN_WIDTH)) + 1
     dense = np.zeros(n_bins)
     s1 = s2 = 0.0
     step = max(1, _BLOCK // n_phi) * n_phi
     for start in range(0, len(values), step):
         v = values[start : start + step]
         w = flat_w[start : start + step]
-        idx = np.minimum((v / bin_width).astype(np.int64), n_bins - 1)
+        idx = np.minimum((v / BIN_WIDTH).astype(np.int64), n_bins - 1)
         np.add.at(dense, idx, w)
         s1 += float(np.sum(w * v))
         s2 += float(np.sum(w * v * v))
@@ -342,7 +336,7 @@ class TestPhiFreeStates:
         theta = np.arccos(rng.uniform(-1.0, 1.0, n))
         phi = rng.uniform(0.0, 2.0 * math.pi, n)
         values = np.maximum(conditional_entropy_values(state, theta, phi), 0.0)
-        idx = np.minimum((values / hist.bin_width).astype(np.int64), math.ceil(1.0 / hist.bin_width))
+        idx = np.minimum((values / BIN_WIDTH).astype(np.int64), math.ceil(1.0 / BIN_WIDTH))
         bins = {int(i): float(m) for i, m in enumerate(np.bincount(idx) / n) if m > 0.0}
         mean = float(np.mean(values))
         assert hist.bins.keys() == bins.keys()

@@ -167,17 +167,20 @@ class TestApplyHamiltonian:
 
     @pytest.mark.parametrize("n_sites, width", [(12, 39), (16, 5), (18, 1)])
     def test_block_rows_equal_lone_calls(self, n_sites, width):
-        """K = 1, `width` and `width` + 3 rows, through the sector's block table or built ones."""
+        """K = 1 and `width` rows go through the sector's block table; `width` + 3 are refused."""
         sector = spinchain._momentum_sector(n_sites)
         assert sector.width == width
         if width == 1:  # the flip destinations serve; no copy of them is kept
             assert sector._block_dst is sector._flip_pairs[1]
         rng = np.random.default_rng(n_sites)
-        for rows in (1, width, width + 3):
+        for rows in (1, width):
             deltas, psi = rng.uniform(-0.9, 2.5, rows), rng.standard_normal((rows, sector.dim))
             block = apply_hamiltonian(sector, deltas, psi)
             for k in range(rows):
                 assert np.array_equal(block[k], apply_hamiltonian(sector, deltas[k], psi[k]))
+        rows = width + 3
+        with pytest.raises(ValueError, match=rf"^a block of {rows} rows is wider than the sector's {width}$"):
+            apply_hamiltonian(sector, np.zeros(rows), np.zeros((rows, sector.dim)))
 
     def test_rejects_wrong_shape(self):
         basis = SectorBasis(4, 2)
@@ -627,6 +630,16 @@ class TestGroundState:
         monkeypatch.setattr(spinchain, "build_sector", None)  # a build would raise TypeError
         with pytest.raises(ValueError, match=rf"^delta={delta!r} is not finite$"):
             ground_state(8, delta)
+
+    def test_rejects_delta_above_the_cap_before_any_state(self, monkeypatch, tmp_path):
+        """Δ = MAX_DELTA solves; a larger Δ anywhere in a sweep stops it before its first state."""
+        assert ground_state(8, spinchain.MAX_DELTA).residual <= 1e-11
+        spinchain._momentum_sector.cache_clear()
+        monkeypatch.setattr(spinchain, "build_sector", None)  # a build would raise TypeError
+        sweep = ground_states(8, [0.5, 5000.0], cache_dir=tmp_path / "cache")
+        with pytest.raises(ValueError, match=r"^delta=5000.0 above 1000: "):
+            next(sweep)
+        assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize("delta", [0.5, math.nan])
     def test_rejects_a_bad_ring_before_its_deltas_or_a_sector(self, monkeypatch, delta):
