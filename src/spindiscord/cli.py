@@ -33,9 +33,11 @@ request is checked in full before the n > 22 warning and before any row or
 cache entry: first the ring size, separations, Δ (finite and at most 1000;
 −0 is read as 0) and, for ground-state alone, Δ > −1, then the fig5/fig6
 scheme (1000 to 2^24 grid points, at most 2048 Gauss nodes, at least 1000
-samples; `--quadrature` sizes a grid scheme only, `--samples` and `--seed`
-mc only, and the echo's seed is 0 when unset).  A sweep that fails
-partway, whatever the error, first writes its rows under `# INCOMPLETE`.
+samples, a seed of at least 0; `--quadrature` sizes a grid scheme only,
+`--samples` and `--seed` mc only, and the echo's seed is 0 when unset),
+then the cache directory (an empty `--cache-dir` is refused; an empty
+`SPINDISCORD_CACHE` counts as unset).  A sweep that fails partway,
+whatever the error, first writes its rows under `# INCOMPLETE`.
 
 `main` may be called many times in one process: the parser is built on the
 first call and reused, and its defaults are tuples that no call can mutate.
@@ -309,8 +311,9 @@ def _solver_config(args):
     """A solve request, checked in full: (its config echo, Δ values, separations, scheme).
 
     `_sweep_inputs` checks the solve first, and the echo carries its checked
-    Δ values; fig5 and fig6 then build their scheme, which checks its size.
-    The n > 22 warning comes last, after every check.
+    Δ values; fig5 and fig6 then build their scheme, which checks its size
+    and seed, and the cache directory is resolved.  The n > 22 warning
+    comes last, after every check.
     """
     if args.command == "fig2":
         deltas = args.delta_range if args.delta_range is not None else [args.delta]
@@ -339,12 +342,14 @@ def _solver_config(args):
         # the scheme echo: its kind, then its dataclass fields in declaration order
         descriptor = {"kind": args.scheme, **vars(scheme)}
         where = {"seed": args.seed or 0, **where, "scheme": descriptor, "bin_width": BIN_WIDTH}
+    cache_dir = args.cache_dir
+    if cache_dir is None:
+        cache_dir = os.environ.get(_ENV_CACHE) or _DEFAULT_CACHE
+    elif not cache_dir:
+        raise ValueError("--cache-dir is empty")
     if args.n > 22:
         print(f"warning: n={args.n} runs take seconds and over 100 MB cold (a fresh n=26 process "
               "on 2 CPUs: ground-state 3.5 s and 0.14 GB, fig2 9 s and 0.16 GB)", file=sys.stderr)
-    cache_dir = args.cache_dir
-    if cache_dir is None:
-        cache_dir = os.environ.get(_ENV_CACHE, _DEFAULT_CACHE)
     return {"n": args.n, "tol": TOL, "cache_dir": cache_dir, **where}, deltas, rs, scheme
 
 

@@ -6,8 +6,9 @@ pair (i, j) is an X state whose entries are set by three expectation values:
     gamma_d = <s^z_i s^z_j>,   gamma_o = <s^+_i s^-_j>,   m^z = <s^z_i>,
 
 via u/v = 1/4 + gamma_d ± (mz_i+mz_j)/2, w1/w2 = 1/4 − gamma_d ± (mz_i−mz_j)/2,
-x = gamma_o, y = 0.  In the zero-magnetization sector the pair state is
-symmetric (u = v, w1 = w2) and its discord reduces to a closed form in
+x = gamma_o, y = 0.  The ring is solved in the S^z = 0 sector, where m^z = 0
+and y = 0, so the pair state is symmetric (u = v, w1 = w2), gamma_d and
+gamma_o are its only correlators, and its discord reduces to a closed form in
 gamma_d and the ratio k = gamma_o/gamma_d: with Gamma = gamma_d the joint
 eigenvalues are {1/4+Gamma (twice), 1/4+(k−1)Gamma, 1/4−(k+1)Gamma} and
 
@@ -24,7 +25,6 @@ the polarized regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -34,10 +34,8 @@ from .xstate import OptimalTheta, XState, _clamped_binary_entropy, _entropy_of, 
 
 __all__ = [
     "PairCorrelations",
-    "KRatio",
     "DiscordByDistance",
     "DiscordByAnisotropy",
-    "UndefinedRatioError",
     "CorrelatorDomainError",
     "two_site_rdm",
     "pair_state_sweep",
@@ -54,36 +52,16 @@ __all__ = [
 _POLARIZED = XState(u=0.5, v=0.5, w1=0.0, w2=0.0)
 
 
-class UndefinedRatioError(ValueError):
-    """Raised when gamma_o/gamma_d is requested with vanishing gamma_d."""
-
-
 class CorrelatorDomainError(ValueError):
     """Raised when (gamma_d, k) imply a negative pair-state eigenvalue."""
 
 
-@dataclass(frozen=True)
-class PairCorrelations:
-    """Raw pair expectation values at ring distance r."""
+class PairCorrelations(NamedTuple):
+    """The two correlators of the pair state at ring distance r."""
 
     r: int
     gamma_d: float
     gamma_o: complex
-    y_corr: complex
-    mz_i: float
-    mz_j: float
-
-    def __post_init__(self):
-        if abs(self.gamma_d) > 0.25 + 1e-9:
-            raise ValueError(f"gamma_d {self.gamma_d!r} outside [-1/4, 1/4]")
-
-
-@dataclass(frozen=True)
-class KRatio:
-    """Off-diagonal to diagonal correlator ratio k = gamma_o/gamma_d."""
-
-    r: int
-    k: float
 
 
 class DiscordByDistance(NamedTuple):
@@ -194,28 +172,18 @@ def _ratio(state: XState) -> float:
 
 
 def pair_correlations(gs: GroundState, i: int, j: int) -> PairCorrelations:
-    """Pair expectation values, read off the reduced state of (i, j), at their ring distance."""
+    """Pair correlators, read off the reduced state of (i, j), at their ring distance."""
     state = two_site_rdm(gs, i, j)
-    return PairCorrelations(
-        r=_ring_distance(gs.sector.n_sites, abs(i - j)),
-        gamma_d=_gamma_d(state),
-        gamma_o=state.x,
-        y_corr=state.y,
-        mz_i=(state.u + state.w1 - state.v - state.w2) / 2.0,
-        mz_j=(state.u + state.w2 - state.v - state.w1) / 2.0,
-    )
+    r = _ring_distance(gs.sector.n_sites, abs(i - j))
+    return PairCorrelations(r, _gamma_d(state), state.x)
 
 
-def k_ratio(gs: GroundState, r: int) -> KRatio:
-    """Ratio k = gamma_o/gamma_d of the pair (1, 1+r), r in [1, N − 1], at its ring distance."""
-    distance = _ring_distance(gs.sector.n_sites, r)
-    state = _pair_state(gs.phi, gs.sector.pair_table(distance))
-    k = _ratio(state)
-    if math.isnan(k):
-        raise UndefinedRatioError(
-            f"gamma_d(r={r}) = {_gamma_d(state)!r} vanishes; k is undefined"
-        )
-    return KRatio(r=distance, k=k)
+def k_ratio(gs: GroundState, r: int) -> float:
+    """k = gamma_o/gamma_d of the pair (1, 1+r), r in [1, N − 1]; NaN where gamma_d vanishes.
+
+    It is the `k` that `discord_profile_vs_delta` gives for that pair, bit for bit.
+    """
+    return _ratio(_pair_state(gs.phi, gs.sector.pair_table(r)))
 
 
 def discord_symmetric(gamma_d, k):

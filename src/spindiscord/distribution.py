@@ -156,6 +156,8 @@ class UniformSphere:
     def __post_init__(self):
         if self.n_samples < 1000:
             raise ValueError(f"n_samples {self.n_samples} below minimum 1000")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative")
 
     def _blocks(self, state, phi_free):
         """Blocks of draws that each weigh 1; `sample_distribution` scales by 1/n."""

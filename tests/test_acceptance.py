@@ -99,7 +99,7 @@ def test_criterion_3_isotropy(solve):
     for n in (8, 12, 16):
         gs = solve(n, 1.0)
         for r in range(1, n // 2 + 1):
-            assert k_ratio(gs, r).k == approx(2.0, abs=1e-9)
+            assert k_ratio(gs, r) == approx(2.0, abs=1e-9)
             pipeline = discord(two_site_rdm(gs, 1, 1 + r)).discord
             closed = discord_isotropic(pair_correlations(gs, 1, 1 + r).gamma_d)
             assert pipeline == approx(closed, abs=1e-9)
@@ -108,8 +108,8 @@ def test_criterion_3_isotropy(solve):
 @criterion(4, "measurement basis flips across the isotropic point")
 def test_criterion_4_basis_switch(solve):
     for r in (1, 3):
-        assert k_ratio(solve(12, 0.5), r).k > 2.0
-        assert k_ratio(solve(12, 1.5), r).k < 2.0
+        assert k_ratio(solve(12, 0.5), r) > 2.0
+        assert k_ratio(solve(12, 1.5), r) < 2.0
         below = discord(two_site_rdm(solve(12, 0.5), 1, 1 + r)).chosen_theta
         above = discord(two_site_rdm(solve(12, 1.5), 1, 1 + r)).chosen_theta
         assert below is OptimalTheta.NINETY

@@ -89,6 +89,29 @@ class TestGroundStateCommand:
         assert code == 0
         assert list(cache.glob("gs_n04_*.bin"))
 
+    @pytest.mark.parametrize(
+        "argv", [["ground-state", "--n", "8"], ["fig3", "--n", "8", "--delta-range", "0:1:0.5"]]
+    )
+    def test_empty_env_var_is_the_default_cache(self, tmp_path, capsys, monkeypatch, argv):
+        """An empty SPINDISCORD_CACHE counts as unset: entries go to ./cache, not the cwd."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SPINDISCORD_CACHE", "")
+        code = run(argv + ["--deterministic"])
+        capsys.readouterr()
+        assert code == 0
+        assert list(tmp_path.glob("gs_*.bin")) == []
+        assert list((tmp_path / "cache").glob("gs_n08_*.bin"))
+
+    def test_empty_cache_dir_refused(self, tmp_path, capsys, monkeypatch):
+        """An empty --cache-dir is refused before the n > 22 warning, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        code = run(["ground-state", "--n", "24", "--cache-dir", "", "--out", "out.txt"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --cache-dir is empty"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -217,11 +240,16 @@ class TestUsage:
            "--quadrature", "40x40", "--seed", "3"],
           "--seed seeds --scheme mc, not --scheme angle"),
          (["ground-state", "--n", "24", "--delta", "5000"], ABOVE_MAX_DELTA),
-         (["fig3", "--n", "24", "--rs", "1", "--delta-range", "-2:5000:5002"], ABOVE_MAX_DELTA)],
+         (["fig3", "--n", "24", "--rs", "1", "--delta-range", "-2:5000:5002"], ABOVE_MAX_DELTA),
+         (["fig5", "--n", "24", "--scheme", "mc", "--seed", "-1", "--samples", "1000"],
+          "seed -1 is negative"),
+         (["fig6", "--n", "24", "--rs", "1", "--delta-range", "0:1:0.5", "--scheme", "mc",
+           "--seed", "-1", "--samples", "1000"], "seed -1 is negative")],
         ids=["ground_state_delta", "fig2_delta", "fig5_r", "fig3_rs", "fig6_grid",
              "fig5_delta_before_grid", "ground_state_polarized", "quadrature_under_mc",
              "samples_under_gauss", "samples_under_angle", "seed_under_gauss",
-             "seed_under_angle", "ground_state_above_max_delta", "fig3_above_max_delta"],
+             "seed_under_angle", "ground_state_above_max_delta", "fig3_above_max_delta",
+             "negative_seed_fig5", "negative_seed_fig6"],
     )
     def test_solve_request_refused_before_the_large_ring_warning(
         self, tmp_path, capsys, argv, message

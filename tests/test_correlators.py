@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from spindiscord import correlators
+from spindiscord import cli, correlators
 from spindiscord.correlators import (
     CorrelatorDomainError,
     PairCorrelations,
-    UndefinedRatioError,
     discord_isotropic,
     discord_profile_vs_delta,
     discord_profile_vs_r,
@@ -25,7 +24,7 @@ from spindiscord.correlators import (
     pair_state_sweep,
     two_site_rdm,
 )
-from spindiscord.spinchain import GroundState, MomentumSector
+from spindiscord.spinchain import GroundState, MomentumSector, ground_state
 from spindiscord.xstate import OptimalTheta, XState, binary_entropy, c00, c90, discord
 
 from oracles import SectorBasis, dense_sector_hamiltonian, expand, sector_configs
@@ -205,24 +204,28 @@ class TestPairCorrelations:
         assert nnn.gamma_d == approx(1 / 12, abs=1e-10)
 
     def test_sector_states_have_zero_magnetization(self, solve):
+        # m^z = 0 and y = 0 in the S^z = 0 sector: u = v, w1 = w2, and no double flip
         for n, delta in [(4, 1.0), (8, 0.3), (12, 1.7)]:
-            corr = pair_correlations(solve(n, delta), 1, 2)
-            assert corr.mz_i == approx(0.0, abs=1e-10)
-            assert corr.mz_j == approx(0.0, abs=1e-10)
-            assert abs(corr.y_corr) == approx(0.0, abs=1e-12)
+            state = two_site_rdm(solve(n, delta), 1, 2)
+            assert state.u == state.v
+            assert state.w1 == state.w2
+            assert state.y == 0
 
     def test_reconstruction_identities(self, solve):
+        # u = v = 1/4 + gamma_d, w1 = w2 = 1/4 - gamma_d, x = gamma_o at zero magnetization
         for n, delta, i, j in [(8, 0.5, 1, 2), (8, 1.5, 3, 7), (10, 1.0, 4, 2)]:
             gs = solve(n, delta)
             state = two_site_rdm(gs, i, j)
             corr = pair_correlations(gs, i, j)
-            half_sum = (corr.mz_i + corr.mz_j) / 2
-            half_diff = (corr.mz_i - corr.mz_j) / 2
-            assert state.u == approx(0.25 + corr.gamma_d + half_sum, abs=1e-10)
-            assert state.v == approx(0.25 + corr.gamma_d - half_sum, abs=1e-10)
-            assert state.w1 == approx(0.25 - corr.gamma_d + half_diff, abs=1e-10)
-            assert state.w2 == approx(0.25 - corr.gamma_d - half_diff, abs=1e-10)
+            assert state.u == approx(0.25 + corr.gamma_d, abs=1e-10)
+            assert state.v == approx(0.25 + corr.gamma_d, abs=1e-10)
+            assert state.w1 == approx(0.25 - corr.gamma_d, abs=1e-10)
+            assert state.w2 == approx(0.25 - corr.gamma_d, abs=1e-10)
             assert state.x == approx(corr.gamma_o, abs=1e-10)
+
+    def test_fields_are_the_two_correlators(self, solve):
+        assert PairCorrelations._fields == ("r", "gamma_d", "gamma_o")
+        assert tuple(pair_correlations(solve(4, 1.0), 1, 2)) == approx((1, -1 / 6, -1 / 3))
 
     def test_ring_distance_folds(self, solve):
         gs = solve(8, 1.0)
@@ -241,20 +244,23 @@ class TestPairCorrelations:
         )
         assert total == approx(-3 * n / 8, abs=1e-8)
 
-    def test_out_of_range_gamma_d_rejected(self):
-        with pytest.raises(ValueError, match="gamma_d"):
-            PairCorrelations(1, 0.3, 0j, 0j, 0.0, 0.0)
+    def test_out_of_range_gamma_d_rejected(self, solve):
+        """|gamma_d| <= 1/4 on real pair states: `XState`'s own checks bound it."""
+        for n, delta in [(4, 1.0), (8, -0.9), (10, 0.0), (12, 4.0)]:
+            gs = solve(n, delta)
+            for r in range(1, n // 2 + 1):
+                assert abs(pair_correlations(gs, 1, 1 + r).gamma_d) <= 0.25
 
 
 class TestKRatio:
     def test_isotropic_point_gives_two(self, solve):
         for n in (4, 8, 12):
             for r in range(1, n // 2 + 1):
-                assert k_ratio(solve(n, 1.0), r).k == approx(2.0, abs=1e-9)
+                assert k_ratio(solve(n, 1.0), r) == approx(2.0, abs=1e-9)
 
     def test_anisotropy_moves_k_across_two(self, solve):
-        below = k_ratio(solve(12, 0.5), 1).k
-        above = k_ratio(solve(12, 1.5), 1).k
+        below = k_ratio(solve(12, 0.5), 1)
+        above = k_ratio(solve(12, 1.5), 1)
         assert below > 2.0
         assert above < 2.0
         assert below == approx(2.4875285881, abs=1e-6)
@@ -275,13 +281,29 @@ class TestKRatio:
                     assert corr.gamma_d <= 1 / (4 * (k + 1)) + 1e-10
 
     def test_undefined_ratio_raises(self):
+        """Where gamma_d vanishes, k is NaN, as in the fig3 and fig4 rows; nothing raises."""
         # crafted sector vector with <sz_1 sz_2> = 0: all weight on the orbit
         # of 0011, whose four configurations are aligned on half the bonds
         sector = MomentumSector(4)
         assert [int(r) for r in sector._reps] == [0b0011, 0b0101]
         gs = GroundState(sector, 0.0, 0.0, np.array([1.0, 0.0]), 0.0, 1e-10, ())
-        with pytest.raises(UndefinedRatioError):
-            k_ratio(gs, 1)
+        assert pair_correlations(gs, 1, 2).gamma_d == 0.0
+        assert math.isnan(k_ratio(gs, 1))
+
+    def test_equals_the_fig3_k_column(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        argv = ["fig3", "--n", "8", "--rs", "1,2,3,4", "--delta-range", "0:1:0.5",
+                "--deterministic", "--cache-dir", cache]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        delta_at, r_at, k_at = header.index("delta"), header.index("r"), header.index("k")
+        assert len(rows) == 12
+        assert "nan" in [row[k_at] for row in rows]
+        for row in rows:
+            k = k_ratio(ground_state(8, float(row[delta_at]), cache_dir=cache), int(row[r_at]))
+            assert type(k) is float
+            assert repr(k) == row[k_at]
 
     def test_rejects_bad_separation(self, solve):
         with pytest.raises(ValueError, match="separation"):

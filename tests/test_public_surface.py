@@ -13,7 +13,7 @@ REMOVED = ("MeasurementBasis", "GridVerifyReport", "C90Result", "joint_eigenvalu
            "discord_grid_verify", "pure_state_discord", "AsymptoticCheck",
            "asymptotic_discord_check", "find_peaks", "NormalizedDiscordPoint",
            "SectorBasis", "dense_sector_hamiltonian", "dense_spectrum_oracle", "ScalingForm",
-           "ScalingParams")
+           "ScalingParams", "KRatio", "UndefinedRatioError")
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -43,7 +43,8 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
-    first = out.getvalue().splitlines()[0].split()
+    first, second = (line.split() for line in out.getvalue().splitlines()[:2])
     assert float(first[0]) == pytest.approx(0.04881798480574462, abs=1e-12)
     assert first[1] == "OptimalTheta.NINETY"
+    assert float(second[1]) == pytest.approx(2.0, abs=1e-9)  # k at the isotropic point
     assert (tmp_path / "cache").is_dir()
