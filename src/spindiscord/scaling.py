@@ -10,8 +10,16 @@ correlators follow:
 with GAMMA_C the critical-point value and GAMMA_0 the t = 0 value.  Discord
 along the curve is the isotropic closed form evaluated at the (negative,
 antiferromagnetic-sign) correlator and normalized by its t = 1 value, which
-produces a peak of height 1 at the critical point with a kink: the one-sided
-slopes diverge because of the |1-t|^(1-ALPHA) and |1-t|^NU cusps.
+produces a peak of height 1 at the critical point with a kink.  The far
+pair's one-sided slopes go as |1-t|^(NU-1) and diverge for NU < 1; the
+nearest neighbors' go as |1-t|^(-ALPHA) and diverge only for ALPHA > 0.
+
+The constants are illustrative.  ALPHA and NU lie near the 3D Ising values
+alpha ~ 0.110 and nu ~ 0.630 (Pelissetto & Vicari, Phys. Rep. 368, 549
+(2002)), where both slopes diverge.  For the 3D Heisenberg class of a
+Heisenberg antiferromagnet, alpha ~ -0.134 and nu ~ 0.711 (Campostrini et
+al., PRB 65, 144520 (2002)): only the far pair's slope would diverge, and
+the nearest-neighbor curve would meet t = 1 with a finite slope.
 
 The five model constants are fixed; the far pair's separation r is the
 model's one setting.  The model functions take a float or an array of t, so

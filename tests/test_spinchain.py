@@ -708,7 +708,12 @@ def same_state(a, b):
 class TestLockstepBlocks:
     @pytest.mark.parametrize("n_sites", [8, 12, 16])
     def test_a_state_does_not_depend_on_its_block(self, monkeypatch, n_sites):
-        """Alone, in one block, shuffled or at two other widths: the same bits for every Δ."""
+        """Alone, in one block, shuffled or at two other widths: the same bits for every Δ.
+
+        One CPU is pinned, so that no forked worker solves blocks whose rows
+        the recorder in this process would miss.
+        """
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         alone = {delta: ground_state(n_sites, delta) for delta in SWEEP}
         if n_sites == 12:
             assert alone[0.0].iterations == 13  # its Krylov space turns invariant off the schedule
@@ -742,6 +747,8 @@ class TestLockstepBlocks:
     def test_a_column_restarted_from_its_ritz_vector_keeps_its_bits(
         self, monkeypatch, spoil_first_check
     ):
+        """One CPU is pinned, so that the `_lockstep` recorder sees every block in this process."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         deltas = [0.0, 0.25, 0.5, 0.75, 1.0]
         steps = ground_state(12, 0.5).iterations
         blocks, lockstep = [], spinchain._lockstep
@@ -964,6 +971,14 @@ class TestCache:
         with pytest.raises(OSError, match="disk full"):
             save_ground_state(path, gs)
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_save_into_an_existing_directory_makes_none(self, tmp_path, monkeypatch):
+        gs = ground_state(6, 1.5)
+        made = []
+        monkeypatch.setattr(spinchain.Path, "mkdir", lambda *args, **kwargs: made.append(args))
+        save_ground_state(cache_path(tmp_path, 6, 3, 1.5), gs)
+        assert made == []
+        assert load_ground_state(cache_path(tmp_path, 6, 3, 1.5), (6, 3, 1.5))[0] == gs.energy
 
     def test_save_load_helpers_compose(self, tmp_path):
         gs = ground_state(6, 1.5)
